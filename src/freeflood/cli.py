@@ -262,8 +262,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         except ValueError:
             print("error: --grid expects ROWSxCOLS, e.g. 8x8", file=sys.stderr)
             return EXIT_USAGE
-        if rows < 1 or cols < 1 or args.color_count > 10:
-            print("error: grid needs positive dimensions and at most 10 colors", file=sys.stderr)
+        if rows < 1 or cols < 1 or not 1 <= args.color_count <= 10:
+            print("error: grid needs positive dimensions and 1 to 10 colors", file=sys.stderr)
             return EXIT_USAGE
         rng = random.Random(args.seed)
         cells = tuple(rng.randrange(args.color_count) for _ in range(rows * cols))
@@ -281,7 +281,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(p) for p in args.sizes.split(",") if p]
+    try:
+        sizes = [int(p) for p in args.sizes.split(",") if p]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1 or args.repeat < 1:
+        print("error: --sizes takes positive integers and --repeat at least 1", file=sys.stderr)
+        return EXIT_USAGE
     print(f"# seed {args.seed}")
     print("# m is the undirected edge count; adjacency lists hold 2m entries")
     print("N,n,m,radius,milliseconds")

@@ -47,13 +47,53 @@ def eccentricity(rg: ReducedGraph, x: int) -> int:
 
 
 def radius_and_center(rg: ReducedGraph) -> Metrics:
-    """One search per zone; the radius is the least eccentricity.
+    """Full-vector reference sweep: one search per zone, every eccentricity.
 
-    Each source is independent, so the sweep could be parallelized without
-    changing the result; no early exit is attempted.
+    `freeflood radius`, the `validate=True` branch of `solve_reduced` and the
+    three lemma checkers need the whole vector and call this; `solve`,
+    `min_moves` and `verify_solution` need only the radius and one center and
+    use the eccentricity-bounding search instead.
     """
     adjacency = rg.adjacency
     eccs = [max(_distances(adjacency, s)) for s in range(rg.zone_count)]
     radius = min(eccs)
     center = tuple(z for z, e in enumerate(eccs) if e == radius)
     return Metrics(tuple(eccs), radius, center)
+
+
+def _radius_center(adjacency) -> tuple[int, int]:
+    """Exact radius and least-index center zone, by eccentricity bounding.
+
+    A search from v gives every zone w the lower bound
+    ecc(w) >= max(d(v, w), ecc(v) - d(v, w)) (Takes & Kosters, Algorithms
+    6(1), 2013).  Sources are taken in order of least (bound, id), and a zone
+    is dropped once its bound shows it cannot beat the best (eccentricity, id)
+    found so far, so the result is (radius, min(center)) of
+    `radius_and_center`.  A searched zone's bound becomes its eccentricity,
+    which drops it too.
+    """
+    lower = [0] * len(adjacency)
+    best = best_zone = len(adjacency)  # above any eccentricity and any id
+    alive = range(len(adjacency))
+    source = 0
+    while alive:
+        dist = _distances(adjacency, source)
+        ecc = max(dist)
+        if ecc < best or (ecc == best and source < best_zone):
+            best, best_zone = ecc, source
+        kept = []
+        least = best + 1
+        for w in alive:  # ascending ids, so ties keep the least id
+            d = dist[w]
+            bound = lower[w]
+            if d > bound:
+                bound = d
+            if ecc - d > bound:
+                bound = ecc - d
+            lower[w] = bound
+            if bound < best or (bound == best and w < best_zone):
+                kept.append(w)
+                if bound < least:
+                    least, source = bound, w
+        alive = kept
+    return best, best_zone

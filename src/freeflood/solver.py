@@ -20,7 +20,7 @@ from .graphs import (
     contract_with_trace,
     reduce,
 )
-from .metrics import radius_and_center
+from .metrics import _radius_center, radius_and_center
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def min_moves(g: ColoredGraph) -> int:
     """Optimal number of flooding moves: the radius of the reduced graph."""
     _palette(g)
     rg, _ = reduce(g)
-    return radius_and_center(rg).radius
+    return _radius_center(rg.adjacency)[0]
 
 
 def solve(g: ColoredGraph, validate: bool = False) -> Solution:
@@ -64,19 +64,18 @@ def solve(g: ColoredGraph, validate: bool = False) -> Solution:
     """
     palette = _palette(g)
     rg, zm = reduce(g)
-    met = radius_and_center(rg)
-    center = min(met.center)
+    radius, center = _radius_center(rg.adjacency)
     rep = zm.representative_of[center]
     moves = []
     color = g.colors[rep]
-    for _ in range(met.radius):
+    for _ in range(radius):
         color = palette[1] if color == palette[0] else palette[0]
         moves.append(FloodMove(rep, color))
     if validate:
         steps = solve_reduced(rg, validate=True)
-        if len(steps) != met.radius:
+        if len(steps) != radius:
             raise AssertionError("contraction certificate length differs from the radius")
-    return Solution(tuple(moves), met.radius, rep)
+    return Solution(tuple(moves), radius, rep)
 
 
 def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
@@ -87,8 +86,7 @@ def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
     that the radius decreases by exactly one and that the merged zone stays
     central.
     """
-    met = radius_and_center(rg)
-    center = min(met.center)
+    radius, center = _radius_center(rg.adjacency)
     steps: list[int] = []
     cur = rg
     while cur.zone_count > 1:
@@ -97,14 +95,14 @@ def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
         center = trace.new_id[center]
         if validate:
             m = radius_and_center(cur)
-            if m.radius != met.radius - len(steps):
+            if m.radius != radius - len(steps):
                 raise AssertionError(
                     f"radius {m.radius} after {len(steps)} contractions, "
-                    f"expected {met.radius - len(steps)}"
+                    f"expected {radius - len(steps)}"
                 )
             if m.eccentricity[center] != m.radius:
                 raise AssertionError("merged zone left the center set")
-    if len(steps) != met.radius:
+    if len(steps) != radius:
         raise AssertionError("contraction count differs from the initial radius")
     return steps
 
@@ -115,7 +113,8 @@ def verify_solution(g: ColoredGraph, s: Solution) -> Verdict:
     A move that is out of range raises MalformedMove; a no-op move makes the
     sequence infeasible.
     """
-    cur, zm = g, reduce(g)[1]
+    rg, zm = reduce(g)
+    cur = g
     for move in s.moves:
         try:
             cur, zm = apply_flood(cur, zm, move)
@@ -123,6 +122,7 @@ def verify_solution(g: ColoredGraph, s: Solution) -> Verdict:
             return Verdict.INFEASIBLE
     if len(set(cur.colors)) != 1:
         return Verdict.INFEASIBLE
-    if len(s.moves) == min_moves(g):
+    _palette(g)
+    if len(s.moves) == _radius_center(rg.adjacency)[0]:
         return Verdict.OPTIMAL
     return Verdict.FEASIBLE_SUBOPTIMAL

@@ -7,12 +7,14 @@ agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from freeflood import ColoredGraph, build, gen_random, gen_random_bipartite, reduce
+from freeflood import ColoredGraph, build, gen_random, gen_random_bipartite, grid_graph, reduce
+from freeflood.instances import GridSpec
 
 settings.register_profile(
     "freeflood",
@@ -106,3 +108,57 @@ def mixed_instance(rng: random.Random, max_vertices: int) -> ColoredGraph:
         slots = n * (n - 1) // 2 - (n - 1)
         return gen_random(n, min(rng.randint(0, 3), slots), 2, seed=rng.randrange(2**32))
     return gen_random_bipartite(n, rng.randint(0, n // 3), seed=rng.randrange(2**32))
+
+
+# The acceptance corpora, shared by the acceptance suite and the agreement
+# tests that compare fast paths against the reference sweep on them.
+ACCEPTANCE_SEED = 20250803
+
+
+def small_random_graphs(seed: int = ACCEPTANCE_SEED) -> list[ColoredGraph]:
+    """500 seeded connected 2-colored graphs with n <= 14: trees and mixes."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(500):
+        n = rng.randint(2, 14)
+        slots = n * (n - 1) // 2 - (n - 1)
+        extra = min(rng.randint(0, 3), slots)
+        out.append(gen_random(n, extra, 2, seed=rng.randrange(2**32)))
+    return out
+
+
+def grid_colorings():
+    """(base grid, every 2-coloring) for each grid shape up to 3 rows by 4 columns."""
+    corpus = []
+    for rows in range(1, 4):
+        for cols in range(1, 5):
+            base = grid_graph(GridSpec(rows, cols, tuple([0] * (rows * cols))))
+            corpus.append((base, list(itertools.product((0, 1), repeat=rows * cols))))
+    return corpus
+
+
+def mixed_reduced_corpus(count, seed, max_n, min_zones, max_zones):
+    """Seeded (original, reduced) pairs with zone counts in the given range."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = mixed_instance(rng, max_n)
+        rg, _ = reduce(g)
+        if min_zones <= rg.zone_count <= max_zones:
+            out.append((g, rg))
+    return out
+
+
+def acceptance_graphs() -> list[ColoredGraph]:
+    """Every colored graph of the acceptance corpora of criteria 1 to 4 and 6."""
+    graphs = small_random_graphs()
+    for base, colorings in grid_colorings():
+        graphs.extend(ColoredGraph(base.adjacency, cells, 2) for cells in colorings)
+    for count, offset, max_n, min_zones, max_zones in (
+        (200, 1, 50, 2, 50),
+        (100, 2, 30, 2, 30),
+        (100, 3, 20, 3, 20),
+    ):
+        corpus = mixed_reduced_corpus(count, ACCEPTANCE_SEED + offset, max_n, min_zones, max_zones)
+        graphs.extend(g for g, _ in corpus)
+    return graphs

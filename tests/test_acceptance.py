@@ -5,7 +5,6 @@ Every criterion is exact (zero tolerance) except the timing smoke test,
 which has its stated wall-clock budget and growth allowance.
 """
 
-import itertools
 import random
 import time
 
@@ -25,7 +24,6 @@ from freeflood import (
     check_radius_bounds,
     contract,
     gen_random,
-    gen_random_bipartite,
     grid_graph,
     min_moves,
     parse_grid,
@@ -36,59 +34,30 @@ from freeflood import (
 )
 from freeflood.instances import GridSpec
 
-SEED = 20250803
+from conftest import ACCEPTANCE_SEED as SEED
+from conftest import grid_colorings, mixed_reduced_corpus, small_random_graphs
 
 
 def _report(criterion: str, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS ({detail}; seed {SEED})")
 
 
-def _mixed_reduced_corpus(count, seed, max_n, min_zones, max_zones):
-    """Seeded (original, reduced) pairs with zone counts in the given range."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.randint(2, max_n)
-        if rng.random() < 0.5:
-            slots = n * (n - 1) // 2 - (n - 1)
-            g = gen_random(n, min(rng.randint(0, 3), slots), 2, seed=rng.randrange(2**32))
-        else:
-            g = gen_random_bipartite(n, rng.randint(0, n // 3), seed=rng.randrange(2**32))
-        rg, _ = reduce(g)
-        if min_zones <= rg.zone_count <= max_zones:
-            out.append((g, rg))
-    return out
-
-
 @pytest.fixture(scope="module")
 def small_random_corpus():
     """>= 500 seeded connected 2-colored graphs with n <= 14: trees and mixes."""
-    rng = random.Random(SEED)
-    out = []
-    for _ in range(500):
-        n = rng.randint(2, 14)
-        slots = n * (n - 1) // 2 - (n - 1)
-        extra = min(rng.randint(0, 3), slots)
-        out.append(gen_random(n, extra, 2, seed=rng.randrange(2**32)))
-    return out
+    return small_random_graphs(SEED)
 
 
 @pytest.fixture(scope="module")
 def grid_corpus():
     """All 2-colorings of every grid shape up to 3 rows by 4 columns."""
-    shapes = [(r, c) for r in range(1, 4) for c in range(1, 5)]
-    corpus = []
-    for rows, cols in shapes:
-        base = grid_graph(GridSpec(rows, cols, tuple([0] * (rows * cols))))
-        colorings = list(itertools.product((0, 1), repeat=rows * cols))
-        corpus.append((base, colorings))
-    return corpus
+    return grid_colorings()
 
 
 @pytest.fixture(scope="module")
 def contraction_corpus():
     """>= 200 seeded reduced graphs with up to 50 zones, plus their originals."""
-    return _mixed_reduced_corpus(200, SEED + 1, 50, 2, 50)
+    return mixed_reduced_corpus(200, SEED + 1, 50, 2, 50)
 
 
 def test_criterion_1_oracle_equivalence(small_random_corpus, grid_corpus):
@@ -122,7 +91,7 @@ def test_criterion_2_contraction_radius_bounds(contraction_corpus):
 
 
 def test_criterion_3_contraction_distance_bounds():
-    corpus = _mixed_reduced_corpus(100, SEED + 2, 30, 2, 30)
+    corpus = mixed_reduced_corpus(100, SEED + 2, 30, 2, 30)
     triples = 0
     for _, rg in corpus:
         report = check_distance_bounds(rg)
@@ -132,7 +101,7 @@ def test_criterion_3_contraction_distance_bounds():
 
 
 def test_criterion_4_far_witness():
-    corpus = _mixed_reduced_corpus(100, SEED + 3, 20, 3, 20)
+    corpus = mixed_reduced_corpus(100, SEED + 3, 20, 3, 20)
     paths = 0
     for _, rg in corpus:
         report = check_far_witness(rg)

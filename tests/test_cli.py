@@ -150,6 +150,31 @@ def test_gen_grid(capsys):
     assert all(len(r) == 4 for r in rows)
 
 
+@pytest.mark.parametrize("count", ["0", "-1", "11"])
+def test_gen_grid_color_count_out_of_range(count, capsys):
+    assert main(["gen", "--grid", "4x4", "--color-count", count]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "colors" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--sizes", "8", "--repeat", "0"],
+        ["--sizes", "8", "--repeat", "-3"],
+        ["--sizes", "8,x"],
+        ["--sizes", "0"],
+        ["--sizes", ""],
+    ],
+)
+def test_bench_usage_errors(argv, capsys):
+    assert main(["bench", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--repeat" in captured.err
+
+
 def test_bench_reports_square_sizes(capsys):
     assert main(["bench", "--sizes", "4,6", "--seed", "2"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()

@@ -1,11 +1,26 @@
 """Distances, eccentricity, radius, and center against naive references."""
 
+import random
+
 import pytest
 from hypothesis import given
 
-from freeflood import InvalidZone, bfs_distances, build, eccentricity, radius_and_center, reduce
+from freeflood import (
+    FloodMove,
+    InvalidZone,
+    bfs_distances,
+    build,
+    eccentricity,
+    grid_graph,
+    metrics,
+    radius_and_center,
+    reduce,
+    solve,
+)
+from freeflood.instances import GridSpec
+from freeflood.metrics import _radius_center
 
-from conftest import floyd_warshall, reduced_graphs
+from conftest import acceptance_graphs, floyd_warshall, reduced_graphs
 
 
 def reduced_path(k):
@@ -113,3 +128,65 @@ def test_distance_axioms_and_eccentricity_spread(rg):
             assert rows[a][b] == rows[b][a]
             for c in range(n):
                 assert rows[a][c] <= rows[a][b] + rows[b][c]
+
+
+def random_grid(side, seed):
+    rng = random.Random(seed)
+    return grid_graph(GridSpec(side, side, tuple(rng.randrange(2) for _ in range(side * side))))
+
+
+def full_sweep_answer(rg):
+    met = radius_and_center(rg)
+    return met.radius, min(met.center)
+
+
+@pytest.fixture(scope="module")
+def agreement_corpus():
+    """(graph, reduced graph, zone map, full-sweep answer) for the acceptance
+    corpora plus seeded 64x64 and 128x128 random grids."""
+    graphs = acceptance_graphs() + [random_grid(64, 7), random_grid(64, 8), random_grid(128, 9)]
+    corpus = []
+    for g in graphs:
+        rg, zm = reduce(g)
+        corpus.append((g, rg, zm, full_sweep_answer(rg)))
+    return corpus
+
+
+@given(reduced_graphs(max_vertices=14))
+def test_bounded_radius_center_matches_sweep(rg):
+    assert _radius_center(rg.adjacency) == full_sweep_answer(rg)
+
+
+def test_bounded_radius_center_matches_sweep_on_corpora(agreement_corpus):
+    for _, rg, _, expected in agreement_corpus:
+        assert _radius_center(rg.adjacency) == expected
+
+
+def test_solve_output_matches_full_sweep_rule(agreement_corpus):
+    # the rule before eccentricity bounding: flood the representative of the
+    # least center zone, alternating the two palette colors
+    for g, _, zm, (radius, center) in agreement_corpus:
+        rep = zm.representative_of[center]
+        palette = sorted(set(g.colors))
+        moves, color = [], g.colors[rep]
+        for _ in range(radius):
+            color = palette[1] if color == palette[0] else palette[0]
+            moves.append(FloodMove(rep, color))
+        solution = solve(g)
+        assert solution.center_zone_representative == rep
+        assert solution.moves == tuple(moves)
+
+
+def test_bounded_radius_center_searches_few_sources(monkeypatch):
+    rg = reduce(random_grid(64, 7))[0]
+    expected = full_sweep_answer(rg)
+    sources = []
+    distances = metrics._distances
+
+    def counted(adjacency, source):
+        sources.append(source)
+        return distances(adjacency, source)
+
+    monkeypatch.setattr(metrics, "_distances", counted)
+    assert _radius_center(rg.adjacency) == expected
+    assert len(set(sources)) == len(sources) < rg.zone_count // 4

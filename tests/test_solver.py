@@ -157,6 +157,14 @@ class TestVerify:
         moves = (FloodMove(0, 0),)
         assert verify_solution(g, Solution(moves, 1, 0)) is Verdict.INFEASIBLE
 
+    def test_palette_checked_after_replay(self):
+        # a three-color instance is infeasible while colors remain, and is
+        # refused only once the replay has made it monochromatic
+        g = build([(0, 1), (1, 2)], [0, 1, 2])
+        assert verify_solution(g, Solution((FloodMove(1, 0),), 1, 1)) is Verdict.INFEASIBLE
+        with pytest.raises(TooManyColors):
+            verify_solution(g, Solution((FloodMove(1, 0), FloodMove(0, 2)), 2, 1))
+
     def test_malformed_move_raises(self):
         g = checkerboard()
         with pytest.raises(MalformedMove):
