@@ -21,7 +21,7 @@ from .instances import (
     emit_grid,
     emit_moves,
     gen_random,
-    gen_random_bipartite,
+    gen_reduced_corpus,
     grid_graph,
     instance_digest,
     parse_graph,
@@ -43,10 +43,14 @@ EXIT_COUNTEREXAMPLE = 8
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise ParseError(f"{name}: byte {exc.start} is not valid UTF-8") from None
 
 
 def _load_instance(path: str, input_format: str):
@@ -142,13 +146,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _render_grid(spec: GridSpec, colors) -> str:
-    rows = []
-    for r in range(spec.rows):
-        rows.append("".join(str(colors[r * spec.cols + c]) for c in range(spec.cols)))
-    return "\n".join(rows)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     g, spec = _load_instance(args.instance, args.input_format)
     moves = parse_moves(_read_text(args.moves))
@@ -161,7 +158,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return EXIT_DOMAIN
         print(f"step {step} flood {move.vertex} -> {move.color} zones {zm.zone_count}")
         if spec is not None:
-            print(_render_grid(spec, cur.colors))
+            sys.stdout.write(emit_grid(GridSpec(spec.rows, spec.cols, cur.colors)))
     mono = len(set(cur.colors)) == 1
     print(f"monochromatic {'true' if mono else 'false'}")
     return EXIT_OK
@@ -182,6 +179,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        print("error: --budget takes at least 1 state", file=sys.stderr)
+        return EXIT_USAGE
     g, _ = _load_instance(args.instance, args.input_format)
     report = brute_force_min_moves(g, state_budget=args.budget)
     if args.format == "machine":
@@ -202,32 +202,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_corpus(count: int, seed: int, max_n: int, min_zones: int, max_zones: int):
-    """Seeded reduced graphs with a zone count inside [min_zones, max_zones].
-
-    Half come from reducing random colored graphs, half from random bipartite
-    graphs (already reduced), so both small and full-size zone graphs show up.
-    """
-    rng = random.Random(seed)
-    produced = 0
-    attempts = 0
-    while produced < count:
-        attempts += 1
-        if attempts > 100 * count:
-            break
-        n = rng.randint(2, max_n)
-        if rng.random() < 0.5:
-            slots = n * (n - 1) // 2 - (n - 1)
-            g = gen_random(n, min(rng.randint(0, 3), slots), 2, seed=rng.randrange(2**32))
-        else:
-            g = gen_random_bipartite(n, rng.randint(0, n // 3), seed=rng.randrange(2**32))
-        rg, _ = reduce(g)
-        if min_zones <= rg.zone_count <= max_zones:
-            produced += 1
-            yield rg
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        print("error: --count takes at least 1 graph", file=sys.stderr)
+        return EXIT_USAGE
     print(f"# seed {args.seed}")
     suites = [
         ("radius-bounds", check_radius_bounds, dict(max_n=50, min_zones=2, max_zones=50)),
@@ -239,7 +217,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         graphs = 0
         checks = 0
         bad = None
-        for rg in _check_corpus(args.count, args.seed + offset, **bounds):
+        for _, rg in gen_reduced_corpus(args.count, args.seed + offset, **bounds):
             report = checker(rg)
             graphs += 1
             checks += report.instances_checked
@@ -344,7 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("oracle", help="exhaustive optimum for small instances")
     _add_instance_arg(sub)
     _add_format_arg(sub)
-    sub.add_argument("--budget", type=int, default=1_000_000, help="state cap for the search")
+    sub.add_argument(
+        "--budget",
+        type=int,
+        default=1_000_000,
+        help="cap on the states the search stores, each about n bytes "
+        "(the default needs about 4 GB on a 64x64 board)",
+    )
     sub.set_defaults(func=_cmd_oracle)
 
     sub = commands.add_parser("check", help="run the property suites over a seeded corpus")

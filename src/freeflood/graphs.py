@@ -18,7 +18,6 @@ from .errors import (
     DuplicateEdge,
     EmptyGraph,
     ImproperColoring,
-    InstanceTooLarge,
     InvalidVertex,
     InvalidZone,
     MalformedMove,
@@ -29,9 +28,6 @@ from .errors import (
 )
 
 Adjacency = tuple[tuple[int, ...], ...]
-
-# Guard for the canonical-form search, which branches over symmetric vertices.
-MAX_CANONICAL_VERTICES = 64
 
 
 @dataclass(frozen=True)
@@ -333,123 +329,3 @@ def contract_with_trace(rg: ReducedGraph, x: int) -> tuple[ReducedGraph, Contrac
 def contract(rg: ReducedGraph, x: int) -> ReducedGraph:
     """Neighborhood contraction, discarding the renumbering trace."""
     return contract_with_trace(rg, x)[0]
-
-
-def canonical_form(adjacency: Sequence[Sequence[int]], colors: Sequence[int]):
-    """Canonical encoding of a vertex-colored graph.
-
-    Two graphs get equal encodings iff a color-preserving isomorphism maps
-    one onto the other.  Individualization-refinement search: branch over the
-    first non-singleton cell, prune sibling branches that a discovered
-    automorphism maps onto an explored one.  Meant for small graphs and
-    guarded accordingly.
-    """
-    n = len(colors)
-    if n > MAX_CANONICAL_VERTICES:
-        raise InstanceTooLarge(f"{n} vertices exceeds the canonical-form guard")
-    if n == 0:
-        return (0, (), ())
-    edges = [(u, w) for u, row in enumerate(adjacency) for w in row if u < w]
-
-    def refine(cells: list[list[int]]) -> list[list[int]]:
-        changed = True
-        while changed:
-            changed = False
-            index = [0] * n
-            for ci, cell in enumerate(cells):
-                for v in cell:
-                    index[v] = ci
-            out: list[list[int]] = []
-            for cell in cells:
-                if len(cell) == 1:
-                    out.append(cell)
-                    continue
-                buckets: dict[tuple[int, ...], list[int]] = {}
-                for v in cell:
-                    sig = tuple(sorted(index[w] for w in adjacency[v]))
-                    buckets.setdefault(sig, []).append(v)
-                if len(buckets) > 1:
-                    changed = True
-                for sig in sorted(buckets):
-                    out.append(buckets[sig])
-            cells = out
-        return cells
-
-    def encode(order: list[int]):
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        relabeled = sorted(
-            (pos[u], pos[w]) if pos[u] < pos[w] else (pos[w], pos[u]) for u, w in edges
-        )
-        return (tuple(colors[v] for v in order), tuple(relabeled))
-
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    initial = [by_color[c] for c in sorted(by_color)]
-
-    best = None
-    automorphisms: list[list[int]] = []
-    seen_leaves: dict[tuple, list[int]] = {}
-
-    def orbit(v: int, prefix: list[int]) -> set[int]:
-        # Closure of v under the automorphisms that fix every vertex
-        # individualized so far; sibling branches inside one orbit coincide.
-        applicable = [a for a in automorphisms if all(a[p] == p for p in prefix)]
-        reach = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for a in applicable:
-                w = a[u]
-                if w not in reach:
-                    reach.add(w)
-                    frontier.append(w)
-        return reach
-
-    def search(cells: list[list[int]], prefix: list[int]) -> None:
-        nonlocal best
-        cells = refine(cells)
-        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
-        if target is None:
-            order = [cell[0] for cell in cells]
-            enc = encode(order)
-            known = seen_leaves.get(enc)
-            if known is None:
-                if len(seen_leaves) < 512:
-                    seen_leaves[enc] = order
-            else:
-                # Two labelings with one encoding compose to an automorphism.
-                perm = [0] * n
-                for position in range(n):
-                    perm[known[position]] = order[position]
-                if any(perm[v] != v for v in range(n)):
-                    automorphisms.append(perm)
-            if best is None or enc < best:
-                best = enc
-            return
-        cell = cells[target]
-        explored: set[int] = set()
-        open_seen: set[frozenset[int]] = set()
-        closed_seen: set[frozenset[int]] = set()
-        for v in sorted(cell):
-            # Twins (equal open or equal closed neighborhoods) swap by an
-            # automorphism fixing everything else, so one branch covers the
-            # whole twin class.
-            open_key = frozenset(adjacency[v])
-            closed_key = open_key | {v}
-            if open_key in open_seen or closed_key in closed_seen:
-                continue
-            if explored and orbit(v, prefix) & explored:
-                continue
-            open_seen.add(open_key)
-            closed_seen.add(closed_key)
-            explored.add(v)
-            rest = [u for u in cell if u != v]
-            prefix.append(v)
-            search(cells[:target] + [[v], rest] + cells[target + 1 :], prefix)
-            prefix.pop()
-
-    search(initial, [])
-    return (n, best[0], best[1])

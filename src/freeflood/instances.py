@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import (
     ColorOutOfRange,
@@ -27,7 +27,7 @@ from .errors import (
     SelfLoop,
     TooManyEdges,
 )
-from .graphs import ColoredGraph, FloodMove, ReducedGraph, build
+from .graphs import ColoredGraph, FloodMove, ReducedGraph, build, reduce
 
 _DIGITS = "0123456789"
 
@@ -39,9 +39,6 @@ class GridSpec:
     rows: int
     cols: int
     cells: tuple[int, ...]
-
-    def color_at(self, row: int, col: int) -> int:
-        return self.cells[row * self.cols + col]
 
 
 def parse_grid_spec(text: str) -> GridSpec:
@@ -265,3 +262,29 @@ def gen_random(n: int, extra_edges: int, color_count: int, seed: int) -> Colored
                     edges.add((u, v) if u < v else (v, u))
     colors = [rng.randrange(color_count) for _ in range(n)]
     return build(sorted(edges), colors, color_count)
+
+
+def gen_reduced_corpus(
+    count: int, seed: int, max_n: int, min_zones: int, max_zones: int
+) -> Iterator[tuple[ColoredGraph, ReducedGraph]]:
+    """Seeded (graph, reduced graph) pairs with a zone count in [min_zones, max_zones].
+
+    Half the graphs are random two-colored graphs, half random bipartite
+    graphs (already reduced), so both small and full-size zone graphs show
+    up.  Gives up after 100 * count draws, so it may yield fewer than count.
+    """
+    rng = random.Random(seed)
+    produced = 0
+    for _ in range(100 * count):
+        if produced == count:
+            return
+        n = rng.randint(2, max_n)
+        if rng.random() < 0.5:
+            slots = n * (n - 1) // 2 - (n - 1)
+            g = gen_random(n, min(rng.randint(0, 3), slots), 2, seed=rng.randrange(2**32))
+        else:
+            g = gen_random_bipartite(n, rng.randint(0, n // 3), seed=rng.randrange(2**32))
+        rg, _ = reduce(g)
+        if min_zones <= rg.zone_count <= max_zones:
+            produced += 1
+            yield g, rg

@@ -13,7 +13,7 @@ import random
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from freeflood import ColoredGraph, build, gen_random, gen_random_bipartite, grid_graph, reduce
+from freeflood import ColoredGraph, build, gen_random, gen_reduced_corpus, grid_graph, reduce
 from freeflood.instances import GridSpec
 
 settings.register_profile(
@@ -93,21 +93,31 @@ def floyd_warshall(adjacency):
     return dist
 
 
-def zone_footprints(zm):
-    """Original-vertex sets of each zone, indexed by zone id."""
-    sets = [set() for _ in zm.representative_of]
-    for v, z in enumerate(zm.zone_of):
+def zone_footprints(zone_of):
+    """Original-vertex sets of each zone, indexed by zone id.
+
+    `zone_of` maps every original vertex onto a zone id, and every id in
+    range(max(zone_of) + 1) is some vertex's zone.
+    """
+    sets = [set() for _ in range(max(zone_of) + 1)]
+    for v, z in enumerate(zone_of):
         sets[z].add(v)
     return [frozenset(s) for s in sets]
 
 
-def mixed_instance(rng: random.Random, max_vertices: int) -> ColoredGraph:
-    """One seeded instance: random coloring or random bipartite, varied size."""
-    n = rng.randint(2, max_vertices)
-    if rng.random() < 0.5:
-        slots = n * (n - 1) // 2 - (n - 1)
-        return gen_random(n, min(rng.randint(0, 3), slots), 2, seed=rng.randrange(2**32))
-    return gen_random_bipartite(n, rng.randint(0, n // 3), seed=rng.randrange(2**32))
+def footprint_graph(rg, zone_of):
+    """A zone graph with every zone named by its set of original vertices.
+
+    Returns ({footprint: color}, {(footprint, footprint) per adjacency
+    entry}).  Two zone graphs of one original graph compare equal exactly
+    when they are the same labelled graph: same zones, colors and adjacency
+    lists (both directions of every edge), whatever ids each side gives its
+    zones.  Linear, so no size guard is needed.
+    """
+    footprints = zone_footprints(zone_of)
+    colors = dict(zip(footprints, rg.colors, strict=True))
+    edges = {(footprints[z], footprints[w]) for z, row in enumerate(rg.adjacency) for w in row}
+    return colors, edges
 
 
 # The acceptance corpora, shared by the acceptance suite and the agreement
@@ -137,18 +147,6 @@ def grid_colorings():
     return corpus
 
 
-def mixed_reduced_corpus(count, seed, max_n, min_zones, max_zones):
-    """Seeded (original, reduced) pairs with zone counts in the given range."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        g = mixed_instance(rng, max_n)
-        rg, _ = reduce(g)
-        if min_zones <= rg.zone_count <= max_zones:
-            out.append((g, rg))
-    return out
-
-
 def acceptance_graphs() -> list[ColoredGraph]:
     """Every colored graph of the acceptance corpora of criteria 1 to 4 and 6."""
     graphs = small_random_graphs()
@@ -159,6 +157,6 @@ def acceptance_graphs() -> list[ColoredGraph]:
         (100, 2, 30, 2, 30),
         (100, 3, 20, 3, 20),
     ):
-        corpus = mixed_reduced_corpus(count, ACCEPTANCE_SEED + offset, max_n, min_zones, max_zones)
+        corpus = gen_reduced_corpus(count, ACCEPTANCE_SEED + offset, max_n, min_zones, max_zones)
         graphs.extend(g for g, _ in corpus)
     return graphs

@@ -18,12 +18,12 @@ from freeflood import (
     apply_flood,
     brute_force_min_moves,
     build,
-    canonical_form,
     check_distance_bounds,
     check_far_witness,
     check_radius_bounds,
-    contract,
+    contract_with_trace,
     gen_random,
+    gen_reduced_corpus,
     grid_graph,
     min_moves,
     parse_grid,
@@ -35,7 +35,7 @@ from freeflood import (
 from freeflood.instances import GridSpec
 
 from conftest import ACCEPTANCE_SEED as SEED
-from conftest import grid_colorings, mixed_reduced_corpus, small_random_graphs
+from conftest import footprint_graph, grid_colorings, small_random_graphs
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -57,7 +57,9 @@ def grid_corpus():
 @pytest.fixture(scope="module")
 def contraction_corpus():
     """>= 200 seeded reduced graphs with up to 50 zones, plus their originals."""
-    return mixed_reduced_corpus(200, SEED + 1, 50, 2, 50)
+    corpus = list(gen_reduced_corpus(200, SEED + 1, 50, 2, 50))
+    assert len(corpus) == 200
+    return corpus
 
 
 def test_criterion_1_oracle_equivalence(small_random_corpus, grid_corpus):
@@ -91,7 +93,8 @@ def test_criterion_2_contraction_radius_bounds(contraction_corpus):
 
 
 def test_criterion_3_contraction_distance_bounds():
-    corpus = mixed_reduced_corpus(100, SEED + 2, 30, 2, 30)
+    corpus = list(gen_reduced_corpus(100, SEED + 2, 30, 2, 30))
+    assert len(corpus) == 100
     triples = 0
     for _, rg in corpus:
         report = check_distance_bounds(rg)
@@ -101,7 +104,8 @@ def test_criterion_3_contraction_distance_bounds():
 
 
 def test_criterion_4_far_witness():
-    corpus = mixed_reduced_corpus(100, SEED + 3, 20, 3, 20)
+    corpus = list(gen_reduced_corpus(100, SEED + 3, 20, 3, 20))
+    assert len(corpus) == 100
     paths = 0
     for _, rg in corpus:
         report = check_far_witness(rg)
@@ -125,10 +129,10 @@ def test_criterion_5_flood_contract_equivalence():
             vertex = rng.randrange(g.vertex_count)
             color = 1 - g.colors[vertex]
             flooded, _ = apply_flood(g, zm, FloodMove(vertex, color))
-            via_flood = reduce(flooded)[0]
-            via_contract = contract(rg, zm.zone_of[vertex])
-            assert canonical_form(via_flood.adjacency, via_flood.colors) == canonical_form(
-                via_contract.adjacency, via_contract.colors
+            via_flood, flood_zm = reduce(flooded)
+            via_contract, trace = contract_with_trace(rg, zm.zone_of[vertex])
+            assert footprint_graph(via_flood, flood_zm.zone_of) == footprint_graph(
+                via_contract, [trace.new_id[z] for z in zm.zone_of]
             )
             pairs += 1
     _report("5 flood/contract equivalence", f"{pairs} (graph, move) pairs")

@@ -91,6 +91,21 @@ def test_simulate(board, tmp_path, capsys):
     assert "monochromatic true" in out
 
 
+def test_simulate_exact_output(board, tmp_path, capsys):
+    moves = tmp_path / "sim.moves"
+    moves.write_text("0 1\n0 0\n")
+    assert main(["simulate", board, str(moves)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "step 1 flood 0 -> 1 zones 2\n"
+        "11\n"
+        "10\n"
+        "step 2 flood 0 -> 0 zones 1\n"
+        "00\n"
+        "00\n"
+        "monochromatic true\n"
+    )
+
+
 def test_simulate_graph_format(tmp_path, capsys):
     instance = tmp_path / "path.graph"
     instance.write_text("3 2 2\n0\n1\n0\n0 1\n1 2\n")
@@ -121,6 +136,22 @@ def test_oracle_budget(board, capsys):
     out = capsys.readouterr().out
     assert "exhausted false" in out
     assert "upper bound" in out
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_oracle_budget_below_one_is_a_usage_error(board, budget, capsys):
+    assert main(["oracle", board, "--budget", budget]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget" in captured.err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_check_count_below_one_is_a_usage_error(count, capsys):
+    assert main(["check", "--count", count]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--count" in captured.err
 
 
 def test_check_runs_clean(capsys):
@@ -194,6 +225,30 @@ def test_stdin_instance(board, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(CHECKERBOARD))
     assert main(["solve", "-"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == "optimum 2"
+
+
+def test_non_utf8_file_is_a_parse_error(board, tmp_path, capsys):
+    instance = tmp_path / "utf16.grid"
+    instance.write_bytes("01\n10\n".encode("utf-16"))
+    assert main(["solve", str(instance)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(instance) in err and "byte 0 " in err
+    moves = tmp_path / "bad.moves"
+    moves.write_bytes(b"0 1\n\xff\n")
+    assert main(["verify", board, str(moves)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert str(moves) in err and "byte 4 " in err
+
+
+def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(b"01\n1\xfe\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["solve", "-"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stdin" in captured.err and "byte 4 " in captured.err
 
 
 def test_exit_codes(tmp_path, capsys):

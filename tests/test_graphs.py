@@ -1,10 +1,8 @@
-"""Construction, reduction, flooding, contraction, and the canonical form."""
+"""Construction, reduction, flooding, and contraction."""
 
-import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from networkx.algorithms.isomorphism import GraphMatcher, categorical_node_match
 
 from freeflood import (
     ColorOutOfRange,
@@ -16,19 +14,19 @@ from freeflood import (
     InvalidZone,
     MalformedMove,
     NoOpMove,
+    ReducedGraph,
     SelfLoop,
     SingletonGraph,
     TooManyColors,
     apply_flood,
     build,
-    canonical_form,
     contract,
     contract_with_trace,
     parse_grid,
     reduce,
 )
 
-from conftest import colored_graphs, naive_zone_sets, zone_footprints
+from conftest import colored_graphs, footprint_graph, naive_zone_sets, zone_footprints
 
 CHECKERBOARD = "01\n10\n"
 
@@ -112,7 +110,7 @@ class TestReduce:
         edge_list = [(u, w) for u, row in enumerate(g.adjacency) for w in row if u < w]
         expected = naive_zone_sets(edge_list, g.colors)
         _, zm = reduce(g)
-        assert zone_footprints(zm) == expected
+        assert zone_footprints(zm.zone_of) == expected
 
     @given(colored_graphs())
     def test_proper_and_minor_bounds(self, g):
@@ -123,7 +121,7 @@ class TestReduce:
         assert rg.zone_count <= g.vertex_count
         assert rg.edge_count <= g.edge_count
         assert zm.representative_of == tuple(
-            min(members) for members in zone_footprints(zm)
+            min(members) for members in zone_footprints(zm.zone_of)
         )
 
     def test_three_colors_accepted(self):
@@ -256,48 +254,6 @@ class TestContract:
         assert out.zone_count == rg.zone_count - len(rg.adjacency[x])
 
 
-def nx_colored(adjacency, colors):
-    graph = nx.Graph()
-    for v, c in enumerate(colors):
-        graph.add_node(v, color=c)
-    for u, row in enumerate(adjacency):
-        for w in row:
-            if u < w:
-                graph.add_edge(u, w)
-    return graph
-
-
-def color_isomorphic(a, b):
-    return GraphMatcher(
-        nx_colored(*a), nx_colored(*b), node_match=categorical_node_match("color", None)
-    ).is_isomorphic()
-
-
-class TestCanonicalForm:
-    def test_relabeling_invariance(self):
-        a = (((1,), (0, 2), (1,)), (0, 1, 0))
-        b = (((1,), (0, 2), (1,)), (0, 1, 0))
-        perm = [2, 1, 0]
-        relabeled_adj = tuple(
-            tuple(sorted(perm[w] for w in a[0][v])) for v in (2, 1, 0)
-        )
-        relabeled_colors = tuple(a[1][v] for v in (2, 1, 0))
-        assert canonical_form(*a) == canonical_form(*b)
-        assert canonical_form(*a) == canonical_form(relabeled_adj, relabeled_colors)
-
-    def test_distinguishes_colors(self):
-        path = ((1,), (0, 2), (1,))
-        assert canonical_form(path, (0, 1, 0)) != canonical_form(path, (1, 0, 1))
-
-    @given(colored_graphs(max_vertices=8), colored_graphs(max_vertices=8))
-    @settings(max_examples=60)
-    def test_agrees_with_vf2(self, g1, g2):
-        r1, _ = reduce(g1)
-        r2, _ = reduce(g2)
-        same = canonical_form(r1.adjacency, r1.colors) == canonical_form(r2.adjacency, r2.colors)
-        assert same == color_isomorphic((r1.adjacency, r1.colors), (r2.adjacency, r2.colors))
-
-
 class TestFloodContractEquivalence:
     @given(colored_graphs(), st.randoms(use_true_random=False))
     def test_flood_then_reduce_matches_contract(self, g, rng):
@@ -308,8 +264,32 @@ class TestFloodContractEquivalence:
         palette = sorted(set(g.colors))
         color = palette[1] if g.colors[vertex] == palette[0] else palette[0]
         flooded, _ = apply_flood(g, zm, FloodMove(vertex, color))
-        via_flood = reduce(flooded)[0]
-        via_contract = contract(rg, zm.zone_of[vertex])
-        assert canonical_form(via_flood.adjacency, via_flood.colors) == canonical_form(
-            via_contract.adjacency, via_contract.colors
+        via_flood, flood_zm = reduce(flooded)
+        via_contract, trace = contract_with_trace(rg, zm.zone_of[vertex])
+        assert footprint_graph(via_flood, flood_zm.zone_of) == footprint_graph(
+            via_contract, [trace.new_id[z] for z in zm.zone_of]
         )
+
+    def test_labelled_check_rejects_a_wrong_contraction(self):
+        # flooding the middle of a 5-path merges zones 1 to 3; the contraction
+        # is right, and it stops matching once one edge or one color is wrong
+        g = build([(0, 1), (1, 2), (2, 3), (3, 4)], [0, 1, 0, 1, 0])
+        rg, zm = reduce(g)
+        flooded, _ = apply_flood(g, zm, FloodMove(2, 1))
+        via_flood, flood_zm = reduce(flooded)
+        expected = footprint_graph(via_flood, flood_zm.zone_of)
+        out, trace = contract_with_trace(rg, 2)
+        zone_of = [trace.new_id[z] for z in zm.zone_of]
+        assert footprint_graph(out, zone_of) == expected
+
+        merged, neighbor = trace.merged, out.adjacency[trace.merged][0]
+        dropped = tuple(
+            tuple(w for w in row if {z, w} != {merged, neighbor})
+            for z, row in enumerate(out.adjacency)
+        )
+        assert dropped != out.adjacency
+        assert footprint_graph(ReducedGraph(dropped, out.colors), zone_of) != expected
+
+        flipped = list(out.colors)
+        flipped[merged] = 1 - flipped[merged]
+        assert footprint_graph(ReducedGraph(out.adjacency, tuple(flipped)), zone_of) != expected
