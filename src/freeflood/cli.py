@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 usage, 3 file error, 4 parse error, 5 domain error,
 6 verified feasible but suboptimal, 7 verified infeasible, 8 property check
-found a counterexample.
+found a counterexample, 9 an internal check failed (a bug in freeflood).
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import random
 import sys
 import time
 
-from .errors import FloodError, MalformedMove, NoOpMove, ParseError
-from .graphs import apply_flood, reduce
+from .errors import FloodError, InvariantViolation, MalformedMove, NoOpMove, ParseError
+from .graphs import reduce
 from .instances import (
     GridSpec,
     emit_graph,
@@ -30,7 +30,7 @@ from .instances import (
 )
 from .metrics import radius_and_center
 from .oracle import brute_force_min_moves, check_distance_bounds, check_far_witness, check_radius_bounds
-from .solver import Solution, Verdict, solve, verify_solution
+from .solver import Solution, Verdict, _replay, solve, verify_solution
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,14 +40,17 @@ EXIT_DOMAIN = 5
 EXIT_SUBOPTIMAL = 6
 EXIT_INFEASIBLE = 7
 EXIT_COUNTEREXAMPLE = 8
+EXIT_INTERNAL = 9
 
 
 def _read_text(path: str) -> str:
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         name = "stdin" if path == "-" else path
         raise ParseError(f"{name}: byte {exc.start} is not valid UTF-8") from None
@@ -149,18 +152,20 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     g, spec = _load_instance(args.instance, args.input_format)
     moves = parse_moves(_read_text(args.moves))
-    cur, zm = g, reduce(g)[1]
+    rg, zm = reduce(g)
+    replay = _replay(g, rg, zm, moves)
+    cur = rg
     for step, move in enumerate(moves, start=1):
         try:
-            cur, zm = apply_flood(cur, zm, move, validate=args.validate)
+            cur, now = next(replay)
         except (NoOpMove, MalformedMove) as exc:
             print(f"step {step}: rejected: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
-        print(f"step {step} flood {move.vertex} -> {move.color} zones {zm.zone_count}")
+        print(f"step {step} flood {move.vertex} -> {move.color} zones {cur.zone_count}")
         if spec is not None:
-            sys.stdout.write(emit_grid(GridSpec(spec.rows, spec.cols, cur.colors)))
-    mono = len(set(cur.colors)) == 1
-    print(f"monochromatic {'true' if mono else 'false'}")
+            cells = tuple(cur.colors[now[z]] for z in zm.zone_of)
+            sys.stdout.write(emit_grid(GridSpec(spec.rows, spec.cols, cells)))
+    print(f"monochromatic {'true' if cur.zone_count == 1 else 'false'}")
     return EXIT_OK
 
 
@@ -311,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("simulate", help="replay a move file step by step")
     _add_instance_arg(sub)
     sub.add_argument("moves", help="move file, or - for stdin")
-    sub.add_argument("--validate", action="store_true", help="cross-check each incremental update")
     sub.set_defaults(func=_cmd_simulate)
 
     sub = commands.add_parser("verify", help="classify a move file as optimal/suboptimal/infeasible")
@@ -358,6 +362,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "moves", None) == "-" == args.instance:
+            parser.error("the instance and the move file cannot both be - (stdin)")
     except SystemExit as exc:  # argparse already printed a diagnostic
         return int(exc.code or 0)
     try:
@@ -368,6 +374,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FILE
+    except InvariantViolation as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except FloodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

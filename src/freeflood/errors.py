@@ -63,6 +63,10 @@ class InstanceTooLarge(FloodError):
     """Instance exceeds the size guard of an exhaustive routine."""
 
 
+class InvariantViolation(FloodError):
+    """An internal consistency check failed: a bug in this package, not in the input."""
+
+
 class ParseError(FloodError):
     """Malformed input text, with a 1-based line (and column when known)."""
 

@@ -3,8 +3,10 @@
 A flooding move picks a zone (a maximal connected monochromatic vertex set)
 and recolors it wholesale, possibly merging it with same-colored neighbor
 zones.  The reduced graph, with one vertex per zone and a proper coloration,
-is the solver's working representation: flooding a zone corresponds to
-contracting that zone's reduced vertex together with all of its neighbors.
+is the working representation after `reduce`: moves are replayed on it by
+one zone-level flood, which merges the flooded zone with its neighbors of
+the new color; with two colors that is contracting the zone together with
+all of its neighbors.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from .errors import (
     ImproperColoring,
     InvalidVertex,
     InvalidZone,
-    MalformedMove,
-    NoOpMove,
     SelfLoop,
     SingletonGraph,
     TooManyColors,
@@ -89,11 +89,11 @@ class FloodMove:
 
 @dataclass(frozen=True)
 class ContractionTrace:
-    """Renumbering record of one neighborhood contraction."""
+    """Renumbering record of one flood (a neighborhood contraction with two colors)."""
 
-    absorbed: tuple[int, ...]  # old zone ids folded into the contracted zone
+    absorbed: tuple[int, ...]  # old zone ids folded into the flooded zone
     new_id: tuple[int, ...]    # old id -> new id; absorbed ids map to `merged`
-    merged: int                # new id of the contracted zone
+    merged: int                # new id of the flooded zone
 
 
 def _check_connected(adjacency: Sequence[Sequence[int]]) -> None:
@@ -217,67 +217,12 @@ def reduce(g: ColoredGraph) -> tuple[ReducedGraph, ZoneMap]:
     return rg, zm
 
 
-def apply_flood(
-    g: ColoredGraph, zm: ZoneMap, move: FloodMove, validate: bool = False
-) -> tuple[ColoredGraph, ZoneMap]:
-    """Flood the zone containing move.vertex with move.color.
-
-    The zone map is updated incrementally, searching only the merged region;
-    `validate=True` cross-checks the result against a full re-reduction.
-    """
-    n = g.vertex_count
-    if not 0 <= move.vertex < n:
-        raise MalformedMove(f"vertex {move.vertex} outside [0, {n})")
-    if not 0 <= move.color < g.color_count:
-        raise MalformedMove(f"color {move.color} outside [0, {g.color_count})")
-    target = move.color
-    if g.colors[move.vertex] == target:
-        raise NoOpMove(f"zone of vertex {move.vertex} already has color {target}")
-    zone = zm.zone_of[move.vertex]
-    zone_of = zm.zone_of
-    new_colors = list(g.colors)
-    for u in range(n):
-        if zone_of[u] == zone:
-            new_colors[u] = target
-    # The recolored zone may coalesce with same-colored neighbors; collect the
-    # merged region by search from the move vertex.
-    merged = {move.vertex}
-    stack = [move.vertex]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if w not in merged and new_colors[w] == target:
-                merged.add(w)
-                stack.append(w)
-    swallowed = {zone_of[u] for u in merged}
-    entries = [(rep, z) for z, rep in enumerate(zm.representative_of) if z not in swallowed]
-    entries.append((min(merged), -1))
-    entries.sort()
-    remap: dict[int, int] = {}
-    merged_id = -1
-    for new_zid, (_, z) in enumerate(entries):
-        if z == -1:
-            merged_id = new_zid
-        else:
-            remap[z] = new_zid
-    new_zone_of = tuple(
-        merged_id if zone_of[u] in swallowed else remap[zone_of[u]] for u in range(n)
-    )
-    g2 = ColoredGraph(g.adjacency, tuple(new_colors), g.color_count)
-    zm2 = ZoneMap(new_zone_of, tuple(rep for rep, _ in entries))
-    if validate:
-        _, zm_full = reduce(g2)
-        if zm_full != zm2:
-            raise AssertionError("incremental zone map diverged from full re-reduction")
-    return g2, zm2
-
-
 def contract_with_trace(rg: ReducedGraph, x: int) -> tuple[ReducedGraph, ContractionTrace]:
     """Neighborhood contraction: fold zone x and all its neighbors into x.
 
-    The merged zone keeps x's slot in an order-preserving dense renumbering,
-    adopts all second neighbors, and flips to the other palette color.  The
-    returned trace records the renumbering for move reporting.
+    This is flooding x with the other palette color: the merged zone keeps
+    x's slot, adopts all second neighbors, and flips color.  The returned
+    trace records the renumbering for move reporting.
     """
     k = rg.zone_count
     if not 0 <= x < k:
@@ -287,7 +232,21 @@ def contract_with_trace(rg: ReducedGraph, x: int) -> tuple[ReducedGraph, Contrac
     palette = set(rg.colors)
     if len(palette) > 2:
         raise TooManyColors("neighborhood contraction is defined for two-color instances")
-    absorbed = set(rg.adjacency[x])
+    others = palette - {rg.colors[x]}
+    if len(others) != 1:
+        raise ImproperColoring("a proper coloration with two or more zones uses two colors")
+    return _flood(rg, x, others.pop())
+
+
+def _flood(rg: ReducedGraph, x: int, color: int) -> tuple[ReducedGraph, ContractionTrace]:
+    """Flood zone x with `color`: x takes it and absorbs its neighbors of that color.
+
+    The merged zone keeps x's slot in an order-preserving dense renumbering,
+    and every survivor adjacent to x or to an absorbed zone is adjacent to
+    it.  With a single zone this only recolors.  Works for any color count.
+    """
+    k = rg.zone_count
+    absorbed = {y for y in rg.adjacency[x] if rg.colors[y] == color}
     new_id = [-1] * k
     survivors = [z for z in range(k) if z not in absorbed]
     for i, z in enumerate(survivors):
@@ -295,37 +254,30 @@ def contract_with_trace(rg: ReducedGraph, x: int) -> tuple[ReducedGraph, Contrac
     merged = new_id[x]
     for z in absorbed:
         new_id[z] = merged
+    group = absorbed | {x}
     adj_new: list[list[int]] = [[] for _ in survivors]
-    second: set[int] = set()
-    for y in rg.adjacency[x]:
+    around: set[int] = set()
+    for y in group:
         for w in rg.adjacency[y]:
-            if w != x and w not in absorbed:
-                second.add(new_id[w])
-    adj_new[merged] = sorted(second)
+            if w not in group:
+                around.add(new_id[w])
+    adj_new[merged] = sorted(around)
     for s in survivors:
         if s == x:
             continue
         row = []
         touches_merged = False
         for w in rg.adjacency[s]:
-            if w in absorbed:
+            if w in group:
                 touches_merged = True
             else:
                 row.append(new_id[w])
         if touches_merged:
             row.append(merged)
         adj_new[new_id[s]] = sorted(row)
-    others = palette - {rg.colors[x]}
-    if len(others) != 1:
-        raise ImproperColoring("a proper coloration with two or more zones uses two colors")
     colors_new = [rg.colors[s] for s in survivors]
-    colors_new[merged] = others.pop()
+    colors_new[merged] = color
     rg2 = ReducedGraph(tuple(tuple(row) for row in adj_new), tuple(colors_new))
     _validate_reduced(rg2)
     trace = ContractionTrace(tuple(sorted(absorbed)), tuple(new_id), merged)
     return rg2, trace
-
-
-def contract(rg: ReducedGraph, x: int) -> ReducedGraph:
-    """Neighborhood contraction, discarding the renumbering trace."""
-    return contract_with_trace(rg, x)[0]

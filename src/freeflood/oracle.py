@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InstanceTooLarge, TooManyColors
+from .errors import InstanceTooLarge, InvariantViolation, TooManyColors
 from .graphs import ColoredGraph, ReducedGraph, contract_with_trace, monochromatic_zones
 from .metrics import bfs_distances, radius_and_center
 
@@ -111,7 +111,7 @@ class StateSpace:
                         return StateSpaceReport(upper, len(visited), False)
                     nxt.append(succ)
             frontier = nxt
-        raise AssertionError("flooding always reaches a monochromatic coloration")
+        raise InvariantViolation("flooding always reaches a monochromatic coloration")
 
 
 def brute_force_min_moves(

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
-from .errors import NoOpMove, TooManyColors
+from .errors import InvariantViolation, MalformedMove, NoOpMove, TooManyColors
 from .graphs import (
     ColoredGraph,
     FloodMove,
     ReducedGraph,
-    apply_flood,
+    ZoneMap,
+    _flood,
     contract_with_trace,
     reduce,
 )
@@ -74,7 +76,7 @@ def solve(g: ColoredGraph, validate: bool = False) -> Solution:
     if validate:
         steps = solve_reduced(rg, validate=True)
         if len(steps) != radius:
-            raise AssertionError("contraction certificate length differs from the radius")
+            raise InvariantViolation("contraction certificate length differs from the radius")
     return Solution(tuple(moves), radius, rep)
 
 
@@ -96,31 +98,55 @@ def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
         if validate:
             m = radius_and_center(cur)
             if m.radius != radius - len(steps):
-                raise AssertionError(
+                raise InvariantViolation(
                     f"radius {m.radius} after {len(steps)} contractions, "
                     f"expected {radius - len(steps)}"
                 )
             if m.eccentricity[center] != m.radius:
-                raise AssertionError("merged zone left the center set")
+                raise InvariantViolation("merged zone left the center set")
     if len(steps) != radius:
-        raise AssertionError("contraction count differs from the initial radius")
+        raise InvariantViolation("contraction count differs from the initial radius")
     return steps
 
 
+def _replay(
+    g: ColoredGraph, rg: ReducedGraph, zm: ZoneMap, moves: Sequence[FloodMove]
+) -> Iterator[tuple[ReducedGraph, list[int]]]:
+    """Flood each move on the zone graph (rg, zm) = reduce(g), one at a time.
+
+    Yields (current zone graph, now) after every move, where now[z] is the
+    current id of original zone z.  A move is checked when it is reached:
+    MalformedMove for a vertex or a color out of range, NoOpMove for a zone
+    that already has the move's color.
+    """
+    now = list(range(rg.zone_count))
+    for move in moves:
+        if not 0 <= move.vertex < g.vertex_count:
+            raise MalformedMove(f"vertex {move.vertex} outside [0, {g.vertex_count})")
+        if not 0 <= move.color < g.color_count:
+            raise MalformedMove(f"color {move.color} outside [0, {g.color_count})")
+        x = now[zm.zone_of[move.vertex]]
+        if rg.colors[x] == move.color:
+            raise NoOpMove(f"zone of vertex {move.vertex} already has color {move.color}")
+        rg, trace = _flood(rg, x, move.color)
+        now = [trace.new_id[z] for z in now]
+        yield rg, now
+
+
 def verify_solution(g: ColoredGraph, s: Solution) -> Verdict:
-    """Replay s on g: optimal, feasible but too long, or infeasible.
+    """Replay s on the zone graph of g: optimal, feasible but too long, or infeasible.
 
     A move that is out of range raises MalformedMove; a no-op move makes the
     sequence infeasible.
     """
     rg, zm = reduce(g)
-    cur = g
-    for move in s.moves:
-        try:
-            cur, zm = apply_flood(cur, zm, move)
-        except NoOpMove:
-            return Verdict.INFEASIBLE
-    if len(set(cur.colors)) != 1:
+    cur = rg
+    try:
+        for cur, _ in _replay(g, rg, zm, s.moves):
+            pass
+    except NoOpMove:
+        return Verdict.INFEASIBLE
+    if cur.zone_count != 1:
         return Verdict.INFEASIBLE
     _palette(g)
     if len(s.moves) == _radius_center(rg.adjacency)[0]:

@@ -105,6 +105,16 @@ def zone_footprints(zone_of):
     return [frozenset(s) for s in sets]
 
 
+def flood_vertices(g, zone_of, move):
+    """`g` after a flood by definition: every vertex of the move's zone takes its color.
+
+    `zone_of` maps each vertex of `g` onto its zone, as `reduce(g)` numbers them.
+    """
+    zone = zone_of[move.vertex]
+    colors = tuple(move.color if z == zone else c for z, c in zip(zone_of, g.colors))
+    return ColoredGraph(g.adjacency, colors, g.color_count)
+
+
 def footprint_graph(rg, zone_of):
     """A zone graph with every zone named by its set of original vertices.
 

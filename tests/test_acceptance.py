@@ -15,7 +15,6 @@ from freeflood import (
     FloodMove,
     StateSpace,
     Verdict,
-    apply_flood,
     brute_force_min_moves,
     build,
     check_distance_bounds,
@@ -35,7 +34,7 @@ from freeflood import (
 from freeflood.instances import GridSpec
 
 from conftest import ACCEPTANCE_SEED as SEED
-from conftest import footprint_graph, grid_colorings, small_random_graphs
+from conftest import flood_vertices, footprint_graph, grid_colorings, small_random_graphs
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -128,7 +127,7 @@ def test_criterion_5_flood_contract_equivalence():
         for _ in range(4):
             vertex = rng.randrange(g.vertex_count)
             color = 1 - g.colors[vertex]
-            flooded, _ = apply_flood(g, zm, FloodMove(vertex, color))
+            flooded = flood_vertices(g, zm.zone_of, FloodMove(vertex, color))
             via_flood, flood_zm = reduce(flooded)
             via_contract, trace = contract_with_trace(rg, zm.zone_of[vertex])
             assert footprint_graph(via_flood, flood_zm.zone_of) == footprint_graph(

@@ -1,14 +1,16 @@
 """Command-line surface: output shapes, pipelines, and exit codes."""
 
+import io
 import json
 
 import pytest
 
-from freeflood import parse_graph, parse_moves
+from freeflood import parse_graph, parse_moves, solver
 from freeflood.cli import (
     EXIT_DOMAIN,
     EXIT_FILE,
     EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SUBOPTIMAL,
@@ -85,7 +87,7 @@ def test_reduce_emits_parseable_graph(board, capsys):
 def test_simulate(board, tmp_path, capsys):
     moves = tmp_path / "sim.moves"
     moves.write_text("0 1\n0 0\n")
-    assert main(["simulate", board, str(moves), "--validate"]) == EXIT_OK
+    assert main(["simulate", board, str(moves)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "step 1 flood 0 -> 1 zones 2" in out
     assert "monochromatic true" in out
@@ -104,6 +106,26 @@ def test_simulate_exact_output(board, tmp_path, capsys):
         "00\n"
         "monochromatic true\n"
     )
+
+
+def test_simulate_exact_output_three_colors(tmp_path, capsys):
+    board = tmp_path / "three.grid"
+    board.write_text("012\n120\n201\n")
+    moves = tmp_path / "three.moves"
+    moves.write_text("4 0\n0 1\n0 1\n1 0\n")
+    assert main(["simulate", str(board), str(moves)]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "step 1 flood 4 -> 0 zones 7\n"
+        "012\n"
+        "100\n"
+        "201\n"
+        "step 2 flood 0 -> 1 zones 5\n"
+        "112\n"
+        "100\n"
+        "201\n"
+    )
+    assert captured.err == "step 3: rejected: zone of vertex 0 already has color 1\n"
 
 
 def test_simulate_graph_format(tmp_path, capsys):
@@ -219,12 +241,23 @@ def test_bench_reports_square_sizes(capsys):
         assert m == 2 * grid_size * (grid_size - 1)
 
 
-def test_stdin_instance(board, capsys, monkeypatch):
-    import io
+def stdin_bytes(data, errors="strict"):
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(CHECKERBOARD))
+
+def test_stdin_instance(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", stdin_bytes(CHECKERBOARD.encode()))
     assert main(["solve", "-"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[0] == "optimum 2"
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_stdin_for_both_files_is_a_usage_error(command, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", stdin_bytes(CHECKERBOARD.encode()))
+    assert main([command, "-", "-"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "both be - (stdin)" in captured.err
 
 
 def test_non_utf8_file_is_a_parse_error(board, tmp_path, capsys):
@@ -241,14 +274,36 @@ def test_non_utf8_file_is_a_parse_error(board, tmp_path, capsys):
 
 
 def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch):
-    import io
-
-    stdin = io.TextIOWrapper(io.BytesIO(b"01\n1\xfe\n"), encoding="utf-8", errors="strict")
-    monkeypatch.setattr("sys.stdin", stdin)
+    monkeypatch.setattr("sys.stdin", stdin_bytes(b"01\n1\xfe\n"))
     assert main(["solve", "-"]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "stdin" in captured.err and "byte 4 " in captured.err
+
+
+def test_non_utf8_stdin_under_surrogateescape(capsys, monkeypatch):
+    # the C locale opens stdin with errors="surrogateescape", which never
+    # raises on a bad byte; the bytes are decoded strictly all the same
+    monkeypatch.setattr("sys.stdin", stdin_bytes(b"\xff\xfe01\n", errors="surrogateescape"))
+    assert main(["solve", "-"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stdin: byte 0 is not valid UTF-8" in captured.err
+
+
+def test_failed_internal_check_exits_9(board, capsys, monkeypatch):
+    real = solver._radius_center
+
+    def off_by_one(adjacency):
+        radius, center = real(adjacency)
+        return radius + 1, center
+
+    monkeypatch.setattr(solver, "_radius_center", off_by_one)
+    assert main(["solve", board, "--validate"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal check failed: ")
+    assert "Traceback" not in captured.err
 
 
 def test_exit_codes(tmp_path, capsys):

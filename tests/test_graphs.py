@@ -18,15 +18,21 @@ from freeflood import (
     SelfLoop,
     SingletonGraph,
     TooManyColors,
-    apply_flood,
     build,
-    contract,
     contract_with_trace,
     parse_grid,
     reduce,
 )
 
-from conftest import colored_graphs, footprint_graph, naive_zone_sets, zone_footprints
+from freeflood.solver import _replay
+
+from conftest import (
+    colored_graphs,
+    flood_vertices,
+    footprint_graph,
+    naive_zone_sets,
+    zone_footprints,
+)
 
 CHECKERBOARD = "01\n10\n"
 
@@ -146,58 +152,80 @@ class TestReduce:
 
 
 class TestApplyFlood:
+    """Flood moves applied on the zone graph by `solver._replay`."""
+
     def test_checkerboard_merge(self):
         g = checkerboard()
-        _, zm = reduce(g)
-        g2, zm2 = apply_flood(g, zm, FloodMove(0, 1), validate=True)
-        assert g2.colors == (1, 1, 1, 0)
-        assert zm2.zone_of == (0, 0, 0, 1)
-        assert zm2.representative_of == (0, 3)
+        rg, zm = reduce(g)
+        [(cur, now)] = _replay(g, rg, zm, [FloodMove(0, 1)])
+        assert [now[z] for z in zm.zone_of] == [0, 0, 0, 1]
+        assert cur.colors == (1, 0)
+        assert cur.adjacency == ((1,), (0,))
 
     def test_monochromatic_flip(self):
         g = build([(0, 1), (1, 2)], [1, 1, 1], color_count=2)
-        _, zm = reduce(g)
-        g2, zm2 = apply_flood(g, zm, FloodMove(1, 0), validate=True)
-        assert g2.colors == (0, 0, 0)
-        assert zm2.zone_count == 1
+        rg, zm = reduce(g)
+        [(cur, now)] = _replay(g, rg, zm, [FloodMove(1, 0)])
+        assert cur.colors == (0,)
+        assert now == [0]
 
     def test_path_total_merge(self):
         g = build([(0, 1), (1, 2), (2, 3), (3, 4)], [0, 0, 1, 1, 0])
-        _, zm = reduce(g)
-        g2, zm2 = apply_flood(g, zm, FloodMove(2, 0), validate=True)
-        assert g2.colors == (0, 0, 0, 0, 0)
-        assert zm2.zone_count == 1
+        rg, zm = reduce(g)
+        [(cur, now)] = _replay(g, rg, zm, [FloodMove(2, 0)])
+        assert cur.zone_count == 1
+        assert cur.colors == (0,)
+        assert now == [0, 0, 0]
 
     def test_noop_rejected(self):
         g = checkerboard()
-        _, zm = reduce(g)
+        rg, zm = reduce(g)
         with pytest.raises(NoOpMove):
-            apply_flood(g, zm, FloodMove(0, 0))
+            list(_replay(g, rg, zm, [FloodMove(0, 0)]))
 
     def test_out_of_range_rejected(self):
         g = checkerboard()
-        _, zm = reduce(g)
+        rg, zm = reduce(g)
         with pytest.raises(MalformedMove):
-            apply_flood(g, zm, FloodMove(9, 1))
+            list(_replay(g, rg, zm, [FloodMove(9, 1)]))
         with pytest.raises(MalformedMove):
-            apply_flood(g, zm, FloodMove(0, 5))
+            list(_replay(g, rg, zm, [FloodMove(0, 5)]))
+
+    def test_moves_checked_when_reached(self):
+        g = checkerboard()
+        rg, zm = reduce(g)
+        replay = _replay(g, rg, zm, [FloodMove(0, 1), FloodMove(0, 1), FloodMove(9, 1)])
+        next(replay)
+        with pytest.raises(NoOpMove):
+            next(replay)
 
     def test_inputs_unchanged(self):
         g = checkerboard()
-        _, zm = reduce(g)
-        apply_flood(g, zm, FloodMove(0, 1))
+        rg, zm = reduce(g)
+        list(_replay(g, rg, zm, [FloodMove(0, 1), FloodMove(3, 1)]))
         assert g.colors == (0, 1, 1, 0)
+        assert rg.colors == (0, 1, 1, 0)
+        assert rg.adjacency == ((1, 2), (0, 3), (0, 3), (1, 2))
         assert zm.zone_of == (0, 1, 2, 3)
 
-    @given(colored_graphs(), st.randoms(use_true_random=False))
+    @given(
+        st.integers(2, 3).flatmap(lambda c: colored_graphs(color_count=c)),
+        st.randoms(use_true_random=False),
+    )
     def test_incremental_map_matches_full_reduction(self, g, rng):
-        cur, zm = g, reduce(g)[1]
-        for _ in range(3):
-            if cur.color_count < 2:
-                break
-            vertex = rng.randrange(cur.vertex_count)
-            color = (cur.colors[vertex] + 1) % cur.color_count
-            cur, zm = apply_flood(cur, zm, FloodMove(vertex, color), validate=True)
+        # after every move, the replayed zone graph is the zone graph of the
+        # coloring reached by flooding vertices by definition
+        ref, moves, expected = g, [], []
+        for _ in range(4):
+            vertex = rng.randrange(g.vertex_count)
+            color = rng.choice([c for c in range(g.color_count) if c != ref.colors[vertex]])
+            moves.append(FloodMove(vertex, color))
+            ref = flood_vertices(ref, reduce(ref)[1].zone_of, moves[-1])
+            ref_rg, ref_zm = reduce(ref)
+            expected.append(footprint_graph(ref_rg, ref_zm.zone_of))
+        rg, zm = reduce(g)
+        steps = _replay(g, rg, zm, moves)
+        assert [footprint_graph(cur, [now[z] for z in zm.zone_of]) for cur, now in steps] == expected
 
 
 class TestContract:
@@ -223,7 +251,7 @@ class TestContract:
         # direct evaluation: the neighbors vanish, one second neighbor remains
         g = build([(0, 1), (1, 2), (2, 3), (0, 3)], [0, 1, 0, 1])
         rg, _ = reduce(g)
-        out = contract(rg, 1)
+        out = contract_with_trace(rg, 1)[0]
         assert out.zone_count == 2
         assert out.adjacency == ((1,), (0,))
         assert sorted(out.colors) == [0, 1]
@@ -231,17 +259,17 @@ class TestContract:
     def test_invalid_zone(self):
         rg, _ = reduce(checkerboard())
         with pytest.raises(InvalidZone):
-            contract(rg, 7)
+            contract_with_trace(rg, 7)
 
     def test_singleton_rejected(self):
         rg, _ = reduce(build([], [0]))
         with pytest.raises(SingletonGraph):
-            contract(rg, 0)
+            contract_with_trace(rg, 0)
 
     def test_three_colors_rejected(self):
         rg, _ = reduce(build([(0, 1), (1, 2)], [0, 1, 2]))
         with pytest.raises(TooManyColors):
-            contract(rg, 1)
+            contract_with_trace(rg, 1)
 
     @given(colored_graphs(), st.integers(0, 10_000))
     def test_zone_count_strictly_drops(self, g, pick):
@@ -249,7 +277,7 @@ class TestContract:
         if rg.zone_count < 2:
             return
         x = pick % rg.zone_count
-        out = contract(rg, x)
+        out = contract_with_trace(rg, x)[0]
         assert out.zone_count <= rg.zone_count - 1
         assert out.zone_count == rg.zone_count - len(rg.adjacency[x])
 
@@ -263,7 +291,7 @@ class TestFloodContractEquivalence:
         vertex = rng.randrange(g.vertex_count)
         palette = sorted(set(g.colors))
         color = palette[1] if g.colors[vertex] == palette[0] else palette[0]
-        flooded, _ = apply_flood(g, zm, FloodMove(vertex, color))
+        flooded = flood_vertices(g, zm.zone_of, FloodMove(vertex, color))
         via_flood, flood_zm = reduce(flooded)
         via_contract, trace = contract_with_trace(rg, zm.zone_of[vertex])
         assert footprint_graph(via_flood, flood_zm.zone_of) == footprint_graph(
@@ -275,7 +303,7 @@ class TestFloodContractEquivalence:
         # is right, and it stops matching once one edge or one color is wrong
         g = build([(0, 1), (1, 2), (2, 3), (3, 4)], [0, 1, 0, 1, 0])
         rg, zm = reduce(g)
-        flooded, _ = apply_flood(g, zm, FloodMove(2, 1))
+        flooded = flood_vertices(g, zm.zone_of, FloodMove(2, 1))
         via_flood, flood_zm = reduce(flooded)
         expected = footprint_graph(via_flood, flood_zm.zone_of)
         out, trace = contract_with_trace(rg, 2)

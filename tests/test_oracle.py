@@ -8,7 +8,6 @@ from freeflood import (
     InstanceTooLarge,
     StateSpace,
     TooManyColors,
-    apply_flood,
     brute_force_min_moves,
     build,
     check_distance_bounds,
@@ -21,7 +20,7 @@ from freeflood import (
 from freeflood.oracle import _has_path_through, _simple_paths_exact
 from freeflood.metrics import bfs_distances
 
-from conftest import colored_graphs
+from conftest import colored_graphs, flood_vertices
 
 
 def checkerboard():
@@ -51,7 +50,7 @@ class TestBruteForce:
         _, zm = reduce(g)
         for vertex in range(4):
             color = 1 - g.colors[vertex]
-            flooded, _ = apply_flood(g, zm, FloodMove(vertex, color))
+            flooded = flood_vertices(g, zm.zone_of, FloodMove(vertex, color))
             assert len(set(flooded.colors)) == 2
         report = brute_force_min_moves(g)
         assert report.optimum == 2

@@ -11,7 +11,7 @@ from freeflood import (
     Verdict,
     brute_force_min_moves,
     build,
-    contract,
+    contract_with_trace,
     min_moves,
     parse_grid,
     radius_and_center,
@@ -129,7 +129,7 @@ class TestSolveReduced:
             return
         base = radius_and_center(rg).radius
         for x in range(rg.zone_count):
-            after = radius_and_center(contract(rg, x)).radius
+            after = radius_and_center(contract_with_trace(rg, x)[0]).radius
             assert base - 1 <= after <= base
 
 
