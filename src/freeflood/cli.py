@@ -14,9 +14,10 @@ import sys
 import time
 
 from .errors import FloodError, InvariantViolation, MalformedMove, NoOpMove, ParseError
-from .graphs import reduce
+from .graphs import ColoredGraph, reduce
 from .instances import (
     GridSpec,
+    _grid_zones,
     emit_graph,
     emit_grid,
     emit_moves,
@@ -30,7 +31,7 @@ from .instances import (
 )
 from .metrics import radius_and_center
 from .oracle import brute_force_min_moves, check_distance_bounds, check_far_witness, check_radius_bounds
-from .solver import Solution, Verdict, _replay, solve, verify_solution
+from .solver import Verdict, _replay, _solve_zones, _verify_zones
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,6 +46,8 @@ EXIT_INTERNAL = 9
 
 def _read_text(path: str) -> str:
     if path == "-":
+        if sys.stdin is None:
+            raise OSError("stdin is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as handle:
@@ -56,8 +59,8 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{name}: byte {exc.start} is not valid UTF-8") from None
 
 
-def _load_instance(path: str, input_format: str):
-    """Load an instance file; returns (graph, grid spec or None)."""
+def _load_source(path: str, input_format: str) -> GridSpec | ColoredGraph:
+    """Parse an instance file: the GridSpec of a grid, the graph of a graph file."""
     text = _read_text(path)
     fmt = input_format
     if fmt == "auto":
@@ -68,9 +71,30 @@ def _load_instance(path: str, input_format: str):
                 fmt = "graph" if len(line.split()) > 1 else "grid"
                 break
     if fmt == "grid":
-        spec = parse_grid_spec(text)
-        return grid_graph(spec), spec
-    return parse_graph(text), None
+        return parse_grid_spec(text)
+    return parse_graph(text)
+
+
+def _load_instance(path: str, input_format: str):
+    """Load an instance file; returns (zone graph, zone map, color count, source).
+
+    A grid is labeled into zones straight from its rows; a graph file is
+    built and reduced.  `source` is what `_load_source` parsed.
+    """
+    source = _load_source(path, input_format)
+    if isinstance(source, GridSpec):
+        rg, zm = _grid_zones(source)
+        return rg, zm, max(source.cells) + 1, source
+    rg, zm = reduce(source)
+    return rg, zm, source.color_count, source
+
+
+def _size(source: GridSpec | ColoredGraph) -> tuple[int, int]:
+    """Vertex and edge counts of an instance; a grid's come from its dimensions."""
+    if isinstance(source, GridSpec):
+        rows, cols = source.rows, source.cols
+        return rows * cols, 2 * rows * cols - rows - cols
+    return source.vertex_count, source.edge_count
 
 
 def _add_instance_arg(sub: argparse.ArgumentParser) -> None:
@@ -93,19 +117,20 @@ def _add_format_arg(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g, _ = _load_instance(args.instance, args.input_format)
+    rg, zm, _, source = _load_instance(args.instance, args.input_format)
     start = time.perf_counter()
-    solution = solve(g, validate=args.validate)
+    solution = _solve_zones(rg, zm, validate=args.validate)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.moves_out:
         with open(args.moves_out, "w", encoding="utf-8") as handle:
             handle.write(emit_moves(solution.moves))
     if args.format == "machine":
+        n, m = _size(source)
         doc = {
             "command": "solve",
-            "digest": instance_digest(g),
-            "n": g.vertex_count,
-            "m": g.edge_count,
+            "digest": instance_digest(source),
+            "n": n,
+            "m": m,
             "optimum": solution.claimed_optimum,
             "center_vertex": solution.center_zone_representative,
             "moves": [[m.vertex, m.color] for m in solution.moves],
@@ -120,13 +145,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
-    g, _ = _load_instance(args.instance, args.input_format)
-    rg, _ = reduce(g)
+    rg, _, _, source = _load_instance(args.instance, args.input_format)
     met = radius_and_center(rg)
     if args.format == "machine":
         doc = {
             "command": "radius",
-            "digest": instance_digest(g),
+            "digest": instance_digest(source),
             "zones": rg.zone_count,
             "radius": met.radius,
             "center": list(met.center),
@@ -143,17 +167,15 @@ def _cmd_radius(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    g, _ = _load_instance(args.instance, args.input_format)
-    rg, _ = reduce(g)
+    rg, _, _, _ = _load_instance(args.instance, args.input_format)
     sys.stdout.write(emit_graph(rg))
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    g, spec = _load_instance(args.instance, args.input_format)
+    rg, zm, color_count, source = _load_instance(args.instance, args.input_format)
     moves = parse_moves(_read_text(args.moves))
-    rg, zm = reduce(g)
-    replay = _replay(g, rg, zm, moves)
+    replay = _replay(rg, zm, color_count, moves)
     cur = rg
     for step, move in enumerate(moves, start=1):
         try:
@@ -162,19 +184,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"step {step}: rejected: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
         print(f"step {step} flood {move.vertex} -> {move.color} zones {cur.zone_count}")
-        if spec is not None:
+        if isinstance(source, GridSpec):
             cells = tuple(cur.colors[now[z]] for z in zm.zone_of)
-            sys.stdout.write(emit_grid(GridSpec(spec.rows, spec.cols, cells)))
+            sys.stdout.write(emit_grid(GridSpec(source.rows, source.cols, cells)))
     print(f"monochromatic {'true' if cur.zone_count == 1 else 'false'}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g, _ = _load_instance(args.instance, args.input_format)
+    rg, zm, color_count, _ = _load_instance(args.instance, args.input_format)
     moves = parse_moves(_read_text(args.moves))
-    rep = moves[0].vertex if moves else 0
-    solution = Solution(tuple(moves), len(moves), rep)
-    verdict = verify_solution(g, solution)
+    verdict = _verify_zones(rg, zm, color_count, moves)
     print(f"verdict {verdict.value}")
     if verdict is Verdict.OPTIMAL:
         return EXIT_OK
@@ -187,7 +207,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.budget < 1:
         print("error: --budget takes at least 1 state", file=sys.stderr)
         return EXIT_USAGE
-    g, _ = _load_instance(args.instance, args.input_format)
+    source = _load_source(args.instance, args.input_format)
+    g = grid_graph(source) if isinstance(source, GridSpec) else source
     report = brute_force_min_moves(g, state_budget=args.budget)
     if args.format == "machine":
         doc = {
@@ -277,16 +298,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for grid_size in sizes:
         rng = random.Random(args.seed * 1_000_003 + grid_size)
         cells = tuple(rng.randrange(2) for _ in range(grid_size * grid_size))
-        g = grid_graph(GridSpec(grid_size, grid_size, cells))
+        spec = GridSpec(grid_size, grid_size, cells)
         best = None
         radius = None
         for _ in range(args.repeat):
             start = time.perf_counter()
-            solution = solve(g)
+            solution = _solve_zones(*_grid_zones(spec))
             elapsed = time.perf_counter() - start
             radius = solution.claimed_optimum
             best = elapsed if best is None else min(best, elapsed)
-        print(f"{grid_size},{g.vertex_count},{g.edge_count},{radius},{best * 1000.0:.2f}")
+        n, m = _size(spec)
+        print(f"{grid_size},{n},{m},{radius},{best * 1000.0:.2f}")
     return EXIT_OK
 
 

@@ -183,6 +183,10 @@ def monochromatic_zones(
 
 
 def _validate_reduced(rg: ReducedGraph) -> None:
+    """Check what holds by construction: a proper coloration and connectivity.
+
+    Run only on the `validate=True` path, once per zone graph.
+    """
     for z, row in enumerate(rg.adjacency):
         for w in row:
             if rg.colors[w] == rg.colors[z]:
@@ -212,7 +216,6 @@ def reduce(g: ColoredGraph) -> tuple[ReducedGraph, ZoneMap]:
         tuple(tuple(sorted(row)) for row in zadj),
         tuple(g.colors[members[0]] for members in zones),
     )
-    _validate_reduced(rg)
     zm = ZoneMap(tuple(zone_of), tuple(members[0] for members in zones))
     return rg, zm
 
@@ -277,7 +280,5 @@ def _flood(rg: ReducedGraph, x: int, color: int) -> tuple[ReducedGraph, Contract
         adj_new[new_id[s]] = sorted(row)
     colors_new = [rg.colors[s] for s in survivors]
     colors_new[merged] = color
-    rg2 = ReducedGraph(tuple(tuple(row) for row in adj_new), tuple(colors_new))
-    _validate_reduced(rg2)
     trace = ContractionTrace(tuple(sorted(absorbed)), tuple(new_id), merged)
-    return rg2, trace
+    return ReducedGraph(tuple(tuple(row) for row in adj_new), tuple(colors_new)), trace

@@ -19,6 +19,7 @@ from .graphs import (
     ReducedGraph,
     ZoneMap,
     _flood,
+    _validate_reduced,
     contract_with_trace,
     reduce,
 )
@@ -44,8 +45,8 @@ class Verdict(enum.Enum):
     INFEASIBLE = "infeasible"
 
 
-def _palette(g: ColoredGraph) -> list[int]:
-    used = sorted(set(g.colors))
+def _palette(colors: Sequence[int]) -> list[int]:
+    used = sorted(set(colors))
     if len(used) > 2:
         raise TooManyColors(f"{len(used)} colors in use; this solver handles two")
     return used
@@ -53,8 +54,8 @@ def _palette(g: ColoredGraph) -> list[int]:
 
 def min_moves(g: ColoredGraph) -> int:
     """Optimal number of flooding moves: the radius of the reduced graph."""
-    _palette(g)
     rg, _ = reduce(g)
+    _palette(rg.colors)
     return _radius_center(rg.adjacency)[0]
 
 
@@ -64,12 +65,17 @@ def solve(g: ColoredGraph, validate: bool = False) -> Solution:
     With `validate=True` the certificate is additionally replayed on the
     reduced graph, checking the radius drops by exactly one per step.
     """
-    palette = _palette(g)
     rg, zm = reduce(g)
+    return _solve_zones(rg, zm, validate)
+
+
+def _solve_zones(rg: ReducedGraph, zm: ZoneMap, validate: bool = False) -> Solution:
+    """`solve` on the zone graph (rg, zm) of an instance."""
+    palette = _palette(rg.colors)
     radius, center = _radius_center(rg.adjacency)
     rep = zm.representative_of[center]
     moves = []
-    color = g.colors[rep]
+    color = rg.colors[center]
     for _ in range(radius):
         color = palette[1] if color == palette[0] else palette[0]
         moves.append(FloodMove(rep, color))
@@ -84,10 +90,13 @@ def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
     """Zone ids to contract, one per move, down to a singleton graph.
 
     Each entry is the current id of the persisting center zone at that step.
-    `validate=True` recomputes the metrics after every contraction and checks
-    that the radius decreases by exactly one and that the merged zone stays
-    central.
+    `validate=True` checks that every zone graph on the way is properly
+    colored and connected, recomputes the metrics after every contraction,
+    and checks that the radius decreases by exactly one and that the merged
+    zone stays central.
     """
+    if validate:
+        _validate_reduced(rg)
     radius, center = _radius_center(rg.adjacency)
     steps: list[int] = []
     cur = rg
@@ -96,6 +105,7 @@ def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
         cur, trace = contract_with_trace(cur, center)
         center = trace.new_id[center]
         if validate:
+            _validate_reduced(cur)
             m = radius_and_center(cur)
             if m.radius != radius - len(steps):
                 raise InvariantViolation(
@@ -110,21 +120,22 @@ def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
 
 
 def _replay(
-    g: ColoredGraph, rg: ReducedGraph, zm: ZoneMap, moves: Sequence[FloodMove]
+    rg: ReducedGraph, zm: ZoneMap, color_count: int, moves: Sequence[FloodMove]
 ) -> Iterator[tuple[ReducedGraph, list[int]]]:
-    """Flood each move on the zone graph (rg, zm) = reduce(g), one at a time.
+    """Flood each move on the zone graph (rg, zm) of an instance, one at a time.
 
     Yields (current zone graph, now) after every move, where now[z] is the
     current id of original zone z.  A move is checked when it is reached:
     MalformedMove for a vertex or a color out of range, NoOpMove for a zone
     that already has the move's color.
     """
+    n = len(zm.zone_of)
     now = list(range(rg.zone_count))
     for move in moves:
-        if not 0 <= move.vertex < g.vertex_count:
-            raise MalformedMove(f"vertex {move.vertex} outside [0, {g.vertex_count})")
-        if not 0 <= move.color < g.color_count:
-            raise MalformedMove(f"color {move.color} outside [0, {g.color_count})")
+        if not 0 <= move.vertex < n:
+            raise MalformedMove(f"vertex {move.vertex} outside [0, {n})")
+        if not 0 <= move.color < color_count:
+            raise MalformedMove(f"color {move.color} outside [0, {color_count})")
         x = now[zm.zone_of[move.vertex]]
         if rg.colors[x] == move.color:
             raise NoOpMove(f"zone of vertex {move.vertex} already has color {move.color}")
@@ -140,15 +151,22 @@ def verify_solution(g: ColoredGraph, s: Solution) -> Verdict:
     sequence infeasible.
     """
     rg, zm = reduce(g)
+    return _verify_zones(rg, zm, g.color_count, s.moves)
+
+
+def _verify_zones(
+    rg: ReducedGraph, zm: ZoneMap, color_count: int, moves: Sequence[FloodMove]
+) -> Verdict:
+    """`verify_solution` on the zone graph (rg, zm) of an instance with `color_count` colors."""
     cur = rg
     try:
-        for cur, _ in _replay(g, rg, zm, s.moves):
+        for cur, _ in _replay(rg, zm, color_count, moves):
             pass
     except NoOpMove:
         return Verdict.INFEASIBLE
     if cur.zone_count != 1:
         return Verdict.INFEASIBLE
-    _palette(g)
-    if len(s.moves) == _radius_center(rg.adjacency)[0]:
+    _palette(rg.colors)
+    if len(moves) == _radius_center(rg.adjacency)[0]:
         return Verdict.OPTIMAL
     return Verdict.FEASIBLE_SUBOPTIMAL

@@ -31,6 +31,7 @@ from freeflood import (
     solve,
     verify_solution,
 )
+from freeflood.graphs import _validate_reduced
 from freeflood.instances import GridSpec
 
 from conftest import ACCEPTANCE_SEED as SEED
@@ -130,6 +131,7 @@ def test_criterion_5_flood_contract_equivalence():
             flooded = flood_vertices(g, zm.zone_of, FloodMove(vertex, color))
             via_flood, flood_zm = reduce(flooded)
             via_contract, trace = contract_with_trace(rg, zm.zone_of[vertex])
+            _validate_reduced(via_contract)
             assert footprint_graph(via_flood, flood_zm.zone_of) == footprint_graph(
                 via_contract, [trace.new_id[z] for z in zm.zone_of]
             )

@@ -2,10 +2,20 @@
 
 import io
 import json
+import random
 
 import pytest
 
-from freeflood import parse_graph, parse_moves, solver
+from freeflood import (
+    InvariantViolation,
+    emit_graph,
+    emit_grid,
+    grid_graph,
+    parse_graph,
+    parse_moves,
+    solver,
+)
+from freeflood.instances import GridSpec
 from freeflood.cli import (
     EXIT_DOMAIN,
     EXIT_FILE,
@@ -289,6 +299,77 @@ def test_non_utf8_stdin_under_surrogateescape(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "stdin: byte 0 is not valid UTF-8" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["solve", "-"], ["verify", "-", "MOVES"]])
+def test_closed_stdin_is_a_file_error(argv, tmp_path, capsys, monkeypatch):
+    moves = tmp_path / "m.moves"
+    moves.write_text("0 1\n")
+    monkeypatch.setattr("sys.stdin", None)
+    assert main([str(moves) if a == "MOVES" else a for a in argv]) == EXIT_FILE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stdin is closed\n"
+
+
+CHECKERBOARD_GRAPH = emit_graph(grid_graph(GridSpec(2, 2, (0, 1, 1, 0))))
+
+
+@pytest.mark.parametrize("text", [CHECKERBOARD, CHECKERBOARD_GRAPH])
+def test_validate_checks_every_zone_graph(text, tmp_path, capsys, monkeypatch):
+    instance = tmp_path / "instance"
+    instance.write_text(text)
+    seen = []
+
+    def failing(rg):
+        seen.append(rg.zone_count)
+        raise InvariantViolation("zone graph check")
+
+    monkeypatch.setattr(solver, "_validate_reduced", failing)
+    assert main(["solve", str(instance)]) == EXIT_OK
+    assert seen == []
+    assert main(["solve", str(instance), "--validate"]) == EXIT_INTERNAL
+    assert seen == [4]
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal check failed: zone graph check\n"
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_and_graph_twin_agree(seed, tmp_path, capsys):
+    # a grid is labeled straight from its rows; its graph-file twin goes
+    # through parse, build and reduce, and every output must match
+    rng = random.Random(seed)
+    rows, cols, colors = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 3)
+    spec = GridSpec(rows, cols, tuple(rng.randrange(colors) for _ in range(rows * cols)))
+    grid = tmp_path / "board.grid"
+    grid.write_text(emit_grid(spec))
+    graph = tmp_path / "board.graph"
+    graph.write_text(emit_graph(grid_graph(spec)))
+    extra = tmp_path / "extra.moves"  # out-of-range vertices and colors, no-op moves
+    extra.write_text("".join(f"{rng.randrange(-1, rows * cols + 1)} {c}\n" for c in (1, 0, 2)))
+    out = {}
+    for name, path in (("grid", str(grid)), ("graph", str(graph))):
+        moves = tmp_path / f"{name}.moves"
+        solve = ["solve", path, "--format", "machine", "--moves-out", str(moves)]
+        code, stdout, err = _run(solve, capsys)
+        if code == EXIT_OK:
+            stdout = {k: v for k, v in json.loads(stdout).items() if k != "timings"}
+        results = [(code, stdout, err)]
+        if not moves.exists():
+            moves.write_text("0 1\n")
+        results.append(_run(["verify", path, str(moves)], capsys))
+        results.append(_run(["verify", path, str(extra)], capsys))
+        for command in ("radius", "reduce"):
+            results.append(_run([command, path], capsys))
+        results.append(_run(["radius", path, "--format", "machine"], capsys))
+        out[name] = results
+    assert out["grid"] == out["graph"]
 
 
 def test_failed_internal_check_exits_9(board, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from freeflood import (
     reduce,
 )
 
+from freeflood.graphs import _validate_reduced
 from freeflood.solver import _replay
 
 from conftest import (
@@ -157,7 +158,7 @@ class TestApplyFlood:
     def test_checkerboard_merge(self):
         g = checkerboard()
         rg, zm = reduce(g)
-        [(cur, now)] = _replay(g, rg, zm, [FloodMove(0, 1)])
+        [(cur, now)] = _replay(rg, zm, g.color_count, [FloodMove(0, 1)])
         assert [now[z] for z in zm.zone_of] == [0, 0, 0, 1]
         assert cur.colors == (1, 0)
         assert cur.adjacency == ((1,), (0,))
@@ -165,14 +166,14 @@ class TestApplyFlood:
     def test_monochromatic_flip(self):
         g = build([(0, 1), (1, 2)], [1, 1, 1], color_count=2)
         rg, zm = reduce(g)
-        [(cur, now)] = _replay(g, rg, zm, [FloodMove(1, 0)])
+        [(cur, now)] = _replay(rg, zm, g.color_count, [FloodMove(1, 0)])
         assert cur.colors == (0,)
         assert now == [0]
 
     def test_path_total_merge(self):
         g = build([(0, 1), (1, 2), (2, 3), (3, 4)], [0, 0, 1, 1, 0])
         rg, zm = reduce(g)
-        [(cur, now)] = _replay(g, rg, zm, [FloodMove(2, 0)])
+        [(cur, now)] = _replay(rg, zm, g.color_count, [FloodMove(2, 0)])
         assert cur.zone_count == 1
         assert cur.colors == (0,)
         assert now == [0, 0, 0]
@@ -181,20 +182,20 @@ class TestApplyFlood:
         g = checkerboard()
         rg, zm = reduce(g)
         with pytest.raises(NoOpMove):
-            list(_replay(g, rg, zm, [FloodMove(0, 0)]))
+            list(_replay(rg, zm, g.color_count, [FloodMove(0, 0)]))
 
     def test_out_of_range_rejected(self):
         g = checkerboard()
         rg, zm = reduce(g)
         with pytest.raises(MalformedMove):
-            list(_replay(g, rg, zm, [FloodMove(9, 1)]))
+            list(_replay(rg, zm, g.color_count, [FloodMove(9, 1)]))
         with pytest.raises(MalformedMove):
-            list(_replay(g, rg, zm, [FloodMove(0, 5)]))
+            list(_replay(rg, zm, g.color_count, [FloodMove(0, 5)]))
 
     def test_moves_checked_when_reached(self):
         g = checkerboard()
         rg, zm = reduce(g)
-        replay = _replay(g, rg, zm, [FloodMove(0, 1), FloodMove(0, 1), FloodMove(9, 1)])
+        replay = _replay(rg, zm, g.color_count, [FloodMove(0, 1), FloodMove(0, 1), FloodMove(9, 1)])
         next(replay)
         with pytest.raises(NoOpMove):
             next(replay)
@@ -202,7 +203,7 @@ class TestApplyFlood:
     def test_inputs_unchanged(self):
         g = checkerboard()
         rg, zm = reduce(g)
-        list(_replay(g, rg, zm, [FloodMove(0, 1), FloodMove(3, 1)]))
+        list(_replay(rg, zm, g.color_count, [FloodMove(0, 1), FloodMove(3, 1)]))
         assert g.colors == (0, 1, 1, 0)
         assert rg.colors == (0, 1, 1, 0)
         assert rg.adjacency == ((1, 2), (0, 3), (0, 3), (1, 2))
@@ -224,8 +225,11 @@ class TestApplyFlood:
             ref_rg, ref_zm = reduce(ref)
             expected.append(footprint_graph(ref_rg, ref_zm.zone_of))
         rg, zm = reduce(g)
-        steps = _replay(g, rg, zm, moves)
-        assert [footprint_graph(cur, [now[z] for z in zm.zone_of]) for cur, now in steps] == expected
+        got = []
+        for cur, now in _replay(rg, zm, g.color_count, moves):
+            _validate_reduced(cur)
+            got.append(footprint_graph(cur, [now[z] for z in zm.zone_of]))
+        assert got == expected
 
 
 class TestContract:
@@ -294,6 +298,7 @@ class TestFloodContractEquivalence:
         flooded = flood_vertices(g, zm.zone_of, FloodMove(vertex, color))
         via_flood, flood_zm = reduce(flooded)
         via_contract, trace = contract_with_trace(rg, zm.zone_of[vertex])
+        _validate_reduced(via_contract)
         assert footprint_graph(via_flood, flood_zm.zone_of) == footprint_graph(
             via_contract, [trace.new_id[z] for z in zm.zone_of]
         )
@@ -307,6 +312,7 @@ class TestFloodContractEquivalence:
         via_flood, flood_zm = reduce(flooded)
         expected = footprint_graph(via_flood, flood_zm.zone_of)
         out, trace = contract_with_trace(rg, 2)
+        _validate_reduced(out)
         zone_of = [trace.new_id[z] for z in zm.zone_of]
         assert footprint_graph(out, zone_of) == expected
 

@@ -1,5 +1,7 @@
 """File formats, round trips, and the seeded generators."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from freeflood import (
     emit_moves,
     gen_random,
     gen_random_bipartite,
+    grid_graph,
     instance_digest,
     parse_graph,
     parse_grid,
@@ -27,7 +30,7 @@ from freeflood import (
     parse_moves,
     reduce,
 )
-from freeflood.instances import GridSpec
+from freeflood.instances import GridSpec, _grid_zones
 
 
 class TestGrid:
@@ -78,6 +81,21 @@ class TestGrid:
         spec = GridSpec(rows, cols, cells)
         assert parse_grid_spec(emit_grid(spec)) == spec
         assert parse_grid(emit_grid(spec)).colors == cells
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff10"])
+    def test_non_ascii_digits_rejected(self, digit):
+        # str.isdigit accepts these; a grid cell is one of 0-9 only
+        assert digit.isdigit()
+        with pytest.raises(InvalidCharacter) as err:
+            parse_grid_spec(f"010\n1{digit}1\n")
+        assert (err.value.line, err.value.column) == (2, 2)
+        assert repr(digit) in str(err.value)
+
+    def test_non_ascii_ragged_row_reports_width(self):
+        with pytest.raises(RaggedRows) as err:
+            parse_grid_spec("01\n1\u00b20\n")
+        assert err.value.line == 2
+        assert "width 3" in str(err.value)
 
     def test_emit_rejects_wide_colors(self):
         with pytest.raises(ColorOutOfRange):
@@ -194,3 +212,58 @@ class TestGenerators:
         slots = n * (n - 1) // 2 - (n - 1)
         g = gen_random(n, min(extra, slots), 2, seed)
         assert verify_solution(g, solve(g)) is Verdict.OPTIMAL
+
+
+def _assert_grid_paths_agree(spec):
+    g = grid_graph(spec)
+    assert _grid_zones(spec) == reduce(g)
+    assert emit_graph(spec) == emit_graph(g)
+    assert instance_digest(spec) == instance_digest(g)
+
+
+class TestGridZones:
+    """Zones labeled from row runs against `reduce` of the vertex graph."""
+
+    @given(
+        st.sampled_from([1, 2, 3, 10]).flatmap(
+            lambda colors: st.one_of(
+                st.tuples(st.just(1), st.integers(1, 40)),
+                st.tuples(st.integers(1, 40), st.just(1)),
+                st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            ).flatmap(
+                lambda shape: st.lists(
+                    st.integers(0, colors - 1),
+                    min_size=shape[0] * shape[1],
+                    max_size=shape[0] * shape[1],
+                ).map(lambda cells: GridSpec(shape[0], shape[1], tuple(cells)))
+            )
+        )
+    )
+    def test_agrees_with_reduce(self, spec):
+        _assert_grid_paths_agree(spec)
+
+    @pytest.mark.parametrize("side", [64, 256])
+    @pytest.mark.parametrize("colors", [2, 3])
+    def test_seeded_boards(self, side, colors):
+        rng = random.Random(side * 10 + colors)
+        spec = GridSpec(side, side, tuple(rng.randrange(colors) for _ in range(side * side)))
+        _assert_grid_paths_agree(spec)
+
+    def test_blocks_and_stripes(self):
+        # long runs that meet across rows in staggered ways
+        blocks = tuple((r // 5 + c // 7) % 2 for r in range(40) for c in range(30))
+        stripes = tuple((r + c) // 3 % 3 for r in range(30) for c in range(40))
+        _assert_grid_paths_agree(GridSpec(40, 30, blocks))
+        _assert_grid_paths_agree(GridSpec(30, 40, stripes))
+
+    def test_comb_teeth_join_at_the_bottom(self):
+        # the teeth start as separate runs and become one zone only in the last row
+        rows, cols = 6, 9
+        cells = tuple(
+            0 if c % 2 == 0 or r == rows - 1 else 1 for r in range(rows) for c in range(cols)
+        )
+        spec = GridSpec(rows, cols, cells)
+        _assert_grid_paths_agree(spec)
+        rg, zm = _grid_zones(spec)
+        assert rg.colors == (0, 1, 1, 1, 1)
+        assert zm.representative_of == (0, 1, 3, 5, 7)
