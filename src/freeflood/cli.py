@@ -119,7 +119,7 @@ def _add_format_arg(sub: argparse.ArgumentParser) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     rg, zm, _, source = _load_instance(args.instance, args.input_format)
     start = time.perf_counter()
-    solution = _solve_zones(rg, zm, validate=args.validate)
+    solution, searches = _solve_zones(rg, zm, validate=args.validate)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.moves_out:
         with open(args.moves_out, "w", encoding="utf-8") as handle:
@@ -134,6 +134,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "optimum": solution.claimed_optimum,
             "center_vertex": solution.center_zone_representative,
             "moves": [[m.vertex, m.color] for m in solution.moves],
+            "zones": rg.zone_count,
+            "zone_edges": rg.edge_count,
+            "searches": searches,
             "timings": {"solve_ms": elapsed_ms},
         }
         print(json.dumps(doc))
@@ -176,18 +179,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     rg, zm, color_count, source = _load_instance(args.instance, args.input_format)
     moves = parse_moves(_read_text(args.moves))
     replay = _replay(rg, zm, color_count, moves)
-    cur = rg
+    zones = rg.zone_count
     for step, move in enumerate(moves, start=1):
         try:
-            cur, now = next(replay)
+            state = next(replay)
         except (NoOpMove, MalformedMove) as exc:
             print(f"step {step}: rejected: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
-        print(f"step {step} flood {move.vertex} -> {move.color} zones {cur.zone_count}")
+        zones = state.count
+        print(f"step {step} flood {move.vertex} -> {move.color} zones {zones}")
         if isinstance(source, GridSpec):
-            cells = tuple(cur.colors[now[z]] for z in zm.zone_of)
+            color_of = [state.colors[state.find(z)] for z in range(rg.zone_count)]
+            cells = tuple(color_of[z] for z in zm.zone_of)
             sys.stdout.write(emit_grid(GridSpec(source.rows, source.cols, cells)))
-    print(f"monochromatic {'true' if cur.zone_count == 1 else 'false'}")
+    print(f"monochromatic {'true' if zones == 1 else 'false'}")
     return EXIT_OK
 
 
@@ -303,7 +308,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         radius = None
         for _ in range(args.repeat):
             start = time.perf_counter()
-            solution = _solve_zones(*_grid_zones(spec))
+            solution = _solve_zones(*_grid_zones(spec))[0]
             elapsed = time.perf_counter() - start
             radius = solution.claimed_optimum
             best = elapsed if best is None else min(best, elapsed)

@@ -227,6 +227,15 @@ def contract_with_trace(rg: ReducedGraph, x: int) -> tuple[ReducedGraph, Contrac
     x's slot, adopts all second neighbors, and flips color.  The returned
     trace records the renumbering for move reporting.
     """
+    color = _contraction_color(rg, x)
+    state = _ZoneState(rg)
+    absorbed = state.flood(x, color)
+    out, new_id = state.snapshot()
+    return out, ContractionTrace(tuple(sorted(absorbed)), tuple(new_id), new_id[x])
+
+
+def _contraction_color(rg: ReducedGraph, x: int) -> int:
+    """The color a neighborhood contraction floods zone x with: the other palette color."""
     k = rg.zone_count
     if not 0 <= x < k:
         raise InvalidZone(f"zone {x} outside [0, {k})")
@@ -235,50 +244,88 @@ def contract_with_trace(rg: ReducedGraph, x: int) -> tuple[ReducedGraph, Contrac
     palette = set(rg.colors)
     if len(palette) > 2:
         raise TooManyColors("neighborhood contraction is defined for two-color instances")
-    others = palette - {rg.colors[x]}
-    if len(others) != 1:
+    palette.discard(rg.colors[x])
+    if len(palette) != 1:
         raise ImproperColoring("a proper coloration with two or more zones uses two colors")
-    return _flood(rg, x, others.pop())
+    return palette.pop()
 
 
-def _flood(rg: ReducedGraph, x: int, color: int) -> tuple[ReducedGraph, ContractionTrace]:
-    """Flood zone x with `color`: x takes it and absorbs its neighbors of that color.
+class _ZoneState:
+    """A zone graph that floods in place, for replaying a sequence of moves.
 
-    The merged zone keeps x's slot in an order-preserving dense renumbering,
-    and every survivor adjacent to x or to an absorbed zone is adjacent to
-    it.  With a single zone this only recolors.  Works for any color count.
+    Live zones are named by original zone ids.  adjacency[z] holds the live
+    neighbors of live zone z: the zone graph's sorted row until a flood
+    touches it, a set after that, and None once z is absorbed.  owner is a
+    union-find forest from original zones to the live zone holding them
+    (Tarjan, JACM 22(2), 1975), colors[z] is live zone z's color, and count
+    is the number of live zones.  A flood touches only the rows of the
+    flooded zone, of the zones it absorbs and of their neighbors, and the
+    merged zone keeps the flooded zone's name, so numbering the live zones
+    in order of their names gives the same ids as renumbering after every
+    flood.
     """
-    k = rg.zone_count
-    absorbed = {y for y in rg.adjacency[x] if rg.colors[y] == color}
-    new_id = [-1] * k
-    survivors = [z for z in range(k) if z not in absorbed]
-    for i, z in enumerate(survivors):
-        new_id[z] = i
-    merged = new_id[x]
-    for z in absorbed:
-        new_id[z] = merged
-    group = absorbed | {x}
-    adj_new: list[list[int]] = [[] for _ in survivors]
-    around: set[int] = set()
-    for y in group:
-        for w in rg.adjacency[y]:
-            if w not in group:
-                around.add(new_id[w])
-    adj_new[merged] = sorted(around)
-    for s in survivors:
-        if s == x:
-            continue
-        row = []
-        touches_merged = False
-        for w in rg.adjacency[s]:
-            if w in group:
-                touches_merged = True
+
+    __slots__ = ("adjacency", "owner", "colors", "count")
+
+    def __init__(self, rg: ReducedGraph) -> None:
+        self.adjacency: list[tuple[int, ...] | set[int] | None] = list(rg.adjacency)
+        self.owner = list(range(rg.zone_count))
+        self.colors = list(rg.colors)
+        self.count = rg.zone_count
+
+    def find(self, z: int) -> int:
+        """The live zone holding original zone z."""
+        owner = self.owner
+        while owner[z] != z:
+            owner[z] = z = owner[owner[z]]
+        return z
+
+    def flood(self, x: int, color: int) -> list[int]:
+        """Flood live zone x with `color`; x absorbs its neighbors of that color.
+
+        Returns the absorbed zones.  With a single zone this only recolors.
+        Works for any color count.
+        """
+        adjacency, owner, colors = self.adjacency, self.owner, self.colors
+        row = adjacency[x]
+        if type(row) is tuple:
+            row = set(row)
+        absorbed = [y for y in row if colors[y] == color]
+        for y in absorbed:
+            other = adjacency[y]
+            adjacency[y] = None
+            owner[y] = x
+            for w in other:
+                if w != x:
+                    around = adjacency[w]
+                    if type(around) is tuple:
+                        around = adjacency[w] = set(around)
+                    around.discard(y)
+                    around.add(x)
+            if type(other) is set and len(other) > len(row):  # merge the smaller into the larger
+                row, other = other, row
+            row.update(other)
+        row.difference_update(absorbed)
+        row.discard(x)
+        adjacency[x] = row
+        colors[x] = color
+        self.count -= len(absorbed)
+        return absorbed
+
+    def snapshot(self) -> tuple[ReducedGraph, list[int]]:
+        """The live zone graph with dense ids in order of zone names, and each original zone's id."""
+        colors = self.colors
+        new_id = [0] * len(colors)
+        rows, live_colors, gone = [], [], []
+        for z, row in enumerate(self.adjacency):
+            if row is None:
+                gone.append(z)
             else:
-                row.append(new_id[w])
-        if touches_merged:
-            row.append(merged)
-        adj_new[new_id[s]] = sorted(row)
-    colors_new = [rg.colors[s] for s in survivors]
-    colors_new[merged] = color
-    trace = ContractionTrace(tuple(sorted(absorbed)), tuple(new_id), merged)
-    return ReducedGraph(tuple(tuple(row) for row in adj_new), tuple(colors_new)), trace
+                new_id[z] = len(rows)
+                rows.append(row)
+                live_colors.append(colors[z])
+        for z in gone:
+            new_id[z] = new_id[self.find(z)]
+        renumber = new_id.__getitem__  # keeps order, so an untouched row stays sorted
+        rows = [tuple(map(renumber, row if type(row) is tuple else sorted(row))) for row in rows]
+        return ReducedGraph(tuple(rows), tuple(live_colors)), new_id

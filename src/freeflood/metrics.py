@@ -62,22 +62,32 @@ def radius_and_center(rg: ReducedGraph) -> Metrics:
 
 
 def _radius_center(adjacency) -> tuple[int, int]:
-    """Exact radius and least-index center zone, by eccentricity bounding.
+    """Exact radius and least-index center zone: `_radius_search` without its count."""
+    return _radius_search(adjacency)[:2]
+
+
+def _radius_search(adjacency) -> tuple[int, int, int]:
+    """Exact radius, least-index center zone and the count of searches run.
 
     A search from v gives every zone w the lower bound
     ecc(w) >= max(d(v, w), ecc(v) - d(v, w)) (Takes & Kosters, Algorithms
-    6(1), 2013).  Sources are taken in order of least (bound, id), and a zone
-    is dropped once its bound shows it cannot beat the best (eccentricity, id)
-    found so far, so the result is (radius, min(center)) of
-    `radius_and_center`.  A searched zone's bound becomes its eccentricity,
-    which drops it too.
+    6(1), 2013).  Candidate searches, from the live zone of least (bound, id),
+    alternate with peripheral ones, from the unsearched zone farthest from
+    the last candidate: a far zone's search is what raises the bounds of the
+    zones near the center.  A zone is dropped once its bound shows it cannot
+    beat the best (eccentricity, id) found so far, so the result is
+    (radius, min(center)) of `radius_and_center`.  A searched zone's bound
+    becomes its eccentricity, which drops it too.
     """
     lower = [0] * len(adjacency)
     best = best_zone = len(adjacency)  # above any eccentricity and any id
     alive = range(len(adjacency))
-    source = 0
+    sources = []
+    source = candidate = 0
+    peripheral = False
     while alive:
         dist = _distances(adjacency, source)
+        sources.append(source)
         ecc = max(dist)
         if ecc < best or (ecc == best and source < best_zone):
             best, best_zone = ecc, source
@@ -94,6 +104,12 @@ def _radius_center(adjacency) -> tuple[int, int]:
             if bound < best or (bound == best and w < best_zone):
                 kept.append(w)
                 if bound < least:
-                    least, source = bound, w
+                    least, candidate = bound, w
         alive = kept
-    return best, best_zone
+        if peripheral:
+            source, peripheral = candidate, False
+        elif alive:  # after a candidate's search, the least farthest unsearched zone
+            for s in sources:
+                dist[s] = -1
+            source, peripheral = dist.index(max(dist)), True
+    return best, best_zone, len(sources)

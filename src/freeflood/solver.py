@@ -18,12 +18,12 @@ from .graphs import (
     FloodMove,
     ReducedGraph,
     ZoneMap,
-    _flood,
+    _contraction_color,
     _validate_reduced,
-    contract_with_trace,
+    _ZoneState,
     reduce,
 )
-from .metrics import _radius_center, radius_and_center
+from .metrics import _distances, _radius_center, _radius_search
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,15 @@ def solve(g: ColoredGraph, validate: bool = False) -> Solution:
     reduced graph, checking the radius drops by exactly one per step.
     """
     rg, zm = reduce(g)
-    return _solve_zones(rg, zm, validate)
+    return _solve_zones(rg, zm, validate)[0]
 
 
-def _solve_zones(rg: ReducedGraph, zm: ZoneMap, validate: bool = False) -> Solution:
-    """`solve` on the zone graph (rg, zm) of an instance."""
+def _solve_zones(
+    rg: ReducedGraph, zm: ZoneMap, validate: bool = False
+) -> tuple[Solution, int]:
+    """`solve` on the zone graph (rg, zm) of an instance; also the count of radius searches."""
     palette = _palette(rg.colors)
-    radius, center = _radius_center(rg.adjacency)
+    radius, center, searches = _radius_search(rg.adjacency)
     rep = zm.representative_of[center]
     moves = []
     color = rg.colors[center]
@@ -83,7 +85,7 @@ def _solve_zones(rg: ReducedGraph, zm: ZoneMap, validate: bool = False) -> Solut
         steps = solve_reduced(rg, validate=True)
         if len(steps) != radius:
             raise InvariantViolation("contraction certificate length differs from the radius")
-    return Solution(tuple(moves), radius, rep)
+    return Solution(tuple(moves), radius, rep), searches
 
 
 def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
@@ -91,28 +93,32 @@ def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
 
     Each entry is the current id of the persisting center zone at that step.
     `validate=True` checks that every zone graph on the way is properly
-    colored and connected, recomputes the metrics after every contraction,
-    and checks that the radius decreases by exactly one and that the merged
-    zone stays central.
+    colored and connected, and after every contraction that the radius
+    decreased by exactly one and that the merged zone is still central.
     """
     if validate:
         _validate_reduced(rg)
     radius, center = _radius_center(rg.adjacency)
     steps: list[int] = []
-    cur = rg
-    while cur.zone_count > 1:
+    state = _ZoneState(rg)
+    x = center  # the center zone's name in the state; its id is the name's rank
+    color = _contraction_color(rg, x) if state.count > 1 else None
+    while state.count > 1:
         steps.append(center)
-        cur, trace = contract_with_trace(cur, center)
-        center = trace.new_id[center]
+        previous = state.colors[x]
+        absorbed = state.flood(x, color)
+        color = previous
+        center -= sum(y < x for y in absorbed)
         if validate:
+            cur, _ = state.snapshot()
             _validate_reduced(cur)
-            m = radius_and_center(cur)
-            if m.radius != radius - len(steps):
+            now = _radius_center(cur.adjacency)[0]
+            if now != radius - len(steps):
                 raise InvariantViolation(
-                    f"radius {m.radius} after {len(steps)} contractions, "
+                    f"radius {now} after {len(steps)} contractions, "
                     f"expected {radius - len(steps)}"
                 )
-            if m.eccentricity[center] != m.radius:
+            if max(_distances(cur.adjacency, center)) != now:
                 raise InvariantViolation("merged zone left the center set")
     if len(steps) != radius:
         raise InvariantViolation("contraction count differs from the initial radius")
@@ -121,27 +127,26 @@ def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
 
 def _replay(
     rg: ReducedGraph, zm: ZoneMap, color_count: int, moves: Sequence[FloodMove]
-) -> Iterator[tuple[ReducedGraph, list[int]]]:
+) -> Iterator[_ZoneState]:
     """Flood each move on the zone graph (rg, zm) of an instance, one at a time.
 
-    Yields (current zone graph, now) after every move, where now[z] is the
-    current id of original zone z.  A move is checked when it is reached:
-    MalformedMove for a vertex or a color out of range, NoOpMove for a zone
-    that already has the move's color.
+    Yields the zone state after every move: one state, flooded in place, so
+    a move costs time in the zones it touches.  A move is checked when it is
+    reached: MalformedMove for a vertex or a color out of range, NoOpMove for
+    a zone that already has the move's color.
     """
     n = len(zm.zone_of)
-    now = list(range(rg.zone_count))
+    state = _ZoneState(rg)
     for move in moves:
         if not 0 <= move.vertex < n:
             raise MalformedMove(f"vertex {move.vertex} outside [0, {n})")
         if not 0 <= move.color < color_count:
             raise MalformedMove(f"color {move.color} outside [0, {color_count})")
-        x = now[zm.zone_of[move.vertex]]
-        if rg.colors[x] == move.color:
+        x = state.find(zm.zone_of[move.vertex])
+        if state.colors[x] == move.color:
             raise NoOpMove(f"zone of vertex {move.vertex} already has color {move.color}")
-        rg, trace = _flood(rg, x, move.color)
-        now = [trace.new_id[z] for z in now]
-        yield rg, now
+        state.flood(x, move.color)
+        yield state
 
 
 def verify_solution(g: ColoredGraph, s: Solution) -> Verdict:
@@ -158,13 +163,13 @@ def _verify_zones(
     rg: ReducedGraph, zm: ZoneMap, color_count: int, moves: Sequence[FloodMove]
 ) -> Verdict:
     """`verify_solution` on the zone graph (rg, zm) of an instance with `color_count` colors."""
-    cur = rg
+    zones = rg.zone_count
     try:
-        for cur, _ in _replay(rg, zm, color_count, moves):
-            pass
+        for state in _replay(rg, zm, color_count, moves):
+            zones = state.count
     except NoOpMove:
         return Verdict.INFEASIBLE
-    if cur.zone_count != 1:
+    if zones != 1:
         return Verdict.INFEASIBLE
     _palette(rg.colors)
     if len(moves) == _radius_center(rg.adjacency)[0]:

@@ -12,10 +12,12 @@ from freeflood import (
     emit_grid,
     grid_graph,
     parse_graph,
+    parse_grid_spec,
     parse_moves,
     solver,
 )
-from freeflood.instances import GridSpec
+from freeflood.instances import GridSpec, _grid_zones
+from freeflood.metrics import _radius_search
 from freeflood.cli import (
     EXIT_DOMAIN,
     EXIT_FILE,
@@ -56,6 +58,22 @@ def test_solve_machine_matches_plain(board, capsys):
     assert doc["moves"] == plain_moves
     assert doc["n"] == 4 and doc["m"] == 4
     assert "digest" in doc and "timings" in doc
+
+
+def test_solve_machine_work_counters(tmp_path, capsys):
+    # zones, zone edges and radius searches are fixed by the instance: the
+    # same on every run and the same for a grid and its graph-file twin
+    assert main(["gen", "--grid", "40x40", "--seed", "3", "-o", str(tmp_path / "a.grid")]) == EXIT_OK
+    spec = parse_grid_spec((tmp_path / "a.grid").read_text())
+    (tmp_path / "a.graph").write_text(emit_graph(grid_graph(spec)))
+    rg, _ = _grid_zones(spec)
+    expected = {"zones": rg.zone_count, "zone_edges": rg.edge_count,
+                "searches": _radius_search(rg.adjacency)[2]}
+    assert expected["zones"] > 200 and 0 < expected["searches"] <= 16
+    for path in ("a.grid", "a.grid", "a.graph"):
+        assert main(["solve", str(tmp_path / path), "--format", "machine"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert {key: doc[key] for key in expected} == expected
 
 
 def test_solve_verify_pipeline(board, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Construction, reduction, flooding, and contraction."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,11 +22,13 @@ from freeflood import (
     TooManyColors,
     build,
     contract_with_trace,
+    grid_graph,
     parse_grid,
     reduce,
 )
 
 from freeflood.graphs import _validate_reduced
+from freeflood.instances import GridSpec
 from freeflood.solver import _replay
 
 from conftest import (
@@ -40,6 +44,11 @@ CHECKERBOARD = "01\n10\n"
 
 def checkerboard():
     return parse_grid(CHECKERBOARD)
+
+
+def replay_snapshots(rg, zm, color_count, moves):
+    """`_replay` with a snapshot of the zone state taken after every move."""
+    return [state.snapshot() for state in _replay(rg, zm, color_count, moves)]
 
 
 class TestBuild:
@@ -158,7 +167,7 @@ class TestApplyFlood:
     def test_checkerboard_merge(self):
         g = checkerboard()
         rg, zm = reduce(g)
-        [(cur, now)] = _replay(rg, zm, g.color_count, [FloodMove(0, 1)])
+        [(cur, now)] = replay_snapshots(rg, zm, g.color_count, [FloodMove(0, 1)])
         assert [now[z] for z in zm.zone_of] == [0, 0, 0, 1]
         assert cur.colors == (1, 0)
         assert cur.adjacency == ((1,), (0,))
@@ -166,14 +175,14 @@ class TestApplyFlood:
     def test_monochromatic_flip(self):
         g = build([(0, 1), (1, 2)], [1, 1, 1], color_count=2)
         rg, zm = reduce(g)
-        [(cur, now)] = _replay(rg, zm, g.color_count, [FloodMove(1, 0)])
+        [(cur, now)] = replay_snapshots(rg, zm, g.color_count, [FloodMove(1, 0)])
         assert cur.colors == (0,)
         assert now == [0]
 
     def test_path_total_merge(self):
         g = build([(0, 1), (1, 2), (2, 3), (3, 4)], [0, 0, 1, 1, 0])
         rg, zm = reduce(g)
-        [(cur, now)] = _replay(rg, zm, g.color_count, [FloodMove(2, 0)])
+        [(cur, now)] = replay_snapshots(rg, zm, g.color_count, [FloodMove(2, 0)])
         assert cur.zone_count == 1
         assert cur.colors == (0,)
         assert now == [0, 0, 0]
@@ -226,10 +235,48 @@ class TestApplyFlood:
             expected.append(footprint_graph(ref_rg, ref_zm.zone_of))
         rg, zm = reduce(g)
         got = []
-        for cur, now in _replay(rg, zm, g.color_count, moves):
+        for cur, now in replay_snapshots(rg, zm, g.color_count, moves):
             _validate_reduced(cur)
             got.append(footprint_graph(cur, [now[z] for z in zm.zone_of]))
         assert got == expected
+
+    @pytest.mark.parametrize("colors", [2, 3, 4])
+    def test_long_replays_match_full_reduction(self, colors):
+        # seeded grids played down to one zone; every other move floods a
+        # zone into its neighbor with the longest row, so the small-into-large
+        # merge runs both ways round
+        rng = random.Random(colors)
+        merges = {"into larger": 0, "into smaller": 0}
+        for rows, cols in ((24, 24), (rng.randint(1, 24), rng.randint(1, 24)), (9, 17)):
+            cells = tuple(rng.randrange(colors) for _ in range(rows * cols))
+            g = grid_graph(GridSpec(rows, cols, cells))
+            ref, moves, expected = g, [], []
+            ref_rg, ref_zm = reduce(ref)
+            while ref_rg.zone_count > 1:
+                if len(moves) % 2:
+                    vertex = rng.randrange(g.vertex_count)
+                    x = ref_zm.zone_of[vertex]
+                    color = rng.choice([c for c in range(colors) if c != ref_rg.colors[x]])
+                else:
+                    x = rng.randrange(ref_rg.zone_count)
+                    y = max(ref_rg.adjacency[x], key=lambda w: len(ref_rg.adjacency[w]))
+                    vertex, color = ref_zm.representative_of[x], ref_rg.colors[y]
+                for y in ref_rg.adjacency[x]:
+                    if ref_rg.colors[y] == color:
+                        larger = len(ref_rg.adjacency[y]) > len(ref_rg.adjacency[x])
+                        merges["into larger" if larger else "into smaller"] += 1
+                moves.append(FloodMove(vertex, color))
+                ref = flood_vertices(ref, ref_zm.zone_of, moves[-1])
+                ref_rg, ref_zm = reduce(ref)
+                expected.append(footprint_graph(ref_rg, ref_zm.zone_of))
+            rg, zm = reduce(g)
+            got = []
+            for state in _replay(rg, zm, g.color_count, moves):
+                cur, now = state.snapshot()
+                assert state.count == cur.zone_count
+                got.append(footprint_graph(cur, [now[z] for z in zm.zone_of]))
+            assert got == expected
+        assert min(merges.values()) > 0
 
 
 class TestContract:

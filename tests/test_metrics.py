@@ -11,6 +11,7 @@ from freeflood import (
     bfs_distances,
     build,
     eccentricity,
+    gen_reduced_corpus,
     grid_graph,
     metrics,
     radius_and_center,
@@ -18,7 +19,7 @@ from freeflood import (
     solve,
 )
 from freeflood.instances import GridSpec
-from freeflood.metrics import _radius_center
+from freeflood.metrics import _radius_center, _radius_search
 
 from conftest import acceptance_graphs, floyd_warshall, reduced_graphs
 
@@ -177,9 +178,8 @@ def test_solve_output_matches_full_sweep_rule(agreement_corpus):
         assert solution.moves == tuple(moves)
 
 
-def test_bounded_radius_center_searches_few_sources(monkeypatch):
-    rg = reduce(random_grid(64, 7))[0]
-    expected = full_sweep_answer(rg)
+def counted_sources(monkeypatch):
+    """The sources of every search `metrics._distances` runs from now on."""
     sources = []
     distances = metrics._distances
 
@@ -188,5 +188,38 @@ def test_bounded_radius_center_searches_few_sources(monkeypatch):
         return distances(adjacency, source)
 
     monkeypatch.setattr(metrics, "_distances", counted)
+    return sources
+
+
+# Alternating candidate and peripheral searches ran 3-10 searches on the
+# 64x64 and 3-13 on the 256x256 boards of seeds 1-11; the least-bound rule
+# alone ran up to 110 and 135 on boards of these sizes.
+MAX_SEARCHES = 16
+
+
+def test_bounded_radius_center_searches_few_sources(monkeypatch):
+    rg = reduce(random_grid(64, 7))[0]
+    expected = full_sweep_answer(rg)
+    sources = counted_sources(monkeypatch)
     assert _radius_center(rg.adjacency) == expected
-    assert len(set(sources)) == len(sources) < rg.zone_count // 4
+    assert len(set(sources)) == len(sources) <= MAX_SEARCHES
+
+
+@pytest.mark.parametrize("seed", [4, 11])
+def test_bounded_radius_center_searches_few_sources_at_256(seed, monkeypatch):
+    # the full sweep takes thousands of searches here, so the answer is
+    # checked by its center's eccentricity; exactness is checked above
+    rg = reduce(random_grid(256, seed))[0]
+    sources = counted_sources(monkeypatch)
+    radius, center, searches = _radius_search(rg.adjacency)
+    assert len(set(sources)) == len(sources) == searches <= MAX_SEARCHES
+    assert max(metrics._distances(rg.adjacency, center)) == radius
+
+
+def test_bounded_radius_center_matches_sweep_on_seeded_corpus():
+    graphs = 0
+    for seed in range(5):
+        for _, rg in gen_reduced_corpus(200, seed, 60, 1, 60):
+            assert _radius_center(rg.adjacency) == full_sweep_answer(rg)
+            graphs += 1
+    assert graphs == 1000

@@ -12,12 +12,14 @@ from freeflood import (
     brute_force_min_moves,
     build,
     contract_with_trace,
+    metrics,
     min_moves,
     parse_grid,
     radius_and_center,
     reduce,
     solve,
     solve_reduced,
+    solver,
     verify_solution,
 )
 
@@ -115,6 +117,15 @@ class TestSolveReduced:
         steps = solve_reduced(rg, validate=True)
         assert len(steps) == 2
         assert steps[0] == 0
+
+    def test_validation_never_runs_the_full_sweep(self, monkeypatch):
+        def sweep(rg):
+            raise AssertionError("radius_and_center called")
+
+        monkeypatch.setattr(metrics, "radius_and_center", sweep)
+        monkeypatch.setattr(solver, "radius_and_center", sweep, raising=False)
+        rg = reduce(parse_grid("0110\n1001\n0101\n1100\n"))[0]
+        assert len(solve_reduced(rg, validate=True)) == radius_and_center(rg).radius
 
     @given(reduced_graphs())
     def test_certificate_length_is_radius(self, rg):
