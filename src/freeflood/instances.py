@@ -33,7 +33,11 @@ from .graphs import ColoredGraph, FloodMove, ReducedGraph, ZoneMap, build, reduc
 
 _DIGITS = "0123456789"
 _DIGIT_BYTES = _DIGITS.encode()
-_DIGIT_VALUES = bytes.maketrans(_DIGIT_BYTES, bytes(range(10)))
+_CELL_VALUES = bytes(range(10))
+_DIGIT_VALUES = bytes.maketrans(_DIGIT_BYTES, _CELL_VALUES)
+_VALUE_DIGITS = bytes.maketrans(_CELL_VALUES, _DIGIT_BYTES)
+_PAD = b"\0"  # fills the unused digit positions and missing lines of a grid's edge band
+_BAND_CELLS = 1 << 16  # cells per band when a grid's edges are written
 
 
 @dataclass(frozen=True)
@@ -175,13 +179,13 @@ def parse_grid(text: str) -> ColoredGraph:
 
 
 def emit_grid(spec: GridSpec) -> str:
-    """Grid file text for a board; colors must fit one digit each."""
-    if any(c > 9 for c in spec.cells):
-        raise ColorOutOfRange("grid files carry one digit per cell")
-    rows = []
-    for r in range(spec.rows):
-        rows.append("".join(str(spec.cells[r * spec.cols + c]) for c in range(spec.cols)))
-    return "\n".join(rows) + "\n"
+    """Grid file text for a board; colors must be 0-9, one digit each."""
+    digits = _cell_digits(spec.cells)
+    if digits is None:
+        raise ColorOutOfRange("grid files carry one digit 0-9 per cell")
+    cols = spec.cols
+    rows = [digits[base : base + cols] for base in range(0, len(digits), cols)]
+    return (b"\n".join(rows) + b"\n").decode()
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -264,7 +268,7 @@ def emit_graph(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
     A GridSpec gives the same text as its grid graph, written from the cells.
     """
     if isinstance(g, GridSpec):
-        return _emit_grid_graph(g)
+        return b"".join(_grid_text(g)).decode()
     colors = g.colors
     color_count = getattr(g, "color_count", None)
     if color_count is None:
@@ -276,33 +280,104 @@ def emit_graph(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_grid_graph(spec: GridSpec) -> str:
-    """emit_graph(grid_graph(spec)), written from the cells with one %-format per row.
+def _cell_digits(cells: tuple[int, ...]) -> bytes | None:
+    """The cells as ASCII digits, or None when a cell is outside 0-9."""
+    try:
+        raw = bytes(cells)
+    except ValueError:  # a cell outside 0-255
+        return None
+    if raw.translate(None, _CELL_VALUES):
+        return None
+    return raw.translate(_VALUE_DIGITS)
+
+
+def _grid_text(spec: GridSpec) -> Iterator[bytes]:
+    """emit_graph(grid_graph(spec)) as bytes: header and colors, then one piece per band.
 
     The edges of vertex v are v v+1 and v v+cols, so writing each cell's right
     edge, then its down edge, in cell order gives the sorted edge list.
+    Each band of about _BAND_CELLS cells (whole rows) is written by
+    `_grid_edge_band`, so a digest that hashes piece by piece holds one band
+    at a time at any board size.
     """
     rows, cols, cells = spec.rows, spec.cols, spec.cells
     n = rows * cols
-    parts = [f"{n} {2 * n - rows - cols} {max(cells) + 1}\n", "%d\n" * n % tuple(cells)]
-    row_format = "%d %d\n" * (2 * cols - 1)
-    args = [0] * (4 * cols - 2)  # v v+1, v v+cols per cell; the last cell has no right edge
-    for base in range(0, n - cols, cols):
-        args[0:-2:4] = args[2:-2:4] = range(base, base + cols - 1)
-        args[1:-2:4] = range(base + 1, base + cols)
-        args[3:-2:4] = range(base + cols, base + 2 * cols - 1)
-        args[-2:] = base + cols - 1, base + 2 * cols - 1
-        parts.append(row_format % tuple(args))
-    args = [0] * (2 * cols - 2)  # the last row has right edges only
-    args[0::2] = range(n - cols, n - 1)
-    args[1::2] = range(n - cols + 1, n)
-    parts.append("%d %d\n" * (cols - 1) % tuple(args))
-    return "".join(parts)
+    digits = _cell_digits(cells)
+    if digits is None:
+        color_count = max(cells) + 1
+        colors = ("%d\n" * n % cells).encode()
+    else:
+        color_count = 1 + max(d - 48 for d in _DIGIT_BYTES if d in digits)
+        colors = bytearray(2 * n)
+        colors[0::2] = digits
+        colors[1::2] = b"\n" * n
+    yield f"{n} {2 * n - rows - cols} {color_count}\n".encode() + colors
+    width = len(str(n + cols))  # every id a band writes, v + cols included, fits
+    band = max(1, _BAND_CELLS // cols) * cols
+    for lo in range(0, n, band):
+        yield _grid_edge_band(lo, min(band, n - lo), cols, width, lo + band >= n)
+
+
+def _grid_edge_band(lo: int, k: int, cols: int, width: int, last: bool) -> bytearray:
+    """Sorted edge lines of the cells lo .. lo+k-1, which are whole rows of the board.
+
+    Each cell gets a slot of two lines, "v v+1" and "v v+cols", with every
+    number right-aligned in `width` digits behind pad bytes.  Each decimal
+    place of the ids is one byte column, written into the slots with an
+    extended-slice assignment; lines for edges that do not exist (the last
+    column's right edge, the last row's down edge) are all pad.  Deleting
+    the pad leaves the text.
+    """
+    line = 2 * width + 2
+    slot = 2 * line
+    out = bytearray(k * slot)
+    out[width::line] = b" " * (2 * k)
+    out[line - 1 :: line] = b"\n" * (2 * k)
+    for place in range(width):
+        column = _digit_column(lo, k + cols, place)
+        at = width - 1 - place
+        out[at::slot] = out[line + at :: slot] = column[:k]
+        out[width + 1 + at :: slot] = column[1 : k + 1]
+        out[line + width + 1 + at :: slot] = column[cols : cols + k]
+    pad = _PAD * (k // cols)
+    for i in range((cols - 1) * slot, (cols - 1) * slot + line):
+        out[i :: cols * slot] = pad
+    if last:
+        pad = _PAD * cols
+        for i in range((k - cols) * slot + line, (k - cols + 1) * slot):
+            out[i::slot] = pad
+    return out.translate(None, _PAD)
+
+
+def _digit_column(lo: int, count: int, place: int) -> bytearray:
+    """Decimal digit `place` of the ids lo, lo+1, ..., lo+count-1, pad for a leading zero."""
+    unit = 10**place
+    period = 10 * unit
+    if period <= count:  # many periods: slice the repeating "0"*unit + ... + "9"*unit
+        skip = lo % period
+        pattern = b"".join(bytes((d,)) * unit for d in _DIGIT_BYTES)
+        column = bytearray((pattern * ((skip + count) // period + 1))[skip : skip + count])
+        if place and lo < unit:
+            column[: unit - lo] = _PAD * (unit - lo)
+        return column
+    runs = []  # fewer than 11 runs of one digit
+    end = lo + count
+    while lo < end:
+        q = lo // unit
+        nxt = min((q + 1) * unit, end)
+        runs.append((_PAD if place and not q else bytes((48 + q % 10,))) * (nxt - lo))
+        lo = nxt
+    return bytearray(b"".join(runs))
 
 
 def instance_digest(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
     """Hex digest identifying an instance by its canonical file bytes."""
-    return hashlib.sha256(emit_graph(g).encode()).hexdigest()
+    if not isinstance(g, GridSpec):
+        return hashlib.sha256(emit_graph(g).encode()).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _grid_text(g):
+        digest.update(piece)
+    return digest.hexdigest()
 
 
 def parse_moves(text: str) -> list[FloodMove]:

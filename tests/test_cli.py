@@ -1,10 +1,15 @@
 """Command-line surface: output shapes, pipelines, and exit codes."""
 
+import contextlib
 import io
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freeflood import (
     InvariantViolation,
@@ -19,6 +24,7 @@ from freeflood import (
 from freeflood.instances import GridSpec, _grid_zones
 from freeflood.metrics import _radius_search
 from freeflood.cli import (
+    EXIT_COUNTEREXAMPLE,
     EXIT_DOMAIN,
     EXIT_FILE,
     EXIT_INFEASIBLE,
@@ -58,6 +64,13 @@ def test_solve_machine_matches_plain(board, capsys):
     assert doc["moves"] == plain_moves
     assert doc["n"] == 4 and doc["m"] == 4
     assert "digest" in doc and "timings" in doc
+
+
+def test_solve_machine_stage_timings(board, capsys):
+    assert main(["solve", board, "--format", "machine"]) == EXIT_OK
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    assert set(timings) == {"load_ms", "solve_ms", "digest_ms"}
+    assert all(isinstance(ms, float) and ms >= 0.0 for ms in timings.values())
 
 
 def test_solve_machine_work_counters(tmp_path, capsys):
@@ -415,3 +428,51 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["solve", str(tri)]) == EXIT_DOMAIN
     assert main(["nonsense"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+# every exit code the module docstring documents except 9, which marks a bug
+DOCUMENTED_EXITS = {EXIT_OK, EXIT_USAGE, EXIT_FILE, EXIT_PARSE, EXIT_DOMAIN,
+                    EXIT_SUBOPTIMAL, EXIT_INFEASIBLE, EXIT_COUNTEREXAMPLE}
+
+
+def _instance_bytes(max_size):
+    # raw bytes, and text over the characters of grid, graph and move files
+    # so that some draws get past the parsers
+    text = st.text("0123456789 \n#-", max_size=max_size).map(str.encode)
+    return st.one_of(st.binary(max_size=max_size), text)
+
+
+# grid files that parse, so that some draws reach the solver and the replay
+_GRIDS = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3)).flatmap(
+    lambda shape: st.lists(
+        st.text("012"[: shape[2]], min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0],
+    ).map(lambda rows: "\n".join(rows).encode())
+)
+
+
+# move files that parse, so that some draws reach the replay
+_MOVE_LISTS = st.lists(st.tuples(st.integers(-1, 40), st.integers(-1, 3)), max_size=8).map(
+    lambda moves: "".join(f"{v} {c}\n" for v, c in moves).encode()
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    instance=st.one_of(_instance_bytes(200), _GRIDS),
+    moves=st.one_of(_instance_bytes(40), _MOVE_LISTS),
+)
+def test_main_never_raises_on_arbitrary_files(instance, moves):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, move_path = Path(tmp) / "instance", Path(tmp) / "moves"
+        path.write_bytes(instance)
+        move_path.write_bytes(moves)
+        commands = (["solve", path, "--format", "machine"], ["radius", path], ["reduce", path],
+                    ["verify", path, move_path], ["simulate", path, move_path])
+        for command in commands:
+            for input_format in ("auto", "grid", "graph"):
+                argv = [*map(str, command), "--input-format", input_format]
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in DOCUMENTED_EXITS, (argv, code, err.getvalue())

@@ -1,5 +1,6 @@
 """File formats, round trips, and the seeded generators."""
 
+import hashlib
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from freeflood import (
     parse_moves,
     reduce,
 )
+from freeflood import instances
 from freeflood.instances import GridSpec, _grid_zones
 
 
@@ -100,6 +102,25 @@ class TestGrid:
     def test_emit_rejects_wide_colors(self):
         with pytest.raises(ColorOutOfRange):
             emit_grid(GridSpec(1, 1, (11,)))
+
+    @pytest.mark.parametrize("cell", [-1, -10, 10, 300])
+    def test_emit_rejects_cells_outside_0_to_9(self, cell):
+        # a negative cell once wrote "-1", which no grid parser reads back
+        with pytest.raises(ColorOutOfRange):
+            emit_grid(GridSpec(2, 2, (0, 1, cell, 0)))
+
+    def test_emit_exact_text(self):
+        assert emit_grid(GridSpec(2, 3, (0, 1, 9, 5, 0, 3))) == "019\n503\n"
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 17), (17, 1), (7, 9), (64, 64)])
+    @pytest.mark.parametrize("colors", [1, 2, 10])
+    def test_emit_seeded_boards_row_by_row(self, rows, cols, colors):
+        rng = random.Random(rows * 1000 + cols * 10 + colors)
+        cells = tuple(rng.randrange(colors) for _ in range(rows * cols))
+        expected = "".join(
+            "".join(str(c) for c in cells[r * cols : (r + 1) * cols]) + "\n" for r in range(rows)
+        )
+        assert emit_grid(GridSpec(rows, cols, cells)) == expected
 
 
 class TestGraphFormat:
@@ -219,6 +240,45 @@ def _assert_grid_paths_agree(spec):
     assert _grid_zones(spec) == reduce(g)
     assert emit_graph(spec) == emit_graph(g)
     assert instance_digest(spec) == instance_digest(g)
+
+
+# shapes where v, v+1 or v+cols cross a power of ten, up to 100 000
+BOUNDARY_SHAPES = [(1, 1), (1, 10), (10, 1), (1, 11), (3, 4), (9, 12), (10, 10), (33, 31),
+                   (100, 100), (99, 101), (316, 317), (3, 40), (40, 1)]
+
+
+def _assert_grid_text_matches_reference(spec):
+    # the band writer against the graph-file writer run on the vertex graph
+    text = emit_graph(grid_graph(spec))
+    assert emit_graph(spec) == text
+    assert instance_digest(spec) == hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGridText:
+    """A board's canonical text, written in bands, against emit_graph(grid_graph(spec))."""
+
+    @pytest.mark.parametrize("rows, cols", BOUNDARY_SHAPES)
+    def test_boundary_shapes(self, rows, cols):
+        rng = random.Random(rows * 1000 + cols)
+        _assert_grid_text_matches_reference(
+            GridSpec(rows, cols, tuple(rng.randrange(3) for _ in range(rows * cols)))
+        )
+
+    @pytest.mark.parametrize("cell", [10, 12, 300])
+    def test_color_above_9(self, cell):
+        rng = random.Random(cell)
+        cells = [rng.randrange(2) for _ in range(9 * 12)]
+        cells[50] = cell
+        _assert_grid_text_matches_reference(GridSpec(9, 12, tuple(cells)))
+
+    @pytest.mark.parametrize("band_cells", [1, 1 << 30])
+    @pytest.mark.parametrize("rows, cols", [(1, 11), (10, 1), (9, 12), (33, 31), (99, 101)])
+    def test_bands_of_one_row_and_of_the_whole_board(self, band_cells, rows, cols, monkeypatch):
+        monkeypatch.setattr(instances, "_BAND_CELLS", band_cells)
+        rng = random.Random(rows + cols)
+        _assert_grid_text_matches_reference(
+            GridSpec(rows, cols, tuple(rng.randrange(2) for _ in range(rows * cols)))
+        )
 
 
 class TestGridZones:
