@@ -13,7 +13,7 @@ import random
 import sys
 import time
 
-from .errors import FloodError, InvariantViolation, MalformedMove, NoOpMove, ParseError
+from .errors import FloodError, InstanceTooLarge, InvariantViolation, MalformedMove, NoOpMove, ParseError
 from .graphs import ColoredGraph, reduce
 from .instances import (
     GridSpec,
@@ -42,6 +42,12 @@ EXIT_SUBOPTIMAL = 6
 EXIT_INFEASIBLE = 7
 EXIT_COUNTEREXAMPLE = 8
 EXIT_INTERNAL = 9
+
+# `radius` runs one breadth-first search per zone, each reading every zone and
+# adjacency entry: zones * (zones + 2 * zone_edges) steps in all.  A random
+# 256x256 board is about 3.4e8 steps (15-21 s in CPython 3.11 on 2 shared cores);
+# a 512x512 one is about 5.3e9.
+RADIUS_SWEEP_LIMIT = 1_000_000_000
 
 
 def _read_text(path: str) -> str:
@@ -157,6 +163,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_radius(args: argparse.Namespace) -> int:
     rg, _, _, source = _load_instance(args.instance, args.input_format)
+    steps = rg.zone_count * (rg.zone_count + 2 * rg.edge_count)
+    if steps > RADIUS_SWEEP_LIMIT:
+        raise InstanceTooLarge(
+            f"the all-zones sweep needs {steps} search steps, over the limit of "
+            f"{RADIUS_SWEEP_LIMIT}; solve reports the radius"
+        )
     met = radius_and_center(rg)
     if args.format == "machine":
         doc = {

@@ -152,7 +152,7 @@ def build(
     return ColoredGraph(tuple(tuple(sorted(row)) for row in adj), colors, color_count)
 
 
-def monochromatic_zones(
+def _monochromatic_zones(
     adjacency: Sequence[Sequence[int]], colors: Sequence[int]
 ) -> tuple[list[int], list[list[int]]]:
     """Connected monochromatic components, numbered by smallest member vertex.
@@ -200,7 +200,7 @@ def reduce(g: ColoredGraph) -> tuple[ReducedGraph, ZoneMap]:
     The induced coloration is proper by construction; zone count and edge
     count never exceed the original graph's.  Linear in vertices plus edges.
     """
-    zone_of, zones = monochromatic_zones(g.adjacency, g.colors)
+    zone_of, zones = _monochromatic_zones(g.adjacency, g.colors)
     k = len(zones)
     zadj: list[list[int]] = [[] for _ in range(k)]
     seen: set[tuple[int, int]] = set()
@@ -227,15 +227,6 @@ def contract_with_trace(rg: ReducedGraph, x: int) -> tuple[ReducedGraph, Contrac
     x's slot, adopts all second neighbors, and flips color.  The returned
     trace records the renumbering for move reporting.
     """
-    color = _contraction_color(rg, x)
-    state = _ZoneState(rg)
-    absorbed = state.flood(x, color)
-    out, new_id = state.snapshot()
-    return out, ContractionTrace(tuple(sorted(absorbed)), tuple(new_id), new_id[x])
-
-
-def _contraction_color(rg: ReducedGraph, x: int) -> int:
-    """The color a neighborhood contraction floods zone x with: the other palette color."""
     k = rg.zone_count
     if not 0 <= x < k:
         raise InvalidZone(f"zone {x} outside [0, {k})")
@@ -247,7 +238,10 @@ def _contraction_color(rg: ReducedGraph, x: int) -> int:
     palette.discard(rg.colors[x])
     if len(palette) != 1:
         raise ImproperColoring("a proper coloration with two or more zones uses two colors")
-    return palette.pop()
+    state = _ZoneState(rg)
+    absorbed = state.flood(x, palette.pop())
+    out, new_id = state.snapshot()
+    return out, ContractionTrace(tuple(sorted(absorbed)), tuple(new_id), new_id[x])
 
 
 class _ZoneState:

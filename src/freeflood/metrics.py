@@ -41,18 +41,12 @@ def bfs_distances(rg: ReducedGraph, source: int) -> tuple[int, ...]:
     return tuple(_distances(rg.adjacency, source))
 
 
-def eccentricity(rg: ReducedGraph, x: int) -> int:
-    """Greatest distance from zone x to any other zone."""
-    return max(bfs_distances(rg, x))
-
-
 def radius_and_center(rg: ReducedGraph) -> Metrics:
     """Full-vector reference sweep: one search per zone, every eccentricity.
 
-    `freeflood radius`, the `validate=True` branch of `solve_reduced` and the
-    three lemma checkers need the whole vector and call this; `solve`,
-    `min_moves` and `verify_solution` need only the radius and one center and
-    use the eccentricity-bounding search instead.
+    `freeflood radius` and the three lemma checkers need the whole vector and
+    call this; `solve`, `min_moves` and `verify_solution` need only the radius
+    and one center and use the eccentricity-bounding search instead.
     """
     adjacency = rg.adjacency
     eccs = [max(_distances(adjacency, s)) for s in range(rg.zone_count)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InstanceTooLarge, InvariantViolation, TooManyColors
-from .graphs import ColoredGraph, ReducedGraph, contract_with_trace, monochromatic_zones
+from .graphs import ColoredGraph, ReducedGraph, _monochromatic_zones, contract_with_trace
 from .metrics import bfs_distances, radius_and_center
 
 
@@ -71,7 +71,7 @@ class StateSpace:
         if cached is not None:
             return cached
         a, b = self.palette
-        _, zones = monochromatic_zones(self.adjacency, state)
+        _, zones = _monochromatic_zones(self.adjacency, state)
         out = []
         for members in zones:
             other = b if state[members[0]] == a else a
@@ -107,7 +107,7 @@ class StateSpace:
                     if succ.count(succ[0]) == n:
                         return StateSpaceReport(depth, len(visited), True)
                     if state_budget is not None and len(visited) >= state_budget:
-                        upper = len(monochromatic_zones(self.adjacency, initial)[1]) - 1
+                        upper = len(_monochromatic_zones(self.adjacency, initial)[1]) - 1
                         return StateSpaceReport(upper, len(visited), False)
                     nxt.append(succ)
             frontier = nxt
@@ -128,8 +128,6 @@ def brute_force_min_moves(
         raise TooManyColors(f"{len(used)} colors in use; the oracle handles two")
     if len(used) == 1:
         return StateSpaceReport(0, 1, True)
-    if used[-1] > 255:
-        raise InstanceTooLarge("colors above 255 do not fit the state encoding")
     space = StateSpace(g.adjacency, (used[0], used[1]))
     return space.min_moves(bytes(g.colors), state_budget)
 

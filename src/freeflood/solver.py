@@ -18,7 +18,6 @@ from .graphs import (
     FloodMove,
     ReducedGraph,
     ZoneMap,
-    _contraction_color,
     _validate_reduced,
     _ZoneState,
     reduce,
@@ -62,8 +61,8 @@ def min_moves(g: ColoredGraph) -> int:
 def solve(g: ColoredGraph, validate: bool = False) -> Solution:
     """Minimum-length move list: flood one center zone's representative repeatedly.
 
-    With `validate=True` the certificate is additionally replayed on the
-    reduced graph, checking the radius drops by exactly one per step.
+    With `validate=True` the moves are replayed on the reduced graph, checking
+    that the radius drops by exactly one per move.
     """
     rg, zm = reduce(g)
     return _solve_zones(rg, zm, validate)[0]
@@ -82,47 +81,37 @@ def _solve_zones(
         color = palette[1] if color == palette[0] else palette[0]
         moves.append(FloodMove(rep, color))
     if validate:
-        steps = solve_reduced(rg, validate=True)
-        if len(steps) != radius:
-            raise InvariantViolation("contraction certificate length differs from the radius")
+        _check_certificate(rg, zm, radius, center, moves)
     return Solution(tuple(moves), radius, rep), searches
 
 
-def solve_reduced(rg: ReducedGraph, validate: bool = False) -> list[int]:
-    """Zone ids to contract, one per move, down to a singleton graph.
+def _check_certificate(
+    rg: ReducedGraph, zm: ZoneMap, radius: int, center: int, moves: Sequence[FloodMove]
+) -> None:
+    """Replay the moves `solve` prints and check the theorem on every zone graph.
 
-    Each entry is the current id of the persisting center zone at that step.
-    `validate=True` checks that every zone graph on the way is properly
-    colored and connected, and after every contraction that the radius
-    decreased by exactly one and that the merged zone is still central.
+    Each zone graph must be proper and connected, each move must lower the
+    radius (by the bounding search) by exactly one, the flooded zone, which
+    keeps its name, must stay central, and one zone must be left at the end.
     """
-    if validate:
-        _validate_reduced(rg)
-    radius, center = _radius_center(rg.adjacency)
-    steps: list[int] = []
-    state = _ZoneState(rg)
-    x = center  # the center zone's name in the state; its id is the name's rank
-    color = _contraction_color(rg, x) if state.count > 1 else None
-    while state.count > 1:
-        steps.append(center)
-        previous = state.colors[x]
-        absorbed = state.flood(x, color)
-        color = previous
-        center -= sum(y < x for y in absorbed)
-        if validate:
-            cur, _ = state.snapshot()
+    _validate_reduced(rg)
+    zones = rg.zone_count
+    try:
+        for step, state in enumerate(_replay(rg, zm, max(rg.colors) + 1, moves), start=1):
+            cur, new_id = state.snapshot()
             _validate_reduced(cur)
             now = _radius_center(cur.adjacency)[0]
-            if now != radius - len(steps):
+            if now != radius - step:
                 raise InvariantViolation(
-                    f"radius {now} after {len(steps)} contractions, "
-                    f"expected {radius - len(steps)}"
+                    f"radius {now} after {step} moves, expected {radius - step}"
                 )
-            if max(_distances(cur.adjacency, center)) != now:
-                raise InvariantViolation("merged zone left the center set")
-    if len(steps) != radius:
-        raise InvariantViolation("contraction count differs from the initial radius")
-    return steps
+            if max(_distances(cur.adjacency, new_id[center])) != now:
+                raise InvariantViolation("flooded zone left the center set")
+            zones = state.count
+    except (NoOpMove, MalformedMove) as exc:
+        raise InvariantViolation(f"replay rejected a solver move: {exc}") from None
+    if zones != 1:
+        raise InvariantViolation(f"{zones} zones left after the moves, expected 1")
 
 
 def _replay(

@@ -23,6 +23,7 @@ from freeflood import (
 )
 from freeflood.instances import GridSpec, _grid_zones
 from freeflood.metrics import _radius_search
+from freeflood import cli
 from freeflood.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_DOMAIN,
@@ -116,6 +117,24 @@ def test_radius_monochromatic(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "radius 0" in lines
     assert "center 0" in lines
+
+
+@pytest.mark.parametrize("fmt", ["plain", "machine"])
+def test_radius_refuses_a_sweep_over_the_limit(fmt, board, capsys, monkeypatch):
+    # the checkerboard has 4 zones and 4 zone edges: 4 * (4 + 2 * 4) = 48 steps
+    assert main(["radius", board, "--format", fmt]) == EXIT_OK
+    expected = capsys.readouterr()
+    monkeypatch.setattr(cli, "RADIUS_SWEEP_LIMIT", 48)
+    assert main(["radius", board, "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr() == expected
+    monkeypatch.setattr(cli, "RADIUS_SWEEP_LIMIT", 47)
+    assert main(["radius", board, "--format", fmt]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the all-zones sweep needs 48 search steps, over the limit of 47; "
+        "solve reports the radius\n"
+    )
 
 
 def test_reduce_emits_parseable_graph(board, capsys):
@@ -416,6 +435,26 @@ def test_failed_internal_check_exits_9(board, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: internal check failed: ")
     assert "Traceback" not in captured.err
+
+
+def test_validate_refutes_moves_off_the_center(tmp_path, capsys, monkeypatch):
+    # zone 0 of the 5-zone path is not central: its moves are two, like the
+    # radius, but leave two zones; only --validate replays and rejects them
+    real = solver._radius_search
+
+    def off_center(adjacency):
+        radius, _, searches = real(adjacency)
+        return radius, 0, searches
+
+    monkeypatch.setattr(solver, "_radius_search", off_center)
+    path = tmp_path / "path.grid"
+    path.write_text("01010\n")
+    assert main(["solve", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "optimum 2\nmove 0 1\nmove 0 0\n"
+    assert main(["solve", str(path), "--validate"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: radius 2 after 1 moves, expected 1\n"
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -71,6 +71,11 @@ class TestBruteForce:
         with pytest.raises(TooManyColors):
             brute_force_min_moves(build([(0, 1), (1, 2)], [0, 1, 2]))
 
+    def test_colors_above_255_rejected(self):
+        # a state is one byte per vertex
+        with pytest.raises(InstanceTooLarge, match="colors above 255 do not fit"):
+            brute_force_min_moves(build([(0, 1), (1, 2)], [0, 256, 0]))
+
     @given(colored_graphs(max_vertices=9))
     @settings(max_examples=50)
     def test_color_swap_invariance(self, g):

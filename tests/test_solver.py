@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from freeflood import (
     FloodMove,
+    InvariantViolation,
     Solution,
     MalformedMove,
     TooManyColors,
@@ -18,7 +19,6 @@ from freeflood import (
     radius_and_center,
     reduce,
     solve,
-    solve_reduced,
     solver,
     verify_solution,
 )
@@ -105,18 +105,16 @@ class TestSolve:
 
 class TestSolveReduced:
     def test_singleton(self):
-        rg = reduce(build([], [0]))[0]
-        assert solve_reduced(rg) == []
+        assert solve(build([], [0]), validate=True).moves == ()
 
     def test_path_contracts_at_middle_twice(self):
-        rg = reduce(alternating_path(5))[0]
-        assert solve_reduced(rg, validate=True) == [2, 1]
+        s = solve(alternating_path(5), validate=True)
+        assert s.moves == (FloodMove(2, 1), FloodMove(2, 0))
 
     def test_four_cycle_two_contractions(self):
-        rg = reduce(checkerboard())[0]
-        steps = solve_reduced(rg, validate=True)
-        assert len(steps) == 2
-        assert steps[0] == 0
+        s = solve(checkerboard(), validate=True)
+        assert len(s.moves) == 2
+        assert s.center_zone_representative == 0
 
     def test_validation_never_runs_the_full_sweep(self, monkeypatch):
         def sweep(rg):
@@ -124,14 +122,62 @@ class TestSolveReduced:
 
         monkeypatch.setattr(metrics, "radius_and_center", sweep)
         monkeypatch.setattr(solver, "radius_and_center", sweep, raising=False)
-        rg = reduce(parse_grid("0110\n1001\n0101\n1100\n"))[0]
-        assert len(solve_reduced(rg, validate=True)) == radius_and_center(rg).radius
+        g = parse_grid("0110\n1001\n0101\n1100\n")
+        assert len(solve(g, validate=True).moves) == radius_and_center(reduce(g)[0]).radius
 
     @given(reduced_graphs())
     def test_certificate_length_is_radius(self, rg):
         met = radius_and_center(rg)
-        steps = solve_reduced(rg, validate=True)
-        assert len(steps) == met.radius
+        edges = [(z, w) for z, row in enumerate(rg.adjacency) for w in row if z < w]
+        s = solve(build(edges, rg.colors), validate=True)
+        assert len(s.moves) == met.radius
+
+    def test_validation_replays_the_printed_moves(self, monkeypatch):
+        # a radius search that names a zone off the center: plain solve
+        # prints its moves unchecked, and the replay of those moves refutes them
+        real = solver._radius_search
+
+        def off_center(adjacency):
+            radius, _, searches = real(adjacency)
+            return radius, 0, searches
+
+        monkeypatch.setattr(solver, "_radius_search", off_center)
+        g = alternating_path(5)
+        assert solve(g).moves == (FloodMove(0, 1), FloodMove(0, 0))
+        with pytest.raises(InvariantViolation, match="radius 2 after 1 moves, expected 1"):
+            solve(g, validate=True)
+
+    def test_validation_keeps_the_flooded_zone_central(self, monkeypatch):
+        # leaf 5 hangs off leaf 3 of a star: its first flood lowers the radius
+        # by one too, but leaves the hub the only center
+        real = solver._radius_search
+        monkeypatch.setattr(solver, "_radius_search", lambda adj: (2, 5, real(adj)[2]))
+        g = build([(0, 1), (0, 2), (0, 3), (0, 4), (3, 5)], [0, 1, 1, 1, 1, 0])
+        s = solve(g)
+        assert s.moves == (FloodMove(5, 1), FloodMove(5, 0))
+        assert verify_solution(g, s) is Verdict.INFEASIBLE
+        with pytest.raises(InvariantViolation, match="flooded zone left the center set"):
+            solve(g, validate=True)
+
+    def test_validation_needs_one_zone_at_the_end(self, monkeypatch):
+        monkeypatch.setattr(solver, "_radius_search", lambda adj: (0, 0, 1))
+        assert solve(checkerboard()).moves == ()
+        with pytest.raises(InvariantViolation, match="4 zones left after the moves"):
+            solve(checkerboard(), validate=True)
+
+    def test_validation_checks_the_zone_graph_after_every_move(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(solver, "_validate_reduced", lambda rg: seen.append(rg.zone_count))
+        solve(checkerboard())
+        assert seen == []
+        solve(checkerboard(), validate=True)
+        assert seen == [4, 2, 1]
+
+    def test_a_rejected_move_is_an_internal_fault(self, monkeypatch):
+        monkeypatch.setattr(solver, "_palette", lambda colors: [0, 5])
+        assert [m.color for m in solve(checkerboard()).moves] == [5, 0]
+        with pytest.raises(InvariantViolation, match=r"rejected .*color 5 outside \[0, 2\)"):
+            solve(checkerboard(), validate=True)
 
     @given(reduced_graphs(max_vertices=10))
     @settings(max_examples=60)
