@@ -30,7 +30,13 @@ from .instances import (
     parse_moves,
 )
 from .metrics import radius_and_center
-from .oracle import brute_force_min_moves, check_distance_bounds, check_far_witness, check_radius_bounds
+from .oracle import (
+    STATE_BUDGET,
+    brute_force_min_moves,
+    check_distance_bounds,
+    check_far_witness,
+    check_radius_bounds,
+)
 from .solver import Verdict, _replay, _solve_zones, _verify_zones
 
 EXIT_OK = 0
@@ -49,6 +55,10 @@ EXIT_INTERNAL = 9
 # a 512x512 one is about 5.3e9.
 RADIUS_SWEEP_LIMIT = 1_000_000_000
 
+# `bench` labels and solves one random side x side board per size; 1024 is the
+# top of the scale ladder.
+BENCH_MAX_SIDE = 1024
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -65,29 +75,26 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{name}: byte {exc.start} is not valid UTF-8") from None
 
 
-def _load_source(path: str, input_format: str) -> GridSpec | ColoredGraph:
-    """Parse an instance file: the GridSpec of a grid, the graph of a graph file."""
+def _load_source(path: str) -> GridSpec | ColoredGraph:
+    """Parse an instance file: the GridSpec of a grid, the graph of a graph file.
+
+    A graph file's first content line is its `n m c` header; a grid row is one field.
+    """
     text = _read_text(path)
-    fmt = input_format
-    if fmt == "auto":
-        fmt = "grid"
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                fmt = "graph" if len(line.split()) > 1 else "grid"
-                break
-    if fmt == "grid":
-        return parse_grid_spec(text)
-    return parse_graph(text)
+    for raw in text.splitlines():
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            return parse_graph(text) if len(fields) > 1 else parse_grid_spec(text)
+    return parse_grid_spec(text)
 
 
-def _load_instance(path: str, input_format: str):
+def _load_instance(path: str):
     """Load an instance file; returns (zone graph, zone map, color count, source).
 
     A grid is labeled into zones straight from its rows; a graph file is
     built and reduced.  `source` is what `_load_source` parsed.
     """
-    source = _load_source(path, input_format)
+    source = _load_source(path)
     if isinstance(source, GridSpec):
         rg, zm = _grid_zones(source)
         return rg, zm, max(rg.colors) + 1, source  # each cell has its zone's color
@@ -103,16 +110,6 @@ def _size(source: GridSpec | ColoredGraph) -> tuple[int, int]:
     return source.vertex_count, source.edge_count
 
 
-def _add_instance_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("instance", help="instance file, or - for stdin")
-    sub.add_argument(
-        "--input-format",
-        choices=("auto", "grid", "graph"),
-        default="auto",
-        help="instance file format (default: sniffed from the first line)",
-    )
-
-
 def _add_format_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--format",
@@ -124,7 +121,7 @@ def _add_format_arg(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    rg, zm, _, source = _load_instance(args.instance, args.input_format)
+    rg, zm, _, source = _load_instance(args.instance)
     loaded = time.perf_counter()
     solution, searches = _solve_zones(rg, zm, validate=args.validate)
     solved = time.perf_counter()
@@ -162,7 +159,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_radius(args: argparse.Namespace) -> int:
-    rg, _, _, source = _load_instance(args.instance, args.input_format)
+    rg, _, _, source = _load_instance(args.instance)
     steps = rg.zone_count * (rg.zone_count + 2 * rg.edge_count)
     if steps > RADIUS_SWEEP_LIMIT:
         raise InstanceTooLarge(
@@ -190,13 +187,13 @@ def _cmd_radius(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    rg, _, _, _ = _load_instance(args.instance, args.input_format)
+    rg, _, _, _ = _load_instance(args.instance)
     sys.stdout.write(emit_graph(rg))
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    rg, zm, color_count, source = _load_instance(args.instance, args.input_format)
+    rg, zm, color_count, source = _load_instance(args.instance)
     moves = parse_moves(_read_text(args.moves))
     replay = _replay(rg, zm, color_count, moves)
     zones = rg.zone_count
@@ -217,7 +214,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    rg, zm, color_count, _ = _load_instance(args.instance, args.input_format)
+    rg, zm, color_count, _ = _load_instance(args.instance)
     moves = parse_moves(_read_text(args.moves))
     verdict = _verify_zones(rg, zm, color_count, moves)
     print(f"verdict {verdict.value}")
@@ -232,13 +229,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.budget < 1:
         print("error: --budget takes at least 1 state", file=sys.stderr)
         return EXIT_USAGE
-    source = _load_source(args.instance, args.input_format)
+    source = _load_source(args.instance)
     g = grid_graph(source) if isinstance(source, GridSpec) else source
     report = brute_force_min_moves(g, state_budget=args.budget)
     if args.format == "machine":
         doc = {
             "command": "oracle",
-            "digest": instance_digest(g),
+            "digest": instance_digest(source),
             "optimum": report.optimum,
             "states_explored": report.states_explored,
             "exhausted": report.exhausted,
@@ -314,8 +311,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         sizes = [int(p) for p in args.sizes.split(",") if p]
     except ValueError:
         sizes = []
-    if not sizes or min(sizes) < 1 or args.repeat < 1:
-        print("error: --sizes takes positive integers and --repeat at least 1", file=sys.stderr)
+    if not sizes or min(sizes) < 1 or max(sizes) > BENCH_MAX_SIDE or args.repeat < 1:
+        print(f"error: --sizes takes sides from 1 to {BENCH_MAX_SIDE} and --repeat at least 1",
+              file=sys.stderr)
         return EXIT_USAGE
     print(f"# seed {args.seed}")
     print("# m is the undirected edge count; adjacency lists hold 2m entries")
@@ -345,38 +343,38 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("solve", help="optimal move count and move list")
-    _add_instance_arg(sub)
+    sub.add_argument("instance", help="instance file, or - for stdin")
     _add_format_arg(sub)
     sub.add_argument("--validate", action="store_true", help="replay the certificate step by step")
     sub.add_argument("--moves-out", metavar="PATH", help="also write the moves as a move file")
     sub.set_defaults(func=_cmd_solve)
 
     sub = commands.add_parser("radius", help="zone metrics: radius, center, eccentricities")
-    _add_instance_arg(sub)
+    sub.add_argument("instance", help="instance file, or - for stdin")
     _add_format_arg(sub)
     sub.set_defaults(func=_cmd_radius)
 
     sub = commands.add_parser("reduce", help="print the zone graph as a graph file")
-    _add_instance_arg(sub)
+    sub.add_argument("instance", help="instance file, or - for stdin")
     sub.set_defaults(func=_cmd_reduce)
 
     sub = commands.add_parser("simulate", help="replay a move file step by step")
-    _add_instance_arg(sub)
+    sub.add_argument("instance", help="instance file, or - for stdin")
     sub.add_argument("moves", help="move file, or - for stdin")
     sub.set_defaults(func=_cmd_simulate)
 
     sub = commands.add_parser("verify", help="classify a move file as optimal/suboptimal/infeasible")
-    _add_instance_arg(sub)
+    sub.add_argument("instance", help="instance file, or - for stdin")
     sub.add_argument("moves", help="move file, or - for stdin")
     sub.set_defaults(func=_cmd_verify)
 
     sub = commands.add_parser("oracle", help="exhaustive optimum for small instances")
-    _add_instance_arg(sub)
+    sub.add_argument("instance", help="instance file, or - for stdin")
     _add_format_arg(sub)
     sub.add_argument(
         "--budget",
         type=int,
-        default=1_000_000,
+        default=STATE_BUDGET,
         help="cap on the states the search stores, each about n bytes "
         "(the default needs about 4 GB on a 64x64 board)",
     )

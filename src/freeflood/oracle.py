@@ -10,11 +10,20 @@ disjoint from a chosen shortest path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InstanceTooLarge, InvariantViolation, TooManyColors
 from .graphs import ColoredGraph, ReducedGraph, _monochromatic_zones, contract_with_trace
 from .metrics import bfs_distances, radius_and_center
+
+# Size guards: the default cap on the colorations the search stores (a hit
+# budget gives an upper bound), and the checkers' caps on zones, enumerated
+# paths and path-search steps, past which they raise InstanceTooLarge.
+STATE_BUDGET = 1_000_000
+DISTANCE_BOUNDS_MAX_ZONES = 30
+FAR_WITNESS_MAX_ZONES = 20
+FAR_WITNESS_PATH_CAP = 100_000
+PATH_STEP_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -48,88 +57,55 @@ class LemmaReport:
         return self.counterexample is None
 
 
-class StateSpace:
-    """Flood-move successor relation over colorations of a fixed graph.
-
-    States are color bytestrings over a two-color palette.  Successors are
-    memoized, so sweeps over many initial colorations of one graph share the
-    zone computations.
-    """
-
-    def __init__(self, adjacency: Sequence[Sequence[int]], palette: tuple[int, int] = (0, 1)):
-        if len(set(palette)) != 2:
-            raise TooManyColors("the state space needs a palette of two distinct colors")
-        if max(palette) > 255:
-            raise InstanceTooLarge("colors above 255 do not fit the state encoding")
-        self.adjacency = tuple(tuple(row) for row in adjacency)
-        self.palette = (int(palette[0]), int(palette[1]))
-        self._successors: dict[bytes, tuple[bytes, ...]] = {}
-
-    def successors(self, state: bytes) -> tuple[bytes, ...]:
-        """One successor per zone: that zone flooded with the other color."""
-        cached = self._successors.get(state)
-        if cached is not None:
-            return cached
-        a, b = self.palette
-        _, zones = _monochromatic_zones(self.adjacency, state)
-        out = []
-        for members in zones:
-            other = b if state[members[0]] == a else a
-            nxt = bytearray(state)
-            for u in members:
-                nxt[u] = other
-            out.append(bytes(nxt))
-        result = tuple(out)
-        self._successors[state] = result
-        return result
-
-    def min_moves(self, initial: bytes, state_budget: int | None = None) -> StateSpaceReport:
-        """Breadth-first search to the nearest monochromatic coloration.
-
-        When the budget is hit the report carries exhausted=False and falls
-        back to the zone count minus one, a feasible upper bound: every move
-        merges the flooded zone with at least one neighbor.
-        """
-        n = len(initial)
-        if initial.count(initial[0]) == n:
-            return StateSpaceReport(0, 1, True)
-        visited = {initial}
-        frontier = [initial]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for state in frontier:
-                for succ in self.successors(state):
-                    if succ in visited:
-                        continue
-                    visited.add(succ)
-                    if succ.count(succ[0]) == n:
-                        return StateSpaceReport(depth, len(visited), True)
-                    if state_budget is not None and len(visited) >= state_budget:
-                        upper = len(_monochromatic_zones(self.adjacency, initial)[1]) - 1
-                        return StateSpaceReport(upper, len(visited), False)
-                    nxt.append(succ)
-            frontier = nxt
-        raise InvariantViolation("flooding always reaches a monochromatic coloration")
+def _successors(adjacency, state: bytes, a: int, b: int) -> list[bytes]:
+    """One successor per zone of `state`: that zone flooded with the other color."""
+    out = []
+    for members in _monochromatic_zones(adjacency, state)[1]:
+        other = b if state[members[0]] == a else a
+        nxt = bytearray(state)
+        for u in members:
+            nxt[u] = other
+        out.append(bytes(nxt))
+    return out
 
 
-def brute_force_min_moves(
-    g: ColoredGraph, state_budget: int | None = 1_000_000
-) -> StateSpaceReport:
-    """Exact optimum by exhaustive search over coloration states.
+def brute_force_min_moves(g: ColoredGraph, state_budget: int | None = STATE_BUDGET) -> StateSpaceReport:
+    """Exact optimum by breadth-first search over color bytestrings.
 
     Affordable for small instances only (at most 2**n states with two
-    colors).  A hit budget is reported through exhausted=False rather than
-    an exception.
+    colors).  A hit budget gives exhausted=False and the zone count minus
+    one, a feasible upper bound: every move merges the flooded zone with at
+    least one neighbor.
     """
     used = sorted(set(g.colors))
     if len(used) > 2:
         raise TooManyColors(f"{len(used)} colors in use; the oracle handles two")
     if len(used) == 1:
         return StateSpaceReport(0, 1, True)
-    space = StateSpace(g.adjacency, (used[0], used[1]))
-    return space.min_moves(bytes(g.colors), state_budget)
+    a, b = used
+    if b > 255:
+        raise InstanceTooLarge("colors above 255 do not fit the state encoding")
+    initial = bytes(g.colors)
+    n = len(initial)
+    visited = {initial}
+    frontier = [initial]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for state in frontier:
+            for succ in _successors(g.adjacency, state, a, b):
+                if succ in visited:
+                    continue
+                visited.add(succ)
+                if succ.count(succ[0]) == n:
+                    return StateSpaceReport(depth, len(visited), True)
+                if state_budget is not None and len(visited) >= state_budget:
+                    upper = len(_monochromatic_zones(g.adjacency, initial)[1]) - 1
+                    return StateSpaceReport(upper, len(visited), False)
+                nxt.append(succ)
+        frontier = nxt
+    raise InvariantViolation("flooding always reaches a monochromatic coloration")
 
 
 def check_radius_bounds(rg: ReducedGraph) -> LemmaReport:
@@ -164,7 +140,7 @@ def check_radius_bounds(rg: ReducedGraph) -> LemmaReport:
     return LemmaReport("radius-bounds", checked)
 
 
-def check_distance_bounds(rg: ReducedGraph, max_zones: int = 30) -> LemmaReport:
+def check_distance_bounds(rg: ReducedGraph) -> LemmaReport:
     """Distance bounds under contraction, for every zone and surviving pair.
 
     For a pair (a, b) that survives contracting x: with no shortest a-b path
@@ -176,8 +152,8 @@ def check_distance_bounds(rg: ReducedGraph, max_zones: int = 30) -> LemmaReport:
     enumeration, since walks would be unsound for it.
     """
     n = rg.zone_count
-    if n > max_zones:
-        raise InstanceTooLarge(f"{n} zones exceeds the checker guard of {max_zones}")
+    if n > DISTANCE_BOUNDS_MAX_ZONES:
+        raise InstanceTooLarge(f"{n} zones exceeds the checker guard of {DISTANCE_BOUNDS_MAX_ZONES}")
     if n < 2:
         return LemmaReport("distance-bounds", 0)
     dist = [bfs_distances(rg, s) for s in range(n)]
@@ -194,46 +170,23 @@ def check_distance_bounds(rg: ReducedGraph, max_zones: int = 30) -> LemmaReport:
                 d = dist[a][b]
                 dx = row_a[new_id[b]]
                 checked += 1
-                witness = {"a": a, "b": b, "x": x, "d": d, "d_contracted": dx}
                 if dx > d:
-                    return LemmaReport(
-                        "distance-bounds",
-                        checked,
-                        Counterexample(rg, witness, "contraction increased a distance"),
-                    )
-                if dist[a][x] + dist[x][b] == d:
-                    if dx < d - 2:
-                        return LemmaReport(
-                            "distance-bounds",
-                            checked,
-                            Counterexample(
-                                rg, witness, "distance below d-2 with x on a shortest path"
-                            ),
-                        )
+                    detail = "contraction increased a distance"
+                elif dist[a][x] + dist[x][b] == d:
+                    detail = "distance below d-2 with x on a shortest path" if dx < d - 2 else None
+                elif dx < d - 1:
+                    detail = "distance below d-1 with x off all shortest paths"
+                elif (dx == d - 1) != _has_path_through(rg.adjacency, dist, a, b, x, d + 1):
+                    detail = "equality must coincide with a length d+1 path through x"
                 else:
-                    if dx < d - 1:
-                        return LemmaReport(
-                            "distance-bounds",
-                            checked,
-                            Counterexample(
-                                rg, witness, "distance below d-1 with x off all shortest paths"
-                            ),
-                        )
-                    longer = _has_path_through(rg.adjacency, dist, a, b, x, d + 1)
-                    if (dx == d - 1) != longer:
-                        return LemmaReport(
-                            "distance-bounds",
-                            checked,
-                            Counterexample(
-                                rg,
-                                witness,
-                                "equality must coincide with a length d+1 path through x",
-                            ),
-                        )
+                    detail = None
+                if detail is not None:
+                    witness = {"a": a, "b": b, "x": x, "d": d, "d_contracted": dx}
+                    return LemmaReport("distance-bounds", checked, Counterexample(rg, witness, detail))
     return LemmaReport("distance-bounds", checked)
 
 
-def _has_path_through(adjacency, dist, a, b, x, length, step_cap=2_000_000) -> bool:
+def _has_path_through(adjacency, dist, a, b, x, length) -> bool:
     """Is there a simple a-b path with exactly `length` edges that visits x?"""
     dist_b = dist[b]
     dist_x = dist[x]
@@ -245,7 +198,7 @@ def _has_path_through(adjacency, dist, a, b, x, length, step_cap=2_000_000) -> b
     def walk(v: int, remaining: int, seen_x: bool) -> bool:
         nonlocal steps
         steps += 1
-        if steps > step_cap:
+        if steps > PATH_STEP_CAP:
             raise InstanceTooLarge("path enumeration budget exceeded")
         if remaining == 0:
             return v == b and seen_x
@@ -326,7 +279,7 @@ def _simple_paths_exact(adjacency, dist, src, dst, length, cap):
     return out
 
 
-def check_far_witness(rg: ReducedGraph, max_zones: int = 20, path_cap: int = 100_000) -> LemmaReport:
+def check_far_witness(rg: ReducedGraph) -> LemmaReport:
     """Far-witness existence for every (center, far vertex, shortest path).
 
     For each center c, each y at distance R from c, and each shortest c-y
@@ -339,8 +292,8 @@ def check_far_witness(rg: ReducedGraph, max_zones: int = 20, path_cap: int = 100
     they have no candidate witness besides c itself.
     """
     n = rg.zone_count
-    if n > max_zones:
-        raise InstanceTooLarge(f"{n} zones exceeds the checker guard of {max_zones}")
+    if n > FAR_WITNESS_MAX_ZONES:
+        raise InstanceTooLarge(f"{n} zones exceeds the checker guard of {FAR_WITNESS_MAX_ZONES}")
     if n <= 2:
         return LemmaReport("far-witness", 0)
     met = radius_and_center(rg)
@@ -349,7 +302,7 @@ def check_far_witness(rg: ReducedGraph, max_zones: int = 20, path_cap: int = 100
     checked = 0
     for c in met.center:
         dc = dist[c]
-        spaths = _ShortestPaths(rg.adjacency, dc, path_cap)
+        spaths = _ShortestPaths(rg.adjacency, dc, FAR_WITNESS_PATH_CAP)
         candidates = [z for z in range(n) if z != c and radius - 1 <= dc[z] <= radius]
         for y in range(n):
             if dc[y] != radius:
@@ -373,7 +326,9 @@ def check_far_witness(rg: ReducedGraph, max_zones: int = 20, path_cap: int = 100
                     continue
                 refined = False
                 for z0 in witnesses:
-                    longer = _simple_paths_exact(rg.adjacency, dist, c, z0, dc[z0] + 1, path_cap)
+                    longer = _simple_paths_exact(
+                        rg.adjacency, dist, c, z0, dc[z0] + 1, FAR_WITNESS_PATH_CAP
+                    )
                     if all((set(p) & gset) == {c} for p in longer):
                         refined = True
                         break

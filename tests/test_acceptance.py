@@ -13,7 +13,6 @@ import pytest
 from freeflood import (
     ColoredGraph,
     FloodMove,
-    StateSpace,
     Verdict,
     brute_force_min_moves,
     build,
@@ -71,10 +70,9 @@ def test_criterion_1_oracle_equivalence(small_random_corpus, grid_corpus):
         assert report.optimum == radius_and_center(reduce(g)[0]).radius
         checked += 1
     for base, colorings in grid_corpus:
-        space = StateSpace(base.adjacency, (0, 1))
         for cells in colorings:
             g = ColoredGraph(base.adjacency, cells, 2)
-            report = space.min_moves(bytes(cells))
+            report = brute_force_min_moves(g, state_budget=None)
             assert report.exhausted
             assert report.optimum == radius_and_center(reduce(g)[0]).radius
             checked += 1

@@ -16,6 +16,7 @@ from freeflood import (
     emit_graph,
     emit_grid,
     grid_graph,
+    instance_digest,
     parse_graph,
     parse_grid_spec,
     parse_moves,
@@ -211,6 +212,9 @@ def test_oracle(board, capsys):
     out = capsys.readouterr().out
     assert "optimum 2" in out
     assert "exhausted true" in out
+    assert main(["oracle", board, "--format", "machine"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["digest"] == instance_digest(grid_graph(parse_grid_spec(CHECKERBOARD)))
 
 
 def test_oracle_budget(board, capsys):
@@ -286,6 +290,14 @@ def test_bench_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--repeat" in captured.err
+
+
+def test_bench_refuses_a_side_over_the_limit(capsys):
+    assert cli.BENCH_MAX_SIDE == 1024
+    assert main(["bench", "--sizes", "8,1025"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before the first board, not after it
+    assert captured.err == "error: --sizes takes sides from 1 to 1024 and --repeat at least 1\n"
 
 
 def test_bench_reports_square_sizes(capsys):
@@ -469,6 +481,31 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "text, code, out, err",
+    [
+        # a graph file: its first content line, after comments and blank lines, is `n m c`
+        ("# a path\n\n  # of three\n3 2 2\n0\n1\n0\n0 1\n1 2\n", EXIT_OK, "optimum 1\nmove 1 0\n", ""),
+        # a one-column grid: every row is one field
+        ("0\n1\n0\n", EXIT_OK, "optimum 1\nmove 1 0\n", ""),
+        # a graph file without its header starts with one field, so it is read
+        # as a grid and fails as one
+        ("3\n0\n1\n0\n0 1\n1 2\n", EXIT_PARSE, "", "error: line 5: row has width 3, expected 1\n"),
+    ],
+)
+def test_first_content_line_picks_the_parser(text, code, out, err, tmp_path, capsys):
+    instance = tmp_path / "instance"
+    instance.write_text(text)
+    assert _run(["solve", str(instance)], capsys) == (code, out, err)
+
+
+def test_input_format_is_not_an_option(board, capsys):
+    assert main(["solve", board, "--input-format", "grid"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --input-format grid" in captured.err
+
+
 # every exit code the module docstring documents except 9, which marks a bug
 DOCUMENTED_EXITS = {EXIT_OK, EXIT_USAGE, EXIT_FILE, EXIT_PARSE, EXIT_DOMAIN,
                     EXIT_SUBOPTIMAL, EXIT_INFEASIBLE, EXIT_COUNTEREXAMPLE}
@@ -508,10 +545,11 @@ def test_main_never_raises_on_arbitrary_files(instance, moves):
         move_path.write_bytes(moves)
         commands = (["solve", path, "--format", "machine"], ["radius", path], ["reduce", path],
                     ["verify", path, move_path], ["simulate", path, move_path])
+        # a multi-field first content line goes to parse_graph, any other to
+        # parse_grid_spec, so the draws fuzz both parsers
         for command in commands:
-            for input_format in ("auto", "grid", "graph"):
-                argv = [*map(str, command), "--input-format", input_format]
-                err = io.StringIO()
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                    code = main(argv)
-                assert code in DOCUMENTED_EXITS, (argv, code, err.getvalue())
+            argv = list(map(str, command))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in DOCUMENTED_EXITS, (argv, code, err.getvalue())

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from freeflood import (
     FloodMove,
     InstanceTooLarge,
-    StateSpace,
     TooManyColors,
     brute_force_min_moves,
     build,
@@ -20,7 +19,7 @@ from freeflood import (
 from freeflood.oracle import _has_path_through, _simple_paths_exact
 from freeflood.metrics import bfs_distances
 
-from conftest import colored_graphs, flood_vertices
+from conftest import colored_graphs, flood_vertices, small_random_graphs
 
 
 def checkerboard():
@@ -87,12 +86,12 @@ class TestBruteForce:
         )
         assert brute_force_min_moves(swapped).optimum == report.optimum
 
-    def test_state_space_is_shared_across_initial_colorings(self):
-        g = checkerboard()
-        space = StateSpace(g.adjacency, (0, 1))
-        first = space.min_moves(bytes((0, 1, 1, 0)))
-        second = space.min_moves(bytes((1, 0, 0, 1)))
-        assert first.optimum == second.optimum == 2
+    @pytest.mark.parametrize("budget, states", [(None, 3626), (5, 1698)])
+    def test_states_explored_pinned_on_the_acceptance_graphs(self, budget, states):
+        # the breadth-first order fixes how many states a search stores before
+        # it stops, whether at a monochromatic state or at the budget
+        reports = [brute_force_min_moves(g, state_budget=budget) for g in small_random_graphs()]
+        assert sum(r.states_explored for r in reports) == states
 
 
 class TestRadiusBounds:
