@@ -23,7 +23,6 @@ from .instances import (
     emit_moves,
     gen_random,
     gen_reduced_corpus,
-    grid_graph,
     instance_digest,
     parse_graph,
     parse_grid_spec,
@@ -59,6 +58,11 @@ RADIUS_SWEEP_LIMIT = 1_000_000_000
 # top of the scale ladder.
 BENCH_MAX_SIDE = 1024
 
+# `gen` allocates in proportion to the instance it is asked for, so it writes
+# at most as many vertices as the largest `bench` board and at most twice as
+# many extra edges.
+GEN_MAX_VERTICES = BENCH_MAX_SIDE**2
+
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -75,31 +79,27 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{name}: byte {exc.start} is not valid UTF-8") from None
 
 
-def _load_source(path: str) -> GridSpec | ColoredGraph:
-    """Parse an instance file: the GridSpec of a grid, the graph of a graph file.
-
-    A graph file's first content line is its `n m c` header; a grid row is one field.
-    """
-    text = _read_text(path)
-    for raw in text.splitlines():
-        fields = raw.split("#", 1)[0].split()
-        if fields:
-            return parse_graph(text) if len(fields) > 1 else parse_grid_spec(text)
-    return parse_grid_spec(text)
-
-
 def _load_instance(path: str):
     """Load an instance file; returns (zone graph, zone map, color count, source).
 
-    A grid is labeled into zones straight from its rows; a graph file is
-    built and reduced.  `source` is what `_load_source` parsed.
+    The first content line tells the formats apart: a graph file's is its
+    `n m c` header, a grid row is one field.  A grid is labeled into zones
+    straight from its rows, and `source` is its GridSpec; a graph file is
+    built and reduced, and `source` is its graph.
     """
-    source = _load_source(path)
-    if isinstance(source, GridSpec):
-        rg, zm = _grid_zones(source)
-        return rg, zm, max(rg.colors) + 1, source  # each cell has its zone's color
-    rg, zm = reduce(source)
-    return rg, zm, source.color_count, source
+    text = _read_text(path)
+    fields = []
+    for raw in text.splitlines():
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            break
+    if len(fields) > 1:
+        source = parse_graph(text)
+        rg, zm = reduce(source)
+        return rg, zm, source.color_count, source
+    source = parse_grid_spec(text)
+    rg, zm = _grid_zones(source)
+    return rg, zm, max(rg.colors) + 1, source  # each cell has its zone's color
 
 
 def _size(source: GridSpec | ColoredGraph) -> tuple[int, int]:
@@ -229,9 +229,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.budget < 1:
         print("error: --budget takes at least 1 state", file=sys.stderr)
         return EXIT_USAGE
-    source = _load_source(args.instance)
-    g = grid_graph(source) if isinstance(source, GridSpec) else source
-    report = brute_force_min_moves(g, state_budget=args.budget)
+    rg, _, _, source = _load_instance(args.instance)
+    report = brute_force_min_moves(rg, state_budget=args.budget)
     if args.format == "machine":
         doc = {
             "command": "oracle",
@@ -291,6 +290,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if rows < 1 or cols < 1 or not 1 <= args.color_count <= 10:
             print("error: grid needs positive dimensions and 1 to 10 colors", file=sys.stderr)
             return EXIT_USAGE
+    vertices = rows * cols if args.grid else args.n
+    if vertices > GEN_MAX_VERTICES or not 0 <= args.extra_edges <= 2 * GEN_MAX_VERTICES:
+        print(f"error: gen writes at most {GEN_MAX_VERTICES} vertices (--n, or the grid's cells) "
+              f"and takes --extra-edges from 0 to {2 * GEN_MAX_VERTICES}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.grid:
         rng = random.Random(args.seed)
         cells = tuple(rng.randrange(args.color_count) for _ in range(rows * cols))
         text = emit_grid(GridSpec(rows, cols, cells))
@@ -375,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=STATE_BUDGET,
-        help="cap on the states the search stores, each about n bytes "
-        "(the default needs about 4 GB on a 64x64 board)",
+        help="cap on the states the search stores, each one byte per zone plus about 50 bytes "
+        "(the default needs about 0.7 GB on a random 64x64 board)",
     )
     sub.set_defaults(func=_cmd_oracle)
 

@@ -55,11 +55,6 @@ def radius_and_center(rg: ReducedGraph) -> Metrics:
     return Metrics(tuple(eccs), radius, center)
 
 
-def _radius_center(adjacency) -> tuple[int, int]:
-    """Exact radius and least-index center zone: `_radius_search` without its count."""
-    return _radius_search(adjacency)[:2]
-
-
 def _radius_search(adjacency) -> tuple[int, int, int]:
     """Exact radius, least-index center zone and the count of searches run.
 

@@ -69,13 +69,16 @@ def _successors(adjacency, state: bytes, a: int, b: int) -> list[bytes]:
     return out
 
 
-def brute_force_min_moves(g: ColoredGraph, state_budget: int | None = STATE_BUDGET) -> StateSpaceReport:
+def brute_force_min_moves(
+    g: ColoredGraph | ReducedGraph, state_budget: int | None = STATE_BUDGET
+) -> StateSpaceReport:
     """Exact optimum by breadth-first search over color bytestrings.
 
-    Affordable for small instances only (at most 2**n states with two
-    colors).  A hit budget gives exhausted=False and the zone count minus
-    one, a feasible upper bound: every move merges the flooded zone with at
-    least one neighbor.
+    g may be a colored graph or its zone graph, with the same report: a
+    flood recolors whole zones.  A state is one byte per vertex of g, and
+    k zones have at most 2**k states.  A hit budget gives exhausted=False
+    and the zone count minus one, a feasible upper bound: every move merges
+    the flooded zone with at least one neighbor.
     """
     used = sorted(set(g.colors))
     if len(used) > 2:

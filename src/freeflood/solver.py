@@ -22,7 +22,7 @@ from .graphs import (
     _ZoneState,
     reduce,
 )
-from .metrics import _distances, _radius_center, _radius_search
+from .metrics import _distances, _radius_search
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def min_moves(g: ColoredGraph) -> int:
     """Optimal number of flooding moves: the radius of the reduced graph."""
     rg, _ = reduce(g)
     _palette(rg.colors)
-    return _radius_center(rg.adjacency)[0]
+    return _radius_search(rg.adjacency)[0]
 
 
 def solve(g: ColoredGraph, validate: bool = False) -> Solution:
@@ -100,7 +100,7 @@ def _check_certificate(
         for step, state in enumerate(_replay(rg, zm, max(rg.colors) + 1, moves), start=1):
             cur, new_id = state.snapshot()
             _validate_reduced(cur)
-            now = _radius_center(cur.adjacency)[0]
+            now = _radius_search(cur.adjacency)[0]
             if now != radius - step:
                 raise InvariantViolation(
                     f"radius {now} after {step} moves, expected {radius - step}"
@@ -161,6 +161,6 @@ def _verify_zones(
     if zones != 1:
         return Verdict.INFEASIBLE
     _palette(rg.colors)
-    if len(moves) == _radius_center(rg.adjacency)[0]:
+    if len(moves) == _radius_search(rg.adjacency)[0]:
         return Verdict.OPTIMAL
     return Verdict.FEASIBLE_SUBOPTIMAL

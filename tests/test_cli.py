@@ -17,6 +17,7 @@ from freeflood import (
     emit_grid,
     grid_graph,
     instance_digest,
+    instances,
     parse_graph,
     parse_grid_spec,
     parse_moves,
@@ -217,6 +218,15 @@ def test_oracle(board, capsys):
     assert doc["digest"] == instance_digest(grid_graph(parse_grid_spec(CHECKERBOARD)))
 
 
+def test_oracle_builds_no_vertex_graph(board, capsys, monkeypatch):
+    # the search runs on the zone graph, labeled straight from the grid's rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle built the vertex graph")
+
+    monkeypatch.setattr(instances, "build", refuse)
+    assert _run(["oracle", board], capsys) == (EXIT_OK, "optimum 2\nstates 6\nexhausted true\n", "")
+
+
 def test_oracle_budget(board, capsys):
     assert main(["oracle", board, "--budget", "2"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -273,6 +283,28 @@ def test_gen_grid_color_count_out_of_range(count, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "colors" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--grid", "1024x1025"],
+        ["--n", "1048577"],
+        ["--extra-edges", "-1"],
+        ["--extra-edges", "2097153"],
+        ["--grid", "4x4", "--extra-edges", "-1"],
+    ],
+)
+def test_gen_refuses_sizes_past_the_limit(argv, capsys):
+    # each value is one past a bound, refused before anything is allocated
+    assert cli.GEN_MAX_VERTICES == 1024 * 1024
+    assert main(["gen", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: gen writes at most 1048576 vertices (--n, or the grid's cells) "
+        "and takes --extra-edges from 0 to 2097152\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -430,23 +462,26 @@ def test_grid_and_graph_twin_agree(seed, tmp_path, capsys):
         for command in ("radius", "reduce"):
             results.append(_run([command, path], capsys))
         results.append(_run(["radius", path, "--format", "machine"], capsys))
+        for fmt in ("plain", "machine"):
+            results.append(_run(["oracle", path, "--format", fmt], capsys))
+            results.append(_run(["oracle", path, "--format", fmt, "--budget", "2"], capsys))
         out[name] = results
     assert out["grid"] == out["graph"]
 
 
 def test_failed_internal_check_exits_9(board, capsys, monkeypatch):
-    real = solver._radius_center
+    # the search on the four-zone board is right; the replay's are one too high
+    real = solver._radius_search
 
-    def off_by_one(adjacency):
-        radius, center = real(adjacency)
-        return radius + 1, center
+    def off_by_one_after_a_move(adjacency):
+        radius, center, count = real(adjacency)
+        return radius + (len(adjacency) < 4), center, count
 
-    monkeypatch.setattr(solver, "_radius_center", off_by_one)
+    monkeypatch.setattr(solver, "_radius_search", off_by_one_after_a_move)
     assert main(["solve", board, "--validate"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: internal check failed: ")
-    assert "Traceback" not in captured.err
+    assert captured.err == "error: internal check failed: radius 2 after 1 moves, expected 1\n"
 
 
 def test_validate_refutes_moves_off_the_center(tmp_path, capsys, monkeypatch):

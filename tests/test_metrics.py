@@ -18,7 +18,7 @@ from freeflood import (
     solve,
 )
 from freeflood.instances import GridSpec
-from freeflood.metrics import _radius_center, _radius_search
+from freeflood.metrics import _radius_search
 
 from conftest import acceptance_graphs, floyd_warshall, reduced_graphs
 
@@ -154,12 +154,12 @@ def agreement_corpus():
 
 @given(reduced_graphs(max_vertices=14))
 def test_bounded_radius_center_matches_sweep(rg):
-    assert _radius_center(rg.adjacency) == full_sweep_answer(rg)
+    assert _radius_search(rg.adjacency)[:2] == full_sweep_answer(rg)
 
 
 def test_bounded_radius_center_matches_sweep_on_corpora(agreement_corpus):
     for _, rg, _, expected in agreement_corpus:
-        assert _radius_center(rg.adjacency) == expected
+        assert _radius_search(rg.adjacency)[:2] == expected
 
 
 def test_solve_output_matches_full_sweep_rule(agreement_corpus):
@@ -200,7 +200,7 @@ def test_bounded_radius_center_searches_few_sources(monkeypatch):
     rg = reduce(random_grid(64, 7))[0]
     expected = full_sweep_answer(rg)
     sources = counted_sources(monkeypatch)
-    assert _radius_center(rg.adjacency) == expected
+    assert _radius_search(rg.adjacency)[:2] == expected
     assert len(set(sources)) == len(sources) <= MAX_SEARCHES
 
 
@@ -219,6 +219,6 @@ def test_bounded_radius_center_matches_sweep_on_seeded_corpus():
     graphs = 0
     for seed in range(5):
         for _, rg in gen_reduced_corpus(200, seed, 60, 1, 60):
-            assert _radius_center(rg.adjacency) == full_sweep_answer(rg)
+            assert _radius_search(rg.adjacency)[:2] == full_sweep_answer(rg)
             graphs += 1
     assert graphs == 1000
