@@ -14,7 +14,7 @@ import sys
 import time
 
 from .errors import FloodError, InstanceTooLarge, InvariantViolation, MalformedMove, NoOpMove, ParseError
-from .graphs import ColoredGraph, reduce
+from .graphs import ColoredGraph, ReducedGraph, ZoneMap, reduce
 from .instances import (
     GridSpec,
     _grid_zones,
@@ -79,13 +79,11 @@ def _read_text(path: str) -> str:
         raise ParseError(f"{name}: byte {exc.start} is not valid UTF-8") from None
 
 
-def _load_instance(path: str):
-    """Load an instance file; returns (zone graph, zone map, color count, source).
+def _parse_instance(path: str) -> GridSpec | ColoredGraph:
+    """Read and parse an instance file: a GridSpec, or a built graph.
 
     The first content line tells the formats apart: a graph file's is its
-    `n m c` header, a grid row is one field.  A grid is labeled into zones
-    straight from its rows, and `source` is its GridSpec; a graph file is
-    built and reduced, and `source` is its graph.
+    `n m c` header, a grid row is one field.
     """
     text = _read_text(path)
     fields = []
@@ -94,12 +92,24 @@ def _load_instance(path: str):
         if fields:
             break
     if len(fields) > 1:
-        source = parse_graph(text)
-        rg, zm = reduce(source)
-        return rg, zm, source.color_count, source
-    source = parse_grid_spec(text)
-    rg, zm = _grid_zones(source)
-    return rg, zm, max(rg.colors) + 1, source  # each cell has its zone's color
+        return parse_graph(text)
+    return parse_grid_spec(text)
+
+
+def _zones(source: GridSpec | ColoredGraph) -> tuple[ReducedGraph, ZoneMap, int]:
+    """Zone graph, zone map and color count: a grid is labeled into zones
+    straight from its rows, a graph is reduced."""
+    if isinstance(source, GridSpec):
+        rg, zm = _grid_zones(source)
+        return rg, zm, max(rg.colors) + 1  # each cell has its zone's color
+    rg, zm = reduce(source)
+    return rg, zm, source.color_count
+
+
+def _load_instance(path: str):
+    """Load an instance file; returns (zone graph, zone map, color count, source)."""
+    source = _parse_instance(path)
+    return (*_zones(source), source)
 
 
 def _size(source: GridSpec | ColoredGraph) -> tuple[int, int]:
@@ -121,7 +131,9 @@ def _add_format_arg(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    rg, zm, _, source = _load_instance(args.instance)
+    source = _parse_instance(args.instance)
+    parsed = time.perf_counter()
+    rg, zm, _ = _zones(source)
     loaded = time.perf_counter()
     solution, searches = _solve_zones(rg, zm, validate=args.validate)
     solved = time.perf_counter()
@@ -146,6 +158,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "searches": searches,
             "timings": {
                 "load_ms": (loaded - start) * 1000.0,
+                "parse_ms": (parsed - start) * 1000.0,
+                "zones_ms": (loaded - parsed) * 1000.0,
                 "solve_ms": (solved - loaded) * 1000.0,
                 "digest_ms": digest_ms,
             },
@@ -290,6 +304,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if rows < 1 or cols < 1 or not 1 <= args.color_count <= 10:
             print("error: grid needs positive dimensions and 1 to 10 colors", file=sys.stderr)
             return EXIT_USAGE
+    elif args.n < 1 or args.color_count < 1:
+        print("error: gen needs --n and --color-count of at least 1", file=sys.stderr)
+        return EXIT_USAGE
     vertices = rows * cols if args.grid else args.n
     if vertices > GEN_MAX_VERTICES or not 0 <= args.extra_edges <= 2 * GEN_MAX_VERTICES:
         print(f"error: gen writes at most {GEN_MAX_VERTICES} vertices (--n, or the grid's cells) "
@@ -408,8 +425,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` reuses: built on its first call, not at import, so a fresh
+# interpreter builds it once.  Reuse is safe: `parse_args` returns a fresh
+# Namespace, no argument has a mutable default, and `parser.error` writes to
+# whatever `sys.stderr` is when it runs.  The `--budget` default is the
+# `STATE_BUDGET` of the moment the parser was built.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
         if getattr(args, "moves", None) == "-" == args.instance:

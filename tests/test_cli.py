@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -72,8 +75,11 @@ def test_solve_machine_matches_plain(board, capsys):
 def test_solve_machine_stage_timings(board, capsys):
     assert main(["solve", board, "--format", "machine"]) == EXIT_OK
     timings = json.loads(capsys.readouterr().out)["timings"]
-    assert set(timings) == {"load_ms", "solve_ms", "digest_ms"}
+    assert set(timings) == {"load_ms", "parse_ms", "zones_ms", "solve_ms", "digest_ms"}
     assert all(isinstance(ms, float) and ms >= 0.0 for ms in timings.values())
+    # loading is parsing then labeling or reducing, each timed from the
+    # clock reading where the one before it stopped
+    assert timings["parse_ms"] + timings["zones_ms"] == pytest.approx(timings["load_ms"])
 
 
 def test_solve_machine_work_counters(tmp_path, capsys):
@@ -283,6 +289,15 @@ def test_gen_grid_color_count_out_of_range(count, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "colors" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "-3"], ["--color-count", "0"]])
+def test_gen_graph_size_and_colors_below_one_are_usage_errors(argv, capsys):
+    # as with --grid, refused as usage before the generator runs
+    assert main(["gen", *argv]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gen needs --n and --color-count of at least 1\n"
 
 
 @pytest.mark.parametrize(
@@ -532,6 +547,85 @@ def test_first_content_line_picks_the_parser(text, code, out, err, tmp_path, cap
     instance = tmp_path / "instance"
     instance.write_text(text)
     assert _run(["solve", str(instance)], capsys) == (code, out, err)
+
+
+def test_shared_parser_leaks_no_state(board, capsys, monkeypatch):
+    # each call in one process prints what it prints as the first call of a
+    # process, that is with a parser built for it alone
+    def failing(rg):
+        raise InvariantViolation("zone graph check")
+
+    monkeypatch.setattr(solver, "_validate_reduced", failing)  # shows whether --validate ran
+    monkeypatch.setattr("sys.stdin", stdin_bytes(CHECKERBOARD.encode()))
+    solve = ["solve", board]
+    sequence = [
+        ["solve", board, "--validate"], solve,
+        ["oracle", board, "--budget", "2"], ["oracle", board],
+        ["nonsense"], solve,
+        ["solve", "--help"], solve,
+        ["verify", "-", "-"], solve,
+    ]
+
+    def first_call(argv):
+        monkeypatch.setattr(cli, "_parser", None, raising=False)
+        return _run(argv, capsys)
+
+    expected = [first_call(argv) for argv in sequence]
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    assert [_run(argv, capsys) for argv in sequence] == expected
+    codes = [code for code, _, _ in expected]
+    assert codes == [EXIT_INTERNAL, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK,
+                     EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert "exhausted false" in expected[2][1] and "exhausted true" in expected[3][1]
+
+
+def test_main_builds_the_parser_once(board, capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    for _ in range(5):
+        assert main(["solve", board]) == EXIT_OK
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_fresh_interpreter_prints_what_main_prints(board, capsys):
+    argv = ["solve", board, "--format", "machine"]
+    done = _fresh_python(["-m", "freeflood.cli", *argv])
+    code, out, err = _run(argv, capsys)
+    fresh, here = json.loads(done.stdout), json.loads(out)
+    assert fresh.pop("timings").keys() == here.pop("timings").keys()
+    assert (done.returncode, fresh, done.stderr) == (code, here, err)
+
+
+def test_import_builds_no_parser_and_main_builds_one(board):
+    script = (
+        "import sys\n"
+        "from freeflood import cli\n"
+        "assert cli._parser is None\n"
+        "build_parser, builds = cli.build_parser, []\n"
+        "cli.build_parser = lambda: builds.append(1) or build_parser()\n"
+        "codes = [cli.main(['solve', sys.argv[1]]) for _ in range(3)]\n"
+        "print(codes, len(builds), file=sys.stderr)\n"
+    )
+    done = _fresh_python(["-c", script, board])
+    assert (done.returncode, done.stderr) == (0, "[0, 0, 0] 1\n")
 
 
 def test_input_format_is_not_an_option(board, capsys):
