@@ -221,7 +221,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"step {step} flood {move.vertex} -> {move.color} zones {zones}")
         if isinstance(source, GridSpec):
             color_of = [state.colors[state.find(z)] for z in range(rg.zone_count)]
-            cells = tuple(color_of[z] for z in zm.zone_of)
+            cells = tuple(map(color_of.__getitem__, zm.zone_of))
             sys.stdout.write(emit_grid(GridSpec(source.rows, source.cols, cells)))
     print(f"monochromatic {'true' if zones == 1 else 'false'}")
     return EXIT_OK

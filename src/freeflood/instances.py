@@ -12,8 +12,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import eq, ne, sub
+from itertools import chain, compress, groupby, repeat
+from operator import add, eq, ne, sub
 from typing import Iterable, Iterator, Union
 
 from .errors import (
@@ -91,76 +91,104 @@ def grid_graph(spec: GridSpec) -> ColoredGraph:
 
 
 def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
-    """reduce(grid_graph(spec)), labeled from row runs without the vertex graph.
+    """reduce(grid_graph(spec)), labeled from runs without the vertex graph.
 
-    Each row is split into runs of one color.  Runs of one color that
-    overlap in adjacent rows are united: a two-pointer merge of the two
-    rows' runs feeds a union-find whose roots are least runs, as in run-based
-    labeling (He, Chao & Suzuki, IEEE TIP 17(5), 2008).  Zones are numbered
-    by their least cell, as `reduce` numbers them.  Two zones are adjacent
-    when two of their runs follow each other in a row or overlap in adjacent
-    rows.
+    Consecutive identical rows form a band, and each band is split once into
+    runs of one color; a run spans the band's full height.  Runs of one
+    color that overlap in adjacent bands are united: a two-pointer merge of
+    the two bands' runs feeds a union-find whose roots are least runs, as in
+    run-based labeling (He, Chao & Suzuki, IEEE TIP 17(5), 2008).  A run's
+    first cell is in its band's first row, so zones are numbered by their
+    least cell, as `reduce` numbers them.  Two zones are adjacent when two of
+    their runs follow each other in a band or overlap in adjacent bands.
+    Cells are touched only by C-level work (comparing each row with the one
+    above, writing `zone_of` row by row); the Python-level work grows with
+    the bands and their runs.
     """
     rows, cols, cells = spec.rows, spec.cols, spec.cells
-    start: list[int] = []  # first cell of each run; the runs tile the cells in order
+    n = rows * cols
+    begin: list[int] = []  # column of each run's first cell; runs are numbered in cell order
+    end: list[int] = []  # column after each run's last cell
+    top: list[int] = []  # first cell of each run's band
     color: list[int] = []
     parent: list[int] = []  # parent[k] <= k, so a root is its tree's least run
-    touching: list[tuple[int, int]] = []  # runs of different colors that touch
+    above: list[int] = []  # above[i] and below[i] are runs of different colors that
+    below: list[int] = []  # touch across two bands
+    band_runs: list[slice] = []  # the runs of each band
+    heights: list[int] = []
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    prev_first, prev_ends = 0, []
-    for r in range(rows):
-        base = r * cols
-        row = cells[base : base + cols]
-        cuts = list(compress(range(1, cols), map(ne, row[1:], row)))
-        first = len(start)
+    row_slices = map(cells.__getitem__, map(slice, range(0, n, cols), range(cols, n + 1, cols)))
+    base = prev_first = 0
+    for row, same in groupby(row_slices):
+        height = len(list(same))
+        tail = row[1:]
+        changes = list(map(ne, tail, row))
+        cuts = list(compress(range(1, cols), changes))
+        first = len(begin)
         last = first + len(cuts)
-        start.append(base)
-        start.extend(map(base.__add__, cuts))
+        begin.append(0)
+        begin.extend(cuts)
+        end.extend(cuts)
+        end.append(cols)
+        top.extend(repeat(base, last + 1 - first))
         color.append(row[0])
-        color.extend(map(row.__getitem__, cuts))
+        color.extend(compress(tail, changes))
         parent.extend(range(first, last + 1))
-        touching.extend(zip(range(first, last), range(first + 1, last + 1)))
-        ends = cuts + [cols]
-        if r:
-            # runs p (row above) and q (this row) overlap; step past the one
+        band_runs.append(slice(first, last + 1))
+        heights.append(height)
+        base += height * cols
+        if first:
+            # runs p (band above) and q (this band) overlap; step past the one
             # that ends first, or past both when they end together
-            p, q, a, b = prev_first, first, 0, 0
+            p, q = prev_first, first
             while True:
                 if color[p] != color[q]:
-                    touching.append((p, q))
+                    above.append(p)
+                    below.append(q)
                 else:
-                    x, y = find(p), find(q)
+                    x = p  # find, inlined
+                    while parent[x] != x:
+                        parent[x] = x = parent[parent[x]]
+                    y = q
+                    while parent[y] != y:
+                        parent[y] = y = parent[parent[y]]
                     if x < y:
                         parent[y] = x
                     elif y < x:
                         parent[x] = y
-                end_a, end_b = prev_ends[a], ends[b]
-                if end_a <= end_b:
-                    p, a = p + 1, a + 1
-                if end_b <= end_a:
-                    if q == last:  # both rows end at cols
+                end_p, end_q = end[p], end[q]
+                if end_p <= end_q:
+                    p += 1
+                if end_q <= end_p:
+                    if q == last:  # both bands end at cols
                         break
-                    q, b = q + 1, b + 1
-        prev_first, prev_ends = first, ends
+                    q += 1
+        prev_first = first
 
     for k, p in enumerate(parent):  # parents come first, so this finds every root
         parent[k] = parent[p]
-    runs = range(len(start))
+    runs = range(len(begin))
     roots = list(compress(runs, map(eq, runs, parent)))  # each zone's first run
-    zone_of_root = [0] * len(start)
+    zone_of_root = [0] * len(begin)
     for z, k in enumerate(roots):
         zone_of_root[k] = z
     zone_of_run = list(map(zone_of_root.__getitem__, parent))
-    lengths = map(sub, start[1:] + [rows * cols], start)
-    zone_of = tuple(chain.from_iterable(map(repeat, zone_of_run, lengths)))
+
+    def band_row(band: slice) -> tuple[int, ...]:
+        """The zone of each cell in one row of a band."""
+        widths = map(sub, end[band], begin[band])
+        return tuple(chain.from_iterable(map(repeat, zone_of_run[band], widths)))
+
+    band_rows = map(repeat, map(band_row, band_runs), heights)
+    zone_of = tuple(chain.from_iterable(chain.from_iterable(band_rows)))
+    # zones of runs that follow each other in a band, then of runs that touch across bands
+    in_bands = (zip(zs, zs[1:]) for zs in map(zone_of_run.__getitem__, band_runs))
+    zone_pairs = chain(
+        chain.from_iterable(in_bands),
+        zip(map(zone_of_run.__getitem__, above), map(zone_of_run.__getitem__, below)),
+    )
     pairs = set()
-    for p, q in touching:
-        zp, zq = zone_of_run[p], zone_of_run[q]
+    for zp, zq in zone_pairs:
         pairs.add((zp, zq) if zp < zq else (zq, zp))
     adjacency: list[list[int]] = [[] for _ in roots]
     for zp, zq in pairs:
@@ -170,7 +198,8 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
         tuple(tuple(sorted(row)) for row in adjacency),
         tuple(map(color.__getitem__, roots)),
     )
-    return rg, ZoneMap(zone_of, tuple(map(start.__getitem__, roots)))
+    starts = map(add, map(top.__getitem__, roots), map(begin.__getitem__, roots))
+    return rg, ZoneMap(zone_of, tuple(starts))
 
 
 def parse_grid(text: str) -> ColoredGraph:

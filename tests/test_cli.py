@@ -451,17 +451,34 @@ def _run(argv, capsys):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_grid_and_graph_twin_agree(seed, tmp_path, capsys):
-    # a grid is labeled straight from its rows; its graph-file twin goes
-    # through parse, build and reduce, and every output must match
     rng = random.Random(seed)
     rows, cols, colors = rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 3)
     spec = GridSpec(rows, cols, tuple(rng.randrange(colors) for _ in range(rows * cols)))
+    _assert_twins_agree(spec, rng, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_banded_grid_and_graph_twin_agree(seed, tmp_path, capsys):
+    # bands 1-5 rows tall drawn from 2-4 distinct rows, so some rows repeat the one above
+    rng = random.Random(seed)
+    cols, colors = rng.randint(1, 9), rng.randint(2, 3)
+    distinct = [[rng.randrange(colors) for _ in range(cols)] for _ in range(rng.randint(2, 4))]
+    cells = []
+    for _ in range(rng.randint(2, 4)):
+        cells += rng.choice(distinct) * rng.randint(1, 5)
+    _assert_twins_agree(GridSpec(len(cells) // cols, cols, tuple(cells)), rng, tmp_path, capsys)
+
+
+def _assert_twins_agree(spec, rng, tmp_path, capsys):
+    # a grid is labeled straight from its rows; its graph-file twin goes
+    # through parse, build and reduce, and every output must match
     grid = tmp_path / "board.grid"
     grid.write_text(emit_grid(spec))
     graph = tmp_path / "board.graph"
     graph.write_text(emit_graph(grid_graph(spec)))
+    n = spec.rows * spec.cols
     extra = tmp_path / "extra.moves"  # out-of-range vertices and colors, no-op moves
-    extra.write_text("".join(f"{rng.randrange(-1, rows * cols + 1)} {c}\n" for c in (1, 0, 2)))
+    extra.write_text("".join(f"{rng.randrange(-1, n + 1)} {c}\n" for c in (1, 0, 2)))
     out = {}
     for name, path in (("grid", str(grid)), ("graph", str(graph))):
         moves = tmp_path / f"{name}.moves"
@@ -472,8 +489,12 @@ def test_grid_and_graph_twin_agree(seed, tmp_path, capsys):
         results = [(code, stdout, err)]
         if not moves.exists():
             moves.write_text("0 1\n")
-        results.append(_run(["verify", path, str(moves)], capsys))
-        results.append(_run(["verify", path, str(extra)], capsys))
+        for move_file in (moves, extra):
+            results.append(_run(["verify", path, str(move_file)], capsys))
+            code, stdout, err = _run(["simulate", path, str(move_file)], capsys)
+            if name == "grid":
+                stdout = _simulate_steps(stdout, spec)
+            results.append((code, stdout, err))
         for command in ("radius", "reduce"):
             results.append(_run([command, path], capsys))
         results.append(_run(["radius", path, "--format", "machine"], capsys))
@@ -482,6 +503,21 @@ def test_grid_and_graph_twin_agree(seed, tmp_path, capsys):
             results.append(_run(["oracle", path, "--format", fmt, "--budget", "2"], capsys))
         out[name] = results
     assert out["grid"] == out["graph"]
+
+
+def _simulate_steps(stdout, spec):
+    """`simulate` output on a grid without its boards, each checked against its step's zones."""
+    lines = stdout.splitlines(keepends=True)
+    kept = []
+    while lines:
+        line = lines.pop(0)
+        kept.append(line)
+        if line.startswith("step "):
+            board = "".join(lines[: spec.rows])
+            del lines[: spec.rows]
+            rg, _ = _grid_zones(parse_grid_spec(board))
+            assert rg.zone_count == int(line.split()[-1])
+    return "".join(kept)
 
 
 def test_failed_internal_check_exits_9(board, capsys, monkeypatch):

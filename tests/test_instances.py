@@ -327,3 +327,48 @@ class TestGridZones:
         rg, zm = _grid_zones(spec)
         assert rg.colors == (0, 1, 1, 1, 1)
         assert zm.representative_of == (0, 1, 3, 5, 7)
+
+    @given(
+        st.sampled_from([1, 2, 3, 10]).flatmap(
+            lambda colors: st.integers(1, 12).flatmap(
+                lambda cols: st.lists(
+                    st.lists(st.integers(0, colors - 1), min_size=cols, max_size=cols),
+                    min_size=1,
+                    max_size=4,
+                )
+            )
+        ).flatmap(
+            lambda distinct: st.lists(
+                st.tuples(st.sampled_from(distinct), st.integers(1, 5)), min_size=1, max_size=6
+            )
+        )
+    )
+    def test_banded_boards_agree_with_reduce(self, bands):
+        # 1-4 distinct rows, each band of them 1-5 rows tall; equal neighbors make one band
+        _assert_grid_paths_agree(_banded(bands))
+
+    @pytest.mark.parametrize("colors", [2, 3])
+    def test_blocks_of_32_cells(self, colors):
+        rng = random.Random(colors)
+        block = [[rng.randrange(colors) for _ in range(8)] for _ in range(8)]
+        cells = tuple(block[r // 32][c // 32] for r in range(256) for c in range(256))
+        _assert_grid_paths_agree(GridSpec(256, 256, cells))
+
+    @pytest.mark.parametrize(
+        "bands",
+        [
+            [([0, 1, 1, 0, 2], 7)],  # every row the same
+            [([0], 3), ([1], 1), ([0], 2), ([0], 1), ([1], 4)],  # one column
+            [([0, 1, 0, 1], 5), ([1, 1, 0, 0], 1), ([0, 1, 0, 1], 6)],  # one row between tall ones
+            [([1, 0, 0, 1], 2), ([0, 0, 1, 1], 1), ([1, 1, 1, 0], 4)],  # ends in a tall band
+        ],
+    )
+    def test_seeded_bands(self, bands):
+        _assert_grid_paths_agree(_banded(bands))
+
+
+def _banded(bands):
+    """A board of rows given as (row, height) bands, top to bottom."""
+    cells = tuple(c for row, height in bands for _ in range(height) for c in row)
+    cols = len(bands[0][0])
+    return GridSpec(len(cells) // cols, cols, cells)
