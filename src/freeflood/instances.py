@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, repeat
+from itertools import chain, compress, groupby, repeat, starmap
 from operator import add, eq, ne, sub
 from typing import Iterable, Iterator, Union
 
@@ -38,6 +38,8 @@ _DIGIT_VALUES = bytes.maketrans(_DIGIT_BYTES, _CELL_VALUES)
 _VALUE_DIGITS = bytes.maketrans(_CELL_VALUES, _DIGIT_BYTES)
 _PAD = b"\0"  # fills the unused digit positions and missing lines of a grid's edge band
 _BAND_CELLS = 1 << 16  # cells per band when a grid's edges are written
+_TILE_CELLS = 1000  # fewest cells in a tiled band; below it the band costs more than it saves
+_PIECE_BYTES = 1024  # shortest row hashed as its own piece; a piece costs ~1 KB of pad deleted
 
 
 @dataclass(frozen=True)
@@ -294,7 +296,8 @@ def parse_graph(text: str) -> ColoredGraph:
 def emit_graph(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
     """Canonical instance text; emit followed by parse is the identity.
 
-    A GridSpec gives the same text as its grid graph, written from the cells.
+    A GridSpec gives the same text as its grid graph, written from the cells
+    in bands of tiled digit places (see `_grid_edge_band`).
     """
     if isinstance(g, GridSpec):
         return b"".join(_grid_text(g)).decode()
@@ -320,14 +323,14 @@ def _cell_digits(cells: tuple[int, ...]) -> bytes | None:
     return raw.translate(_VALUE_DIGITS)
 
 
-def _grid_text(spec: GridSpec) -> Iterator[bytes]:
-    """emit_graph(grid_graph(spec)) as bytes: header and colors, then one piece per band.
+def _grid_text(spec: GridSpec) -> Iterator[bytes | memoryview]:
+    """emit_graph(grid_graph(spec)) in pieces: the header, the colors, then the edges.
 
     The edges of vertex v are v v+1 and v v+cols, so writing each cell's right
-    edge, then its down edge, in cell order gives the sorted edge list.
-    Each band of about _BAND_CELLS cells (whole rows) is written by
-    `_grid_edge_band`, so a digest that hashes piece by piece holds one band
-    at a time at any board size.
+    edge, then its down edge, in cell order gives the sorted edge list.  The
+    edge lines are written in bands of whole rows (`_grid_bands`), each by
+    `_grid_edge_band`, and the pieces are produced lazily, so a digest that
+    hashes piece by piece holds one band at a time at any board size.
     """
     rows, cols, cells = spec.rows, spec.cols, spec.cells
     n = rows * cols
@@ -337,37 +340,79 @@ def _grid_text(spec: GridSpec) -> Iterator[bytes]:
         colors = ("%d\n" * n % cells).encode()
     else:
         color_count = 1 + max(d - 48 for d in _DIGIT_BYTES if d in digits)
-        colors = bytearray(2 * n)
+        colors = bytearray(b"\n") * (2 * n)
         colors[0::2] = digits
-        colors[1::2] = b"\n" * n
-    yield f"{n} {2 * n - rows - cols} {color_count}\n".encode() + colors
-    width = len(str(n + cols))  # every id a band writes, v + cols included, fits
-    band = max(1, _BAND_CELLS // cols) * cols
-    for lo in range(0, n, band):
-        yield _grid_edge_band(lo, min(band, n - lo), cols, width, lo + band >= n)
+    header = f"{n} {2 * n - rows - cols} {color_count}\n".encode()
+    edges = chain.from_iterable(starmap(_grid_edge_band, _grid_bands(rows, cols)))
+    return chain((header, colors), edges)
 
 
-def _grid_edge_band(lo: int, k: int, cols: int, width: int, last: bool) -> bytearray:
+def _grid_bands(rows: int, cols: int) -> Iterator[tuple[int, int, int, bool, bool]]:
+    """`_grid_edge_band`'s arguments (lo, k, cols, last, tiled) for each band, top to bottom.
+
+    A band holds at most max(1, _BAND_CELLS // cols) rows.  The rows whose
+    ids (v, v+1 and v+cols alike) all have one digit count, other than the
+    last row, form tiled bands; their runs are found from the powers of
+    ten, not by a pass over the rows.  The rows between those runs, which
+    write ids of two digit counts or are the last row, are merged into
+    untiled bands.  A run stays untiled when it has fewer than _TILE_CELLS
+    cells or its rows are shorter than _PIECE_BYTES: there a band or a
+    piece would cost more than it saves.
+    """
+    cuts = [0]  # alternately the first and the end row of each tiled run
+    low, width = 1, 1  # the ids of `width` digits are low .. 10*low - 1
+    while low < rows * cols:
+        first = -(-low // cols) if low > 1 else 0  # first row from an id >= low; 0 has 1 digit
+        end = min((10 * low - 2 * cols) // cols + 1, rows - 1)  # rows before end stay below 10*low
+        if (end - first) * cols >= _TILE_CELLS and cols * (4 * width + 4) >= _PIECE_BYTES:
+            cuts += first, end
+        low *= 10
+        width += 1
+    cuts.append(rows)
+    step = max(1, _BAND_CELLS // cols)
+    for i in range(len(cuts) - 1):
+        for first in range(cuts[i], cuts[i + 1], step):
+            end = min(first + step, cuts[i + 1])
+            yield first * cols, (end - first) * cols, cols, end == rows, i % 2 == 1
+
+
+def _grid_edge_band(
+    lo: int, k: int, cols: int, last: bool, tiled: bool
+) -> Iterable[bytes | memoryview]:
     """Sorted edge lines of the cells lo .. lo+k-1, which are whole rows of the board.
 
     Each cell gets a slot of two lines, "v v+1" and "v v+cols", with every
-    number right-aligned in `width` digits behind pad bytes.  Each decimal
-    place of the ids is one byte column, written into the slots with an
-    extended-slice assignment; lines for edges that do not exist (the last
-    column's right edge, the last row's down edge) are all pad.  Deleting
-    the pad leaves the text.
+    number right-aligned in `width` digits behind pad bytes.  Digit place p
+    of an id repeats every 10**(p+1) cells, so the low places are tiled: one
+    slot holds the spaces and newlines, and each place p that holds no pad
+    and repeats within the band is written into 10**(p+1) slots, ten copies
+    of the template below it.  The band is the last template repeated and
+    cut to k slots; each higher place is one byte column, written into the
+    slots with an extended-slice assignment.  A tiled band (every id
+    `width` digits, not the last row) is returned as views of the buffer
+    between the rows' missing right edges, with no copy.  Any other band
+    pads its missing lines (the last column's right edges, the last row's
+    down edges) and deletes the pad with one `translate`.
     """
+    width = len(str(lo + k - 1 + cols))  # every id the band writes, v + cols included, fits
     line = 2 * width + 2
     slot = 2 * line
-    out = bytearray(k * slot)
-    out[width::line] = b" " * (2 * k)
-    out[line - 1 :: line] = b"\n" * (2 * k)
-    for place in range(width):
-        column = _digit_column(lo, k + cols, place)
-        at = width - 1 - place
-        out[at::slot] = out[line + at :: slot] = column[:k]
-        out[width + 1 + at :: slot] = column[1 : k + 1]
-        out[line + width + 1 + at :: slot] = column[cols : cols + k]
+    places = min(len(str(lo)), len(str(k)) - 1)  # places that hold no pad and repeat in the band
+    tile = bytearray(slot)
+    tile[width] = tile[line + width] = ord(" ")
+    tile[line - 1] = tile[slot - 1] = ord("\n")
+    for place in range(places):
+        tile *= 10
+        _write_place(tile, lo, 10 ** (place + 1), cols, width, place)
+    out = tile * -(-k // 10**places)
+    del out[k * slot :]
+    for place in range(places, width):
+        _write_place(out, lo, k, cols, width, place)
+    if tiled:
+        view = memoryview(out)
+        skips = range((cols - 1) * slot, k * slot, cols * slot)  # each row's missing right edge
+        starts = chain((0,), map(line.__add__, skips))
+        return map(view.__getitem__, map(slice, starts, chain(skips, (k * slot,))))
     pad = _PAD * (k // cols)
     for i in range((cols - 1) * slot, (cols - 1) * slot + line):
         out[i :: cols * slot] = pad
@@ -375,28 +420,49 @@ def _grid_edge_band(lo: int, k: int, cols: int, width: int, last: bool) -> bytea
         pad = _PAD * cols
         for i in range((k - cols) * slot + line, (k - cols + 1) * slot):
             out[i::slot] = pad
-    return out.translate(None, _PAD)
+    return (out.translate(None, _PAD),)
+
+
+def _write_place(out: bytearray, lo: int, k: int, cols: int, width: int, place: int) -> None:
+    """Write decimal place `place` of all four ids into the first k line slots of `out`."""
+    line = 2 * width + 2
+    slot = 2 * line
+    column = _digit_column(lo, k + cols, place)
+    at = width - 1 - place
+    out[at::slot] = out[line + at :: slot] = column[:k]
+    out[width + 1 + at :: slot] = column[1 : k + 1]
+    out[line + width + 1 + at :: slot] = column[cols : cols + k]
+
+
+def _place_pattern(place: int) -> bytes:
+    """One period of decimal digit `place` over consecutive ids: "0" * 10**place, "1" * ..."""
+    return b"".join(bytes((d,)) * 10**place for d in _DIGIT_BYTES)
+
+
+_PLACE_PATTERNS = tuple(map(_place_pattern, range(4)))  # the patterns of places 0-3, 11 110 bytes
 
 
 def _digit_column(lo: int, count: int, place: int) -> bytearray:
     """Decimal digit `place` of the ids lo, lo+1, ..., lo+count-1, pad for a leading zero."""
     unit = 10**place
     period = 10 * unit
-    if period <= count:  # many periods: slice the repeating "0"*unit + ... + "9"*unit
-        skip = lo % period
-        pattern = b"".join(bytes((d,)) * unit for d in _DIGIT_BYTES)
-        column = bytearray((pattern * ((skip + count) // period + 1))[skip : skip + count])
-        if place and lo < unit:
-            column[: unit - lo] = _PAD * (unit - lo)
-        return column
-    runs = []  # fewer than 11 runs of one digit
-    end = lo + count
-    while lo < end:
-        q = lo // unit
-        nxt = min((q + 1) * unit, end)
-        runs.append((_PAD if place and not q else bytes((48 + q % 10,))) * (nxt - lo))
-        lo = nxt
-    return bytearray(b"".join(runs))
+    if place >= len(_PLACE_PATTERNS) and count < period:  # fewer than 11 runs of one digit
+        runs = []
+        end = lo + count
+        while lo < end:
+            q = lo // unit
+            nxt = min((q + 1) * unit, end)
+            runs.append((_PAD if not q else bytes((48 + q % 10,))) * (nxt - lo))
+            lo = nxt
+        return bytearray(b"".join(runs))
+    # slice the repeating "0"*unit + "1"*unit + ... + "9"*unit
+    pattern = _PLACE_PATTERNS[place] if place < len(_PLACE_PATTERNS) else _place_pattern(place)
+    skip = lo % period
+    column = bytearray((pattern * ((skip + count) // period + 1))[skip : skip + count])
+    if place and lo < unit:
+        lead = min(unit - lo, count)
+        column[:lead] = _PAD * lead
+    return column
 
 
 def instance_digest(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:

@@ -2,9 +2,10 @@
 
 import hashlib
 import random
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeflood import (
@@ -279,6 +280,73 @@ class TestGridText:
         _assert_grid_text_matches_reference(
             GridSpec(rows, cols, tuple(rng.randrange(2) for _ in range(rows * cols)))
         )
+
+    @settings(max_examples=25)
+    @given(
+        st.sampled_from([1, 2, 3, 9, 10, 11, 99, 100, 101, 333, 999, 1000, 1001]).flatmap(
+            lambda cols: st.tuples(st.just(cols), st.integers(1, max(2, 12_000 // cols)))
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @pytest.mark.parametrize("band_cells", [1, 7, instances._BAND_CELLS])
+    def test_ids_across_powers_of_ten(self, band_cells, shape, seed):
+        # up to 12 000 cells, so v, v+1 and v+cols cross 10, 100, 1000 and often 10 000
+        rows, cols = shape
+        rng = random.Random(seed)
+        spec = GridSpec(rows, cols, tuple(rng.randrange(3) for _ in range(rows * cols)))
+        with patch.object(instances, "_BAND_CELLS", band_cells):
+            _assert_grid_text_matches_reference(spec)
+
+    @pytest.mark.parametrize(
+        "rows, cols, seed, block, digest",
+        [
+            (256, 256, 1, 32, "62ecc87a33b66134b7dfe979cd7446337dffa6a6a2de06b603cd74dad59113f0"),
+            (64, 64, 2, 1, "48fc479edf6903a8d8b6550705deaeb8a1f74d6fd419f5374302ed2326fdca85"),
+            (317, 316, 3, 1, "f2c6a3e39b9f74e4eb6bb3a2229895049ab638156e0a977264efc67f54c7720a"),
+            (1, 20_001, 4, 1, "4ee7bb42fb0dea49df511855dd943fbf34a9f80ad2ad13e30bc7577c3bee8913"),
+            (20_001, 1, 5, 1, "8370a002c735551810ccacde0fd0b6b29e45d649ed633ef35384696e1bab6ee2"),
+        ],
+    )
+    def test_golden_digests(self, rows, cols, seed, block, digest):
+        # pinned values, so the band writer and the graph-file writer cannot drift together
+        spec = _painted(rows, cols, seed, block)
+        assert instance_digest(spec) == digest
+        assert hashlib.sha256(emit_graph(spec).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("band_cells", [7, instances._BAND_CELLS])
+    @pytest.mark.parametrize("rows, cols", [(20_001, 1), (1, 20_001), (4, 20_001)])
+    def test_strips_write_whole_bands(self, band_cells, rows, cols, monkeypatch):
+        # rows that are not tiled are merged into bands, never written one writer call per row
+        calls = []
+        writer = instances._grid_edge_band
+
+        def recording(lo, k, cols, last, tiled):
+            pieces = list(writer(lo, k, cols, last, tiled))
+            calls.append((k // cols, tiled, len(pieces)))
+            return pieces
+
+        monkeypatch.setattr(instances, "_BAND_CELLS", band_cells)
+        monkeypatch.setattr(instances, "_grid_edge_band", recording)
+        _assert_grid_text_matches_reference(_painted(rows, cols, rows + cols, 1))
+        calls = calls[: len(calls) // 2]  # emit_graph and instance_digest each write every band
+        step = max(1, band_cells // cols)
+        assert sum(height for height, _, _ in calls) == rows
+        if cols == 1:
+            assert len(calls) == -(-rows // step)
+        for height, tiled, pieces in calls:
+            # a tiled band is one piece per row and one for its last down edge
+            assert pieces == (height + 1 if tiled else 1)
+        if rows == 4:  # row 0 crosses 10 000, row 3 crosses 100 000, so 1-2 are one tiled run
+            assert [tiled for _, tiled, _ in calls].count(True) == -(-2 // step)
+
+
+def _painted(rows, cols, seed, block):
+    """A seeded two-color board painted in block x block squares."""
+    rng = random.Random(seed)
+    paint = [[rng.randrange(2) for _ in range(-(-cols // block))] for _ in range(-(-rows // block))]
+    return GridSpec(
+        rows, cols, tuple(paint[r // block][c // block] for r in range(rows) for c in range(cols))
+    )
 
 
 class TestGridZones:
