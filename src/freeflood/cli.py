@@ -221,7 +221,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"step {step} flood {move.vertex} -> {move.color} zones {zones}")
         if isinstance(source, GridSpec):
             color_of = [state.colors[state.find(z)] for z in range(rg.zone_count)]
-            cells = tuple(map(color_of.__getitem__, zm.zone_of))
+            cells = bytes(map(color_of.__getitem__, zm.zone_of))
             sys.stdout.write(emit_grid(GridSpec(source.rows, source.cols, cells)))
     print(f"monochromatic {'true' if zones == 1 else 'false'}")
     return EXIT_OK
@@ -314,7 +314,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.grid:
         rng = random.Random(args.seed)
-        cells = tuple(rng.randrange(args.color_count) for _ in range(rows * cols))
+        cells = bytes(rng.randrange(args.color_count) for _ in range(rows * cols))
         text = emit_grid(GridSpec(rows, cols, cells))
         print(f"# seed {args.seed}", file=sys.stderr)
     else:
@@ -342,8 +342,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print("N,n,m,radius,milliseconds")
     for grid_size in sizes:
         rng = random.Random(args.seed * 1_000_003 + grid_size)
-        cells = tuple(rng.randrange(2) for _ in range(grid_size * grid_size))
-        spec = GridSpec(grid_size, grid_size, cells)
+        spec = GridSpec(grid_size, grid_size, bytes(rng.randrange(2) for _ in range(grid_size**2)))
         best = None
         radius = None
         for _ in range(args.repeat):

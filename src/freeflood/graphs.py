@@ -135,8 +135,7 @@ def build(
     for v, c in enumerate(colors):
         if c >= color_count:
             raise ColorOutOfRange(f"vertex {v} has color {c}, color_count is {color_count}")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
+    seen: dict[tuple[int, int], None] = {}  # ordered, so assembly walks the edges in input order
     for u, v in edge_list:
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidVertex(f"edge ({u}, {v}) outside [0, {n})")
@@ -145,7 +144,16 @@ def build(
         key = (u, v) if u < v else (v, u)
         if key in seen:
             raise DuplicateEdge(f"edge {key} given twice")
-        seen.add(key)
+        seen[key] = None
+    return _assemble(seen, colors, color_count)
+
+
+def _assemble(
+    edges: Iterable[tuple[int, int]], colors: tuple[int, ...], color_count: int
+) -> ColoredGraph:
+    """The ColoredGraph on edges already checked for range, self-loops and repeats."""
+    adj: list[list[int]] = [[] for _ in colors]
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     _check_connected(adj)

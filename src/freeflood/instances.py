@@ -29,7 +29,7 @@ from .errors import (
     SelfLoop,
     TooManyEdges,
 )
-from .graphs import ColoredGraph, FloodMove, ReducedGraph, ZoneMap, build, reduce
+from .graphs import ColoredGraph, FloodMove, ReducedGraph, ZoneMap, _assemble, build, reduce
 
 _DIGITS = "0123456789"
 _DIGIT_BYTES = _DIGITS.encode()
@@ -44,11 +44,24 @@ _PIECE_BYTES = 1024  # shortest row hashed as its own piece; a piece costs ~1 KB
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular board of digit colors, row-major."""
+    """Rectangular board, row-major: `cells` (ints 0-9) is checked and kept as bytes."""
 
     rows: int
     cols: int
-    cells: tuple[int, ...]
+    cells: bytes
+
+    def __post_init__(self) -> None:
+        if self.rows < 1 or self.cols < 1:
+            raise EmptyGraph(f"a {self.rows}x{self.cols} grid has no cells")
+        try:
+            cells = bytes(self.cells)
+        except ValueError:  # a cell outside 0-255; 255 fails the 0-9 check below
+            cells = b"\xff"
+        if cells.translate(None, _CELL_VALUES):
+            raise ColorOutOfRange("grid cells hold one color 0-9 each")
+        if len(cells) != self.rows * self.cols:
+            raise InvalidVertex(f"{len(cells)} cells given for a {self.rows}x{self.cols} grid")
+        object.__setattr__(self, "cells", cells)
 
 
 def parse_grid_spec(text: str) -> GridSpec:
@@ -74,8 +87,7 @@ def parse_grid_spec(text: str) -> GridSpec:
         for j, ch in enumerate(row, start=1):
             if ch not in _DIGITS:
                 raise InvalidCharacter(f"{ch!r} is not a digit", line=i, column=j)
-    cells = tuple(b"".join(chunks).translate(_DIGIT_VALUES))
-    return GridSpec(len(lines), width, cells)
+    return GridSpec(len(lines), width, b"".join(chunks).translate(_DIGIT_VALUES))
 
 
 def grid_graph(spec: GridSpec) -> ColoredGraph:
@@ -210,10 +222,8 @@ def parse_grid(text: str) -> ColoredGraph:
 
 
 def emit_grid(spec: GridSpec) -> str:
-    """Grid file text for a board; colors must be 0-9, one digit each."""
-    digits = _cell_digits(spec.cells)
-    if digits is None:
-        raise ColorOutOfRange("grid files carry one digit 0-9 per cell")
+    """Grid file text for a board: one digit per cell, one line per row."""
+    digits = spec.cells.translate(_VALUE_DIGITS)
     cols = spec.cols
     rows = [digits[base : base + cols] for base in range(0, len(digits), cols)]
     return (b"\n".join(rows) + b"\n").decode()
@@ -262,8 +272,7 @@ def parse_graph(text: str) -> ColoredGraph:
         if not 0 <= color < color_count:
             raise ColorOutOfRange(f"line {lineno}: color {color} outside [0, {color_count})")
         colors.append(color)
-    edges = []
-    seen: set[tuple[int, int]] = set()
+    seen: dict[tuple[int, int], None] = {}  # ordered, so assembly walks the edges in file order
     for k in range(m):
         if pos >= len(lines):
             raise EdgeCountMismatch(f"header declares {m} edges, found {k}", line=lines[-1][0])
@@ -284,13 +293,12 @@ def parse_graph(text: str) -> ColoredGraph:
             raise ParseError("edge endpoints must satisfy u < v", line=lineno)
         if (u, v) in seen:
             raise DuplicateEdge(f"line {lineno}: edge ({u}, {v}) given twice")
-        seen.add((u, v))
-        edges.append((u, v))
+        seen[u, v] = None
     if pos < len(lines):
         raise EdgeCountMismatch(
             f"header declares {m} edges, found extra content", line=lines[pos][0]
         )
-    return build(edges, colors, color_count)
+    return _assemble(seen, tuple(colors), color_count)  # every line checked above
 
 
 def emit_graph(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
@@ -312,17 +320,6 @@ def emit_graph(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cell_digits(cells: tuple[int, ...]) -> bytes | None:
-    """The cells as ASCII digits, or None when a cell is outside 0-9."""
-    try:
-        raw = bytes(cells)
-    except ValueError:  # a cell outside 0-255
-        return None
-    if raw.translate(None, _CELL_VALUES):
-        return None
-    return raw.translate(_VALUE_DIGITS)
-
-
 def _grid_text(spec: GridSpec) -> Iterator[bytes | memoryview]:
     """emit_graph(grid_graph(spec)) in pieces: the header, the colors, then the edges.
 
@@ -332,16 +329,11 @@ def _grid_text(spec: GridSpec) -> Iterator[bytes | memoryview]:
     `_grid_edge_band`, and the pieces are produced lazily, so a digest that
     hashes piece by piece holds one band at a time at any board size.
     """
-    rows, cols, cells = spec.rows, spec.cols, spec.cells
+    rows, cols = spec.rows, spec.cols
     n = rows * cols
-    digits = _cell_digits(cells)
-    if digits is None:
-        color_count = max(cells) + 1
-        colors = ("%d\n" * n % cells).encode()
-    else:
-        color_count = 1 + max(d - 48 for d in _DIGIT_BYTES if d in digits)
-        colors = bytearray(b"\n") * (2 * n)
-        colors[0::2] = digits
+    color_count = 1 + max(c for c in range(10) if c in spec.cells)
+    colors = bytearray(b"\n") * (2 * n)
+    colors[0::2] = spec.cells.translate(_VALUE_DIGITS)
     header = f"{n} {2 * n - rows - cols} {color_count}\n".encode()
     edges = chain.from_iterable(starmap(_grid_edge_band, _grid_bands(rows, cols)))
     return chain((header, colors), edges)

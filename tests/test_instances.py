@@ -13,12 +13,14 @@ from freeflood import (
     DuplicateEdge,
     EdgeCountMismatch,
     Empty,
+    EmptyGraph,
     FloodMove,
     InvalidCharacter,
     InvalidVertex,
     ParseError,
     RaggedRows,
     SelfLoop,
+    build,
     emit_graph,
     emit_grid,
     emit_moves,
@@ -110,6 +112,23 @@ class TestGrid:
         with pytest.raises(ColorOutOfRange):
             emit_grid(GridSpec(2, 2, (0, 1, cell, 0)))
 
+    def test_cells_are_bytes(self):
+        parsed = parse_grid_spec("019\n503\n")
+        built = GridSpec(2, 3, (0, 1, 9, 5, 0, 3))
+        assert type(parsed.cells) is bytes and type(built.cells) is bytes
+        assert parsed == built == GridSpec(2, 3, bytearray((0, 1, 9, 5, 0, 3)))
+        assert parsed.cells == bytes((0, 1, 9, 5, 0, 3))
+
+    @pytest.mark.parametrize("rows, cols, cells", [(0, 0, ()), (0, 2, ()), (2, 0, ()), (-1, -1, (0,))])
+    def test_spec_rejects_a_side_below_1(self, rows, cols, cells):
+        with pytest.raises(EmptyGraph):
+            GridSpec(rows, cols, cells)
+
+    @pytest.mark.parametrize("rows, cols, count", [(2, 2, 3), (2, 2, 5), (1, 3, 0), (3, 1, 6)])
+    def test_spec_rejects_a_cell_count_other_than_rows_times_cols(self, rows, cols, count):
+        with pytest.raises(InvalidVertex):
+            GridSpec(rows, cols, (0,) * count)
+
     def test_emit_exact_text(self):
         assert emit_grid(GridSpec(2, 3, (0, 1, 9, 5, 0, 3))) == "019\n503\n"
 
@@ -170,6 +189,21 @@ class TestGraphFormat:
             parse_graph("2 1 2\n0\n1\n0 9\n")
         with pytest.raises(DuplicateEdge):
             parse_graph("2 2 2\n0\n1\n0 1\n0 1\n")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_parse_checks_once_and_equals_build(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        if seed % 2:
+            g = grid_graph(GridSpec(7, 9, tuple(rng.randrange(3) for _ in range(63))))
+        else:
+            g = gen_random(rng.randint(20, 60), rng.randint(0, 40), 3, seed)
+        text = emit_graph(g)
+        edges = [(u, w) for u, row in enumerate(g.adjacency) for w in row if u < w]
+        rng.shuffle(edges)
+        expected = build([(w, u) for u, w in edges], g.colors, g.color_count)
+        # the file's lines are checked as they are read, so parsing never builds
+        monkeypatch.setattr(instances, "build", None)
+        assert parse_graph(text) == g == expected
 
     @given(st.integers(1, 25), st.integers(0, 6), st.integers(0, 2**32 - 1))
     def test_generated_instances_round_trip(self, n, extra, seed):
@@ -270,7 +304,8 @@ class TestGridText:
         rng = random.Random(cell)
         cells = [rng.randrange(2) for _ in range(9 * 12)]
         cells[50] = cell
-        _assert_grid_text_matches_reference(GridSpec(9, 12, tuple(cells)))
+        with pytest.raises(ColorOutOfRange):  # a grid file holds one digit per cell
+            GridSpec(9, 12, tuple(cells))
 
     @pytest.mark.parametrize("band_cells", [1, 1 << 30])
     @pytest.mark.parametrize("rows, cols", [(1, 11), (10, 1), (9, 12), (33, 31), (99, 101)])
