@@ -221,7 +221,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"step {step} flood {move.vertex} -> {move.color} zones {zones}")
         if isinstance(source, GridSpec):
             color_of = [state.colors[state.find(z)] for z in range(rg.zone_count)]
-            cells = bytes(map(color_of.__getitem__, zm.zone_of))
+            cells = zm.zone_of.paint(color_of)  # a grid's map is run-backed
             sys.stdout.write(emit_grid(GridSpec(source.rows, source.cols, cells)))
     print(f"monochromatic {'true' if zones == 1 else 'false'}")
     return EXIT_OK

@@ -68,10 +68,13 @@ class ZoneMap:
     """Surjection from original vertices onto zone ids.
 
     Zones are numbered by their smallest member vertex, and that smallest
-    vertex is kept as the zone's representative.
+    vertex is kept as the zone's representative.  `reduce` gives `zone_of`
+    as a tuple; a grid labeled from its rows gives a read-only sequence
+    backed by its runs, which looks a vertex up in O(log runs) and equals
+    the tuple `reduce` would give.
     """
 
-    zone_of: tuple[int, ...]
+    zone_of: Sequence[int]
     representative_of: tuple[int, ...]
 
     @property

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat, starmap
-from operator import add, eq, ne, sub
-from typing import Iterable, Iterator, Union
+from operator import add, eq, index, ne, sub
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     ColorOutOfRange,
@@ -93,15 +94,95 @@ def parse_grid_spec(text: str) -> GridSpec:
 def grid_graph(spec: GridSpec) -> ColoredGraph:
     """4-neighbor grid graph over the board's cells, row-major vertex ids."""
     rows, cols = spec.rows, spec.cols
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return build(edges, spec.cells)
+    n = rows * cols
+    right = ((v, v + 1) for v in range(n - 1) if (v + 1) % cols)
+    down = zip(range(n - cols), range(cols, n))
+    colors = tuple(spec.cells)
+    return _assemble(chain(right, down), colors, max(colors) + 1)  # valid by construction
+
+
+class _BandZones(Sequence[int]):
+    """A grid's cell-to-zone map, read from the run tables that labeling built.
+
+    Consecutive identical rows form a band, and each band's one row is split
+    into runs of one color (see `_grid_zones`).  The map keeps, for every
+    run, its first column (`begin`) and its zone (`zone_of_run`), and for
+    every band its first run and its first row.  Looking up a cell takes two
+    binary searches, O(log runs): the band by row, then the run by column.
+    No per-cell table is built; iterating yields the zones cell by cell.
+    Indexing, `len` and equality with a tuple behave as a tuple's.
+    """
+
+    __slots__ = ("_rows", "_cols", "_begin", "_zone_of_run", "_band_runs", "_band_rows")
+
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        begin: tuple[int, ...],
+        zone_of_run: tuple[int, ...],
+        band_runs: list[int],
+        band_rows: list[int],
+    ) -> None:
+        self._rows = rows
+        self._cols = cols
+        self._begin = begin  # each run's first column; a band's runs are in column order
+        self._zone_of_run = zone_of_run
+        self._band_runs = band_runs  # each band's first run, then the run count
+        self._band_rows = band_rows  # each band's first row
+
+    def __len__(self) -> int:
+        return self._rows * self._cols
+
+    def __getitem__(self, v: int) -> int:
+        v = index(v)
+        n = self._rows * self._cols
+        if v < 0:
+            v += n
+        if not 0 <= v < n:
+            raise IndexError("zone map index out of range")
+        row, col = divmod(v, self._cols)
+        band = bisect_right(self._band_rows, row) - 1
+        first, end = self._band_runs[band], self._band_runs[band + 1]
+        return self._zone_of_run[bisect_right(self._begin, col, first, end) - 1]
+
+    def _band(self, band: int) -> tuple[tuple[int, ...], Iterator[int]]:
+        """The zones of one band's runs, left to right, and the runs' widths."""
+        first, end = self._band_runs[band], self._band_runs[band + 1]
+        begin = self._begin[first:end]
+        return self._zone_of_run[first:end], map(sub, chain(begin[1:], (self._cols,)), begin)
+
+    def _heights(self) -> Iterator[int]:
+        return map(sub, chain(self._band_rows[1:], (self._rows,)), self._band_rows)
+
+    def _band_row(self, band: int) -> tuple[int, ...]:
+        """The zone of each cell in one row of a band."""
+        return tuple(chain.from_iterable(map(repeat, *self._band(band))))
+
+    def __iter__(self) -> Iterator[int]:
+        band_rows = map(repeat, map(self._band_row, range(len(self._band_rows))), self._heights())
+        return chain.from_iterable(chain.from_iterable(band_rows))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _BandZones)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def paint(self, color_of: Sequence[int]) -> bytes:
+        """The board's cells, row-major, when zone z has color color_of[z].
+
+        Each band's row is written once, a run at a time, and repeated for
+        the band's height.
+        """
+        rows = []
+        for band, height in enumerate(self._heights()):
+            zones, widths = self._band(band)
+            colors = map(color_of.__getitem__, zones)
+            rows.append(bytes(chain.from_iterable(map(repeat, colors, widths))) * height)
+        return b"".join(rows)
 
 
 def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
@@ -115,12 +196,14 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
     first cell is in its band's first row, so zones are numbered by their
     least cell, as `reduce` numbers them.  Two zones are adjacent when two of
     their runs follow each other in a band or overlap in adjacent bands.
+    The zone map is the run tables themselves (`_BandZones`): a cell's zone
+    is found by two binary searches, and no per-cell table is written.
     Cells are touched only by C-level work (comparing each row with the one
-    above, writing `zone_of` row by row); the Python-level work grows with
-    the bands and their runs.
+    above); the Python-level work grows with the bands and their runs.
     """
     rows, cols, cells = spec.rows, spec.cols, spec.cells
     n = rows * cols
+    columns = list(range(1, cols))  # the cuts share these ints rather than make one per run
     begin: list[int] = []  # column of each run's first cell; runs are numbered in cell order
     end: list[int] = []  # column after each run's last cell
     top: list[int] = []  # first cell of each run's band
@@ -128,29 +211,29 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
     parent: list[int] = []  # parent[k] <= k, so a root is its tree's least run
     above: list[int] = []  # above[i] and below[i] are runs of different colors that
     below: list[int] = []  # touch across two bands
-    band_runs: list[slice] = []  # the runs of each band
-    heights: list[int] = []
+    band_runs: list[int] = []  # the first run of each band
+    band_rows: list[int] = []  # the first row of each band
 
     row_slices = map(cells.__getitem__, map(slice, range(0, n, cols), range(cols, n + 1, cols)))
-    base = prev_first = 0
+    r = prev_first = 0  # the band's first row
     for row, same in groupby(row_slices):
         height = len(list(same))
         tail = row[1:]
         changes = list(map(ne, tail, row))
-        cuts = list(compress(range(1, cols), changes))
+        cuts = list(compress(columns, changes))
         first = len(begin)
         last = first + len(cuts)
         begin.append(0)
         begin.extend(cuts)
         end.extend(cuts)
         end.append(cols)
-        top.extend(repeat(base, last + 1 - first))
+        top.extend(repeat(r * cols, last + 1 - first))
         color.append(row[0])
         color.extend(compress(tail, changes))
         parent.extend(range(first, last + 1))
-        band_runs.append(slice(first, last + 1))
-        heights.append(height)
-        base += height * cols
+        band_runs.append(first)
+        band_rows.append(r)
+        r += height
         if first:
             # runs p (band above) and q (this band) overlap; step past the one
             # that ends first, or past both when they end together
@@ -179,6 +262,11 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
                     q += 1
         prev_first = first
 
+    # The zone map keeps `begin` and `zone_of_run` as tuples: a tuple of ints
+    # drops out of the garbage collector's tracking, where a list of one entry
+    # per run would be traversed by every full collection while the map lives.
+    begin = tuple(begin)
+    band_runs.append(len(begin))  # the run count ends the last band
     for k, p in enumerate(parent):  # parents come first, so this finds every root
         parent[k] = parent[p]
     runs = range(len(begin))
@@ -186,17 +274,11 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
     zone_of_root = [0] * len(begin)
     for z, k in enumerate(roots):
         zone_of_root[k] = z
-    zone_of_run = list(map(zone_of_root.__getitem__, parent))
+    zone_of_run = tuple(map(zone_of_root.__getitem__, parent))
 
-    def band_row(band: slice) -> tuple[int, ...]:
-        """The zone of each cell in one row of a band."""
-        widths = map(sub, end[band], begin[band])
-        return tuple(chain.from_iterable(map(repeat, zone_of_run[band], widths)))
-
-    band_rows = map(repeat, map(band_row, band_runs), heights)
-    zone_of = tuple(chain.from_iterable(chain.from_iterable(band_rows)))
     # zones of runs that follow each other in a band, then of runs that touch across bands
-    in_bands = (zip(zs, zs[1:]) for zs in map(zone_of_run.__getitem__, band_runs))
+    band_slices = map(slice, band_runs, band_runs[1:])
+    in_bands = (zip(zs, zs[1:]) for zs in map(zone_of_run.__getitem__, band_slices))
     zone_pairs = chain(
         chain.from_iterable(in_bands),
         zip(map(zone_of_run.__getitem__, above), map(zone_of_run.__getitem__, below)),
@@ -213,6 +295,7 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
         tuple(map(color.__getitem__, roots)),
     )
     starts = map(add, map(top.__getitem__, roots), map(begin.__getitem__, roots))
+    zone_of = _BandZones(rows, cols, begin, zone_of_run, band_runs, band_rows)
     return rg, ZoneMap(zone_of, tuple(starts))
 
 

@@ -196,6 +196,24 @@ def test_simulate_exact_output_three_colors(tmp_path, capsys):
     assert captured.err == "step 3: rejected: zone of vertex 0 already has color 1\n"
 
 
+def test_simulate_exact_output_banded(tmp_path, capsys):
+    # bands of 2, 3 and 2 identical rows; each frame is painted a band at a time
+    board = tmp_path / "banded.grid"
+    board.write_text("000111\n000111\n011100\n011100\n011100\n110011\n110011\n")
+    moves = tmp_path / "banded.moves"
+    moves.write_text("0 1\n35 0\n0 0\n")
+    assert main(["simulate", str(board), str(moves)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "step 1 flood 0 -> 1 zones 4\n"
+        "111111\n111111\n111100\n111100\n111100\n110011\n110011\n"
+        "step 2 flood 35 -> 0 zones 2\n"
+        "111111\n111111\n111100\n111100\n111100\n110000\n110000\n"
+        "step 3 flood 0 -> 0 zones 1\n"
+        "000000\n000000\n000000\n000000\n000000\n000000\n000000\n"
+        "monochromatic true\n"
+    )
+
+
 def test_simulate_graph_format(tmp_path, capsys):
     instance = tmp_path / "path.graph"
     instance.write_text("3 2 2\n0\n1\n0\n0 1\n1 2\n")
@@ -231,6 +249,33 @@ def test_oracle_builds_no_vertex_graph(board, capsys, monkeypatch):
 
     monkeypatch.setattr(instances, "build", refuse)
     assert _run(["oracle", board], capsys) == (EXIT_OK, "optimum 2\nstates 6\nexhausted true\n", "")
+
+
+def test_solve_and_verify_expand_no_zone_map(tmp_path, capsys, monkeypatch):
+    # a grid's zone map is read a vertex at a time, never expanded cell by cell
+    rng = random.Random(16)
+    paint = [[rng.randrange(2) for _ in range(6)] for _ in range(5)]
+    spec = GridSpec(40, 48, tuple(paint[r // 8][c // 8] for r in range(40) for c in range(48)))
+    grid = tmp_path / "blocks.grid"
+    grid.write_text(emit_grid(spec))
+    moves = tmp_path / "blocks.moves"
+    solve = ["solve", str(grid), "--format", "machine", "--moves-out", str(moves)]
+    verify = ["verify", str(grid), str(moves)]
+
+    def outputs():
+        code, out, err = _run(solve, capsys)
+        doc = json.loads(out)
+        assert doc.pop("timings")
+        return (code, json.dumps(doc), err), _run(verify, capsys)
+
+    expected = outputs()
+
+    def refuse(self):
+        raise AssertionError("the zone map was expanded cell by cell")
+
+    monkeypatch.setattr(instances._BandZones, "__iter__", refuse)
+    assert outputs() == expected
+    assert [code for code, _, _ in expected] == [EXIT_OK, EXIT_OK]
 
 
 def test_oracle_budget(board, capsys):

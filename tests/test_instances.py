@@ -87,6 +87,23 @@ class TestGrid:
         assert parse_grid_spec(emit_grid(spec)) == spec
         assert parse_grid(emit_grid(spec)).colors == cells
 
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_grid_graph_equals_build_on_its_edges(self, rows, cols, colors, seed):
+        # grid_graph skips build's checks; its graph must be the one build assembles
+        rng = random.Random(seed)
+        spec = GridSpec(rows, cols, tuple(rng.randrange(colors) for _ in range(rows * cols)))
+        edges = []
+        for r in range(rows):
+            for c in range(cols):
+                v = r * cols + c
+                if c + 1 < cols:
+                    edges.append((v, v + 1))
+                if r + 1 < rows:
+                    edges.append((v, v + cols))
+        with patch.object(instances, "build", side_effect=AssertionError("build called")):
+            g = grid_graph(spec)
+        assert g == build(edges, spec.cells)
+
     @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff10"])
     def test_non_ascii_digits_rejected(self, digit):
         # str.isdigit accepts these; a grid cell is one of 0-9 only
@@ -272,7 +289,18 @@ class TestGenerators:
 
 def _assert_grid_paths_agree(spec):
     g = grid_graph(spec)
-    assert _grid_zones(spec) == reduce(g)
+    zones = _grid_zones(spec)
+    ref = reduce(g)[1]
+    assert zones == reduce(g)
+    # the run-backed zone map against reduce's tuple, read every way a caller reads it
+    zm, n = zones[1], g.vertex_count
+    assert len(zm.zone_of) == len(ref.zone_of) == n
+    assert tuple(zm.zone_of) == ref.zone_of
+    assert [zm.zone_of[v] for v in range(n)] == list(ref.zone_of)
+    assert zm.zone_of[-1] == ref.zone_of[-1]
+    for v in (n, -n - 1):
+        with pytest.raises(IndexError):
+            zm.zone_of[v]
     assert emit_graph(spec) == emit_graph(g)
     assert instance_digest(spec) == instance_digest(g)
 
