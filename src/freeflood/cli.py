@@ -211,6 +211,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     moves = parse_moves(_read_text(args.moves))
     replay = _replay(rg, zm, color_count, moves)
     zones = rg.zone_count
+    if isinstance(source, GridSpec):  # a grid's zone map is run-backed: paint each band's row once
+        bands = list(zm.zone_of.bands())
     for step, move in enumerate(moves, start=1):
         try:
             state = next(replay)
@@ -221,7 +223,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"step {step} flood {move.vertex} -> {move.color} zones {zones}")
         if isinstance(source, GridSpec):
             color_of = [state.colors[state.find(z)] for z in range(rg.zone_count)]
-            cells = zm.zone_of.paint(color_of)  # a grid's map is run-backed
+            cells = b"".join(bytes(map(color_of.__getitem__, row)) * height for row, height in bands)
             sys.stdout.write(emit_grid(GridSpec(source.rows, source.cols, cells)))
     print(f"monochromatic {'true' if zones == 1 else 'false'}")
     return EXIT_OK

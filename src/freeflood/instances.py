@@ -109,7 +109,8 @@ class _BandZones(Sequence[int]):
     run, its first column (`begin`) and its zone (`zone_of_run`), and for
     every band its first run and its first row.  Looking up a cell takes two
     binary searches, O(log runs): the band by row, then the run by column.
-    No per-cell table is built; iterating yields the zones cell by cell.
+    No per-cell table is built: iterating yields the zones cell by cell, and
+    `bands` gives one row of zones per band, so a band is painted once.
     Indexing, `len` and equality with a tuple behave as a tuple's.
     """
 
@@ -146,22 +147,20 @@ class _BandZones(Sequence[int]):
         first, end = self._band_runs[band], self._band_runs[band + 1]
         return self._zone_of_run[bisect_right(self._begin, col, first, end) - 1]
 
-    def _band(self, band: int) -> tuple[tuple[int, ...], Iterator[int]]:
-        """The zones of one band's runs, left to right, and the runs' widths."""
-        first, end = self._band_runs[band], self._band_runs[band + 1]
-        begin = self._begin[first:end]
-        return self._zone_of_run[first:end], map(sub, chain(begin[1:], (self._cols,)), begin)
-
-    def _heights(self) -> Iterator[int]:
-        return map(sub, chain(self._band_rows[1:], (self._rows,)), self._band_rows)
-
     def _band_row(self, band: int) -> tuple[int, ...]:
         """The zone of each cell in one row of a band."""
-        return tuple(chain.from_iterable(map(repeat, *self._band(band))))
+        first, end = self._band_runs[band], self._band_runs[band + 1]
+        begin = self._begin[first:end]
+        widths = map(sub, chain(begin[1:], (self._cols,)), begin)
+        return tuple(chain.from_iterable(map(repeat, self._zone_of_run[first:end], widths)))
+
+    def bands(self) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Each band's row of zones, one per cell, and the band's height, top to bottom."""
+        heights = map(sub, chain(self._band_rows[1:], (self._rows,)), self._band_rows)
+        return zip(map(self._band_row, range(len(self._band_rows))), heights)
 
     def __iter__(self) -> Iterator[int]:
-        band_rows = map(repeat, map(self._band_row, range(len(self._band_rows))), self._heights())
-        return chain.from_iterable(chain.from_iterable(band_rows))
+        return chain.from_iterable(chain.from_iterable(starmap(repeat, self.bands())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (tuple, _BandZones)):
@@ -170,19 +169,6 @@ class _BandZones(Sequence[int]):
 
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-    def paint(self, color_of: Sequence[int]) -> bytes:
-        """The board's cells, row-major, when zone z has color color_of[z].
-
-        Each band's row is written once, a run at a time, and repeated for
-        the band's height.
-        """
-        rows = []
-        for band, height in enumerate(self._heights()):
-            zones, widths = self._band(band)
-            colors = map(color_of.__getitem__, zones)
-            rows.append(bytes(chain.from_iterable(map(repeat, colors, widths))) * height)
-        return b"".join(rows)
 
 
 def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
