@@ -8,7 +8,6 @@ found a counterexample, 9 an internal check failed (a bug in freeflood).
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -129,6 +128,12 @@ def _add_format_arg(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _print_json(doc: dict) -> None:
+    import json  # here, not at start-up: only the machine format needs it
+
+    print(json.dumps(doc))
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     source = _parse_instance(args.instance)
@@ -164,7 +169,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "digest_ms": digest_ms,
             },
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         print(f"optimum {solution.claimed_optimum}")
         for move in solution.moves:
@@ -190,7 +195,7 @@ def _cmd_radius(args: argparse.Namespace) -> int:
             "center": list(met.center),
             "eccentricity": list(met.eccentricity),
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         print(f"zones {rg.zone_count}")
         print(f"radius {met.radius}")
@@ -222,7 +227,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         zones = state.count
         print(f"step {step} flood {move.vertex} -> {move.color} zones {zones}")
         if isinstance(source, GridSpec):
-            color_of = [state.colors[state.find(z)] for z in range(rg.zone_count)]
+            color_of = state.zone_colors()
             cells = b"".join(bytes(map(color_of.__getitem__, row)) * height for row, height in bands)
             sys.stdout.write(emit_grid(GridSpec(source.rows, source.cols, cells)))
     print(f"monochromatic {'true' if zones == 1 else 'false'}")
@@ -255,7 +260,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             "states_explored": report.states_explored,
             "exhausted": report.exhausted,
         }
-        print(json.dumps(doc))
+        _print_json(doc)
     else:
         print(f"optimum {report.optimum}")
         print(f"states {report.states_explored}")
@@ -438,11 +443,10 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    parser = _parser
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         if getattr(args, "moves", None) == "-" == args.instance:
-            parser.error("the instance and the move file cannot both be - (stdin)")
+            _parser.error("the instance and the move file cannot both be - (stdin)")
     except SystemExit as exc:  # argparse already printed a diagnostic
         return int(exc.code or 0)
     try:

@@ -11,8 +11,7 @@ all of its neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     ColorOutOfRange,
@@ -30,8 +29,7 @@ from .errors import (
 Adjacency = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ColoredGraph:
+class ColoredGraph(NamedTuple):
     """Connected undirected graph with one color per vertex."""
 
     adjacency: Adjacency
@@ -47,8 +45,7 @@ class ColoredGraph:
         return sum(len(row) for row in self.adjacency) // 2
 
 
-@dataclass(frozen=True)
-class ReducedGraph:
+class ReducedGraph(NamedTuple):
     """Zone graph of a colored graph; its coloration is always proper."""
 
     adjacency: Adjacency
@@ -63,8 +60,7 @@ class ReducedGraph:
         return sum(len(row) for row in self.adjacency) // 2
 
 
-@dataclass(frozen=True)
-class ZoneMap:
+class ZoneMap(NamedTuple):
     """Surjection from original vertices onto zone ids.
 
     Zones are numbered by their smallest member vertex, and that smallest
@@ -82,16 +78,14 @@ class ZoneMap:
         return len(self.representative_of)
 
 
-@dataclass(frozen=True)
-class FloodMove:
+class FloodMove(NamedTuple):
     """Recolor the whole zone containing `vertex` with `color`."""
 
     vertex: int
     color: int
 
 
-@dataclass(frozen=True)
-class ContractionTrace:
+class ContractionTrace(NamedTuple):
     """Renumbering record of one flood (a neighborhood contraction with two colors)."""
 
     absorbed: tuple[int, ...]  # old zone ids folded into the flooded zone
@@ -284,6 +278,13 @@ class _ZoneState:
         while owner[z] != z:
             owner[z] = z = owner[owner[z]]
         return z
+
+    def zone_colors(self) -> list[int]:
+        """Each original zone's live color, by C-level passes with no `find` per zone."""
+        owner = self.owner
+        while (up := list(map(owner.__getitem__, owner))) != owner:  # each zone to its grandparent
+            self.owner = owner = up
+        return list(map(self.colors.__getitem__, owner))
 
     def flood(self, x: int, color: int) -> list[int]:
         """Flood live zone x with `color`; x absorbs its neighbors of that color.

@@ -9,13 +9,11 @@ edge lines with u < v; '#' starts a comment.  Move files hold one
 
 from __future__ import annotations
 
-import hashlib
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat, starmap
 from operator import add, eq, index, ne, sub
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
     ColorOutOfRange,
@@ -43,26 +41,28 @@ _TILE_CELLS = 1000  # fewest cells in a tiled band; below it the band costs more
 _PIECE_BYTES = 1024  # shortest row hashed as its own piece; a piece costs ~1 KB of pad deleted
 
 
-@dataclass(frozen=True)
-class GridSpec:
+_GridFields = NamedTuple("_GridFields", [("rows", int), ("cols", int), ("cells", bytes)])
+
+
+class GridSpec(_GridFields):
     """Rectangular board, row-major: `cells` (ints 0-9) is checked and kept as bytes."""
 
-    rows: int
-    cols: int
-    cells: bytes
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise EmptyGraph(f"a {self.rows}x{self.cols} grid has no cells")
+    def __new__(cls, rows: int, cols: int, cells: Iterable[int]) -> GridSpec:
+        if rows < 1 or cols < 1:
+            raise EmptyGraph(f"a {rows}x{cols} grid has no cells")
         try:
-            cells = bytes(self.cells)
+            cells = bytes(cells)
         except ValueError:  # a cell outside 0-255; 255 fails the 0-9 check below
             cells = b"\xff"
         if cells.translate(None, _CELL_VALUES):
             raise ColorOutOfRange("grid cells hold one color 0-9 each")
-        if len(cells) != self.rows * self.cols:
-            raise InvalidVertex(f"{len(cells)} cells given for a {self.rows}x{self.cols} grid")
-        object.__setattr__(self, "cells", cells)
+        if len(cells) != rows * cols:
+            raise InvalidVertex(f"{len(cells)} cells given for a {rows}x{cols} grid")
+        return super().__new__(cls, rows, cols, cells)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` checks the board too
 
 
 def parse_grid_spec(text: str) -> GridSpec:
@@ -528,6 +528,8 @@ def _digit_column(lo: int, count: int, place: int) -> bytearray:
 
 def instance_digest(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
     """Hex digest identifying an instance by its canonical file bytes."""
+    import hashlib  # here, not at start-up: it loads OpenSSL, and only digests need it
+
     if not isinstance(g, GridSpec):
         return hashlib.sha256(emit_graph(g).encode()).hexdigest()
     digest = hashlib.sha256()
@@ -579,7 +581,7 @@ def gen_random_bipartite(n: int, extra_edges: int, seed: int) -> ColoredGraph:
         if side[u] != side[v] and (u, v) not in edges
     ]
     edges.update(rng.sample(cross, min(extra_edges, len(cross))))
-    return build(sorted(edges), side, 2)
+    return _assemble(sorted(edges), tuple(side), 2)  # valid by construction
 
 
 def gen_random(n: int, extra_edges: int, color_count: int, seed: int) -> ColoredGraph:
@@ -614,7 +616,7 @@ def gen_random(n: int, extra_edges: int, color_count: int, seed: int) -> Colored
                 if u != v:
                     edges.add((u, v) if u < v else (v, u))
     colors = [rng.randrange(color_count) for _ in range(n)]
-    return build(sorted(edges), colors, color_count)
+    return _assemble(sorted(edges), tuple(colors), color_count)  # valid by construction
 
 
 def gen_reduced_corpus(

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidZone
 from .graphs import ReducedGraph
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     """Per-zone eccentricities with the derived radius and center set."""
 
     eccentricity: tuple[int, ...]

@@ -9,8 +9,7 @@ disjoint from a chosen shortest path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InstanceTooLarge, InvariantViolation, TooManyColors
 from .graphs import ColoredGraph, ReducedGraph, _monochromatic_zones, contract_with_trace
@@ -26,8 +25,7 @@ FAR_WITNESS_PATH_CAP = 100_000
 PATH_STEP_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class StateSpaceReport:
+class StateSpaceReport(NamedTuple):
     """Search outcome; `optimum` is exact iff `exhausted`, else an upper bound."""
 
     optimum: int
@@ -35,8 +33,7 @@ class StateSpaceReport:
     exhausted: bool
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """A concrete violation: the graph plus the witnessing vertices."""
 
     graph: ReducedGraph
@@ -44,8 +41,7 @@ class Counterexample:
     detail: str
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Outcome of one checker over a single reduced graph."""
 
     lemma: str

@@ -9,8 +9,7 @@ exactly one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InvariantViolation, MalformedMove, NoOpMove, TooManyColors
 from .graphs import (
@@ -25,8 +24,7 @@ from .graphs import (
 from .metrics import _distances, _radius_search
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """A flooding sequence of certified minimum length.
 
     Every move targets the same representative vertex of the chosen center

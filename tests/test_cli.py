@@ -18,6 +18,7 @@ from freeflood import (
     InvariantViolation,
     emit_graph,
     emit_grid,
+    graphs,
     grid_graph,
     instance_digest,
     instances,
@@ -230,6 +231,53 @@ def test_simulate_rejects_noop(board, tmp_path, capsys):
     moves.write_text("0 0\n")
     assert main(["simulate", board, str(moves)]) == EXIT_DOMAIN
     assert "rejected" in capsys.readouterr().err
+
+
+def _simulate_move_files(spec, rng):
+    """Move files for `spec`: a run of valid moves, then it with a no-op, an
+    out-of-range vertex and an out-of-range color put in at random places."""
+    rg, zm = _grid_zones(spec)
+    state, palette = graphs._ZoneState(rg), max(rg.colors) + 1
+    valid = []
+    while state.count > 1 and len(valid) < 12:
+        vertex = rng.randrange(len(zm.zone_of))
+        x = state.find(zm.zone_of[vertex])
+        color = rng.choice([c for c in range(palette) if c != state.colors[x]])
+        state.flood(x, color)
+        valid.append(f"{vertex} {color}\n")
+    files = [valid]
+    for bad in (None, f"{len(zm.zone_of)} 0\n", "-1 0\n", f"0 {palette}\n"):
+        at = rng.randint(1, len(valid)) if valid else 0
+        noop = valid[at - 1] if at else f"0 {spec.cells[0]}\n"  # repeating a move is a no-op
+        files.append(valid[:at] + [bad or noop] + valid[at:])
+    return ["".join(lines) for lines in files]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_simulate_frames_equal_the_per_zone_find(seed, tmp_path, capsys, monkeypatch):
+    # each frame's zone colors, taken by C-level passes over the forest, equal
+    # one `find` per zone: random, 3-color, banded and one-row boards
+    rng = random.Random(seed)
+    rows, cols, colors = rng.randint(1, 12), rng.randint(1, 12), 2 + seed % 2
+    if seed % 3 == 2:
+        cells = []
+        while len(cells) < rows * cols:
+            cells += [rng.randrange(colors) for _ in range(cols)] * rng.randint(1, 4)
+        cells = cells[: rows * cols]
+    else:
+        cells = [rng.randrange(colors) for _ in range(rows * cols)]
+    spec = GridSpec(rows, cols, cells)
+    board = tmp_path / "board.grid"
+    board.write_text(emit_grid(spec))
+    moves = tmp_path / "sim.moves"
+    for text in _simulate_move_files(spec, rng):
+        moves.write_text(text)
+        argv = ["simulate", str(board), str(moves)]
+        got = _run(argv, capsys)
+        with monkeypatch.context() as patched:
+            patched.setattr(graphs._ZoneState, "zone_colors",
+                            lambda state: [state.colors[state.find(z)] for z in range(len(state.owner))])
+            assert _run(argv, capsys) == got
 
 
 def test_oracle(board, capsys):
@@ -707,6 +755,26 @@ def test_import_builds_no_parser_and_main_builds_one(board):
     )
     done = _fresh_python(["-c", script, board])
     assert (done.returncode, done.stderr) == (0, "[0, 0, 0] 1\n")
+
+
+def test_start_up_defers_what_only_some_commands_need(board):
+    # `site` may already have loaded some of these, so only new imports count
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "deferred = {'dataclasses', 'inspect', 'hashlib', '_hashlib', 'json'}\n"
+        "before = set(sys.modules)\n"
+        "from freeflood import cli\n"
+        "cli.build_parser()\n"
+        "print(sorted(deferred & set(sys.modules) - before))\n"
+        "code = cli.main(['solve', sys.argv[1], '--format', 'machine'])\n"
+        "print(code, sorted({'hashlib', 'json'} - set(sys.modules)))\n"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", script, board, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    at_start_up, doc, after = done.stdout.splitlines()
+    assert (done.returncode, done.stderr, at_start_up, after) == (0, "", "[]", "0 []")
+    assert json.loads(doc)["digest"] == instance_digest(parse_grid_spec(CHECKERBOARD))
 
 
 def test_input_format_is_not_an_option(board, capsys):

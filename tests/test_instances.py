@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freeflood import (
+    ColoredGraph,
     ColorOutOfRange,
     DuplicateEdge,
     EdgeCountMismatch,
@@ -26,6 +27,7 @@ from freeflood import (
     emit_moves,
     gen_random,
     gen_random_bipartite,
+    gen_reduced_corpus,
     grid_graph,
     instance_digest,
     parse_graph,
@@ -272,6 +274,28 @@ class TestGenerators:
         assert rg.zone_count == g.vertex_count
         assert zm.zone_of == tuple(range(g.vertex_count))
 
+    def test_generators_skip_build_and_equal_it(self, monkeypatch):
+        # the generators' edges are valid by construction, so they skip build's
+        # checks; each graph must be the one build assembles from the same draws
+        real, drawn = instances._assemble, []
+
+        def assemble(edges, colors, color_count):
+            edges = list(edges)
+            g = real(edges, colors, color_count)
+            drawn.append((edges, colors, color_count, g))
+            return g
+
+        monkeypatch.setattr(instances, "_assemble", assemble)
+        monkeypatch.setattr(instances, "build", None)
+        for offset, (max_n, min_zones, max_zones) in enumerate(((50, 2, 50), (30, 2, 30), (20, 3, 20))):
+            assert len(list(gen_reduced_corpus(40, offset, max_n, min_zones, max_zones))) == 40
+        for n, extra, color_count in ((1, 0, 1), (30, 5, 4), (30, 200, 3), (12, 55, 10)):
+            gen_random(n, extra, color_count, seed=n + extra)
+        assert len(drawn) > 120
+        for edges, colors, color_count, g in drawn:
+            assert type(g) is ColoredGraph
+            assert g == build(edges, colors, color_count)
+
     def test_digest_tracks_content(self):
         a = gen_random(8, 2, 2, seed=1)
         b = gen_random(8, 2, 2, seed=2)
@@ -292,6 +316,7 @@ def _assert_grid_paths_agree(spec):
     zones = _grid_zones(spec)
     ref = reduce(g)[1]
     assert zones == reduce(g)
+    assert hash(zones[1]) == hash(ref)
     # the run-backed zone map against reduce's tuple, read every way a caller reads it
     zm, n = zones[1], g.vertex_count
     assert len(zm.zone_of) == len(ref.zone_of) == n
