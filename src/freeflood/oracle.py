@@ -16,8 +16,8 @@ from .graphs import ColoredGraph, ReducedGraph, _monochromatic_zones, contract_w
 from .metrics import bfs_distances, radius_and_center
 
 # Size guards: the default cap on the colorations the search stores (a hit
-# budget gives an upper bound), and the checkers' caps on zones, enumerated
-# paths and path-search steps, past which they raise InstanceTooLarge.
+# budget gives an upper bound), and the checkers' caps on zones, on listed
+# shortest paths and on one path search's steps (InstanceTooLarge past one).
 STATE_BUDGET = 1_000_000
 DISTANCE_BOUNDS_MAX_ZONES = 30
 FAR_WITNESS_MAX_ZONES = 20
@@ -147,8 +147,9 @@ def check_distance_bounds(rg: ReducedGraph) -> LemmaReport:
     when some simple a-b path of length d+1 passes through x; with x on a
     shortest path the contracted distance is at least d-2.  Whether a
     shortest path passes through x is decided by d(a,x) + d(x,b) == d(a,b);
-    the length-(d+1) condition is decided by explicit simple-path
-    enumeration, since walks would be unsound for it.
+    the length-(d+1) condition by `_has_path_through`, a search over simple
+    paths (walks would be unsound for it).  `check_far_witness` decides its
+    two conditions the same two ways.
     """
     n = rg.zone_count
     if n > DISTANCE_BOUNDS_MAX_ZONES:
@@ -245,39 +246,6 @@ class _ShortestPaths:
         return got
 
 
-def _simple_paths_exact(adjacency, dist, src, dst, length, cap):
-    """All simple src-dst paths with exactly `length` edges."""
-    dist_dst = dist[dst]
-    out: list[tuple[int, ...]] = []
-    path = [src]
-    on_path = [False] * len(adjacency)
-    on_path[src] = True
-    steps = 0
-
-    def extend(v: int, remaining: int) -> None:
-        nonlocal steps
-        steps += 1
-        if steps > cap:
-            raise InstanceTooLarge("path enumeration budget exceeded")
-        if remaining == 0:
-            if v == dst:
-                out.append(tuple(path))
-            return
-        for w in adjacency[v]:
-            if on_path[w] or (w == dst and remaining != 1):
-                continue
-            if dist_dst[w] > remaining - 1:
-                continue
-            on_path[w] = True
-            path.append(w)
-            extend(w, remaining - 1)
-            path.pop()
-            on_path[w] = False
-
-    extend(src, length)
-    return out
-
-
 def check_far_witness(rg: ReducedGraph) -> LemmaReport:
     """Far-witness existence for every (center, far vertex, shortest path).
 
@@ -286,6 +254,10 @@ def check_far_witness(rg: ReducedGraph) -> LemmaReport:
     have all of its shortest paths from c meeting the chosen path only in c.
     Refinement: either such a z exists at distance R, or among those at R-1
     some z0 also keeps every simple path of length R from c disjoint.
+
+    Only the chosen paths are listed: t is on a shortest c-z path exactly
+    when d(c,t) + d(t,z) == d(c,z).  A two-color zone graph is bipartite, so
+    no c-z0 path has length d(c,z0)+1 and the refinement always holds there.
 
     Graphs with at most two zones are skipped (reported with zero checks):
     they have no candidate witness besides c itself.
@@ -307,11 +279,10 @@ def check_far_witness(rg: ReducedGraph) -> LemmaReport:
             if dc[y] != radius:
                 continue
             for gamma in spaths.to(y):
-                gset = set(gamma)
+                beyond = gamma[1:]
                 witnesses = [
-                    z
-                    for z in candidates
-                    if z != y and all((set(mu) & gset) == {c} for mu in spaths.to(z))
+                    z for z in candidates
+                    if z != y and all(dc[t] + dist[t][z] > dc[z] for t in beyond)
                 ]
                 checked += 1
                 detail_base = {"center": c, "far": y, "path": gamma}
@@ -323,15 +294,14 @@ def check_far_witness(rg: ReducedGraph) -> LemmaReport:
                     )
                 if any(dc[z] == radius for z in witnesses):
                     continue
-                refined = False
-                for z0 in witnesses:
-                    longer = _simple_paths_exact(
-                        rg.adjacency, dist, c, z0, dc[z0] + 1, FAR_WITNESS_PATH_CAP
+                if all(
+                    any(
+                        dc[t] + dist[t][z0] <= dc[z0] + 1
+                        and _has_path_through(rg.adjacency, dist, c, z0, t, dc[z0] + 1)
+                        for t in beyond
                     )
-                    if all((set(p) & gset) == {c} for p in longer):
-                        refined = True
-                        break
-                if not refined:
+                    for z0 in witnesses
+                ):
                     return LemmaReport(
                         "far-witness",
                         checked,

@@ -11,7 +11,14 @@ from __future__ import annotations
 import enum
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InvariantViolation, MalformedMove, NoOpMove, TooManyColors
+from .errors import (
+    DisconnectedGraph,
+    ImproperColoring,
+    InvariantViolation,
+    MalformedMove,
+    NoOpMove,
+    TooManyColors,
+)
 from .graphs import (
     ColoredGraph,
     FloodMove,
@@ -91,10 +98,11 @@ def _check_certificate(
     Each zone graph must be proper and connected, each move must lower the
     radius (by the bounding search) by exactly one, the flooded zone, which
     keeps its name, must stay central, and one zone must be left at the end.
+    A failed check is a bug in this package and raises InvariantViolation.
     """
-    _validate_reduced(rg)
     zones = rg.zone_count
     try:
+        _validate_reduced(rg)
         for step, state in enumerate(_replay(rg, zm, max(rg.colors) + 1, moves), start=1):
             cur, new_id = state.snapshot()
             _validate_reduced(cur)
@@ -108,6 +116,8 @@ def _check_certificate(
             zones = state.count
     except (NoOpMove, MalformedMove) as exc:
         raise InvariantViolation(f"replay rejected a solver move: {exc}") from None
+    except (ImproperColoring, DisconnectedGraph) as exc:
+        raise InvariantViolation(str(exc)) from None
     if zones != 1:
         raise InvariantViolation(f"{zones} zones left after the moves, expected 1")
 

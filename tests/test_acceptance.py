@@ -159,13 +159,14 @@ def test_criterion_6_solutions_verify_optimal(
 def test_criterion_7_grid_timing():
     timings = {}
     radii = {}
-    for grid_size, repeats in ((16, 3), (32, 2), (64, 1)):
+    # best of 3 at every size, so one slow run cannot trip the growth checks
+    for grid_size in (16, 32, 64):
         rng = random.Random(SEED + 5 + grid_size)
         cells = tuple(rng.randrange(2) for _ in range(grid_size * grid_size))
         g = grid_graph(GridSpec(grid_size, grid_size, cells))
         assert g.vertex_count == grid_size * grid_size
         best = None
-        for _ in range(repeats):
+        for _ in range(3):
             start = time.perf_counter()
             solution = solve(g)
             elapsed = time.perf_counter() - start

@@ -628,6 +628,50 @@ def test_failed_internal_check_exits_9(board, capsys, monkeypatch):
     assert captured.err == "error: internal check failed: radius 2 after 1 moves, expected 1\n"
 
 
+def _flood_then(fault):
+    """`_ZoneState.flood` followed by `fault(state, x, color)`."""
+    real = graphs._ZoneState.flood
+
+    def flood(self, x, color):
+        absorbed = real(self, x, color)
+        fault(self, x, color)
+        return absorbed
+
+    return flood
+
+
+def _recolor_a_neighbor(state, x, color):
+    # a neighbor of the flooded zone takes its color but stays a zone
+    if state.count > 1:
+        state.colors[min(state.adjacency[x])] = color
+
+
+def _cut_off_flooded_zone(state, x, color):
+    # the flooded zone loses every edge
+    for w in state.adjacency[x]:
+        state.adjacency[w].discard(x)
+    state.adjacency[x] = set()
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_recolor_a_neighbor, "adjacent zones 0 and 3 share color 1"),
+        (_cut_off_flooded_zone, "only 1 of 8 vertices reachable from vertex 0"),
+    ],
+)
+def test_bad_replayed_zone_graph_is_an_internal_error(fault, message, tmp_path, capsys, monkeypatch):
+    # the zone graph check fails on a replayed state, and that is a bug in the
+    # package (exit 9), not a domain error in the input (exit 5)
+    path = tmp_path / "board.grid"
+    path.write_text("0101\n1010\n0101\n")
+    monkeypatch.setattr(graphs._ZoneState, "flood", _flood_then(fault))
+    assert main(["solve", str(path), "--validate"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal check failed: {message}\n"
+
+
 def test_validate_refutes_moves_off_the_center(tmp_path, capsys, monkeypatch):
     # zone 0 of the 5-zone path is not central: its moves are two, like the
     # radius, but leave two zones; only --validate replays and rejects them

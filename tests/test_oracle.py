@@ -13,11 +13,13 @@ from freeflood import (
     check_far_witness,
     check_radius_bounds,
     contract_with_trace,
+    gen_reduced_corpus,
+    oracle,
     parse_grid,
     reduce,
 )
-from freeflood.oracle import _has_path_through, _simple_paths_exact
-from freeflood.metrics import bfs_distances
+from freeflood.oracle import _has_path_through
+from freeflood.metrics import Metrics, bfs_distances
 
 from conftest import colored_graphs, flood_vertices, small_random_graphs
 
@@ -32,6 +34,19 @@ def reduced(edges, colors):
 
 PATH5 = [(0, 1), (1, 2), (2, 3), (3, 4)]
 CYCLE4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+
+
+def claim_radius_one_too_high(monkeypatch):
+    """Make the oracle's radius R+1, with every zone of eccentricity at most R+1 central."""
+    real = oracle.radius_and_center
+
+    def one_too_high(rg):
+        met = real(rg)
+        radius = met.radius + 1
+        center = tuple(z for z, e in enumerate(met.eccentricity) if e <= radius)
+        return Metrics(met.eccentricity, radius, center)
+
+    monkeypatch.setattr(oracle, "radius_and_center", one_too_high)
 
 
 class TestBruteForce:
@@ -153,18 +168,56 @@ class TestFarWitness:
         with pytest.raises(InstanceTooLarge):
             check_far_witness(reduce(g)[0])
 
+    # with the radius claimed one too high, the checker must refute the
+    # claim (or find no zone that far); these reports are pinned exactly
+    @pytest.mark.parametrize(
+        "index, checked, witness",
+        [
+            (0, 1, {"center": 0, "far": 8, "path": (0, 1, 4, 6, 8)}),
+            (2, 1, {"center": 0, "far": 3, "path": (0, 4, 2, 3)}),
+            (9, 8, {"center": 1, "far": 9, "path": (1, 4, 5, 6, 7, 9)}),
+            (34, 0, None),
+            (39, 2, {"center": 0, "far": 3, "path": (0, 2, 6, 3)}),
+        ],
+    )
+    def test_radius_one_too_high_is_refuted(self, index, checked, witness, monkeypatch):
+        rg = list(gen_reduced_corpus(40, 11, 20, 3, 20))[index][1]
+        assert check_far_witness(rg).ok
+        claim_radius_one_too_high(monkeypatch)
+        report = check_far_witness(rg)
+        assert report.instances_checked == checked
+        if witness is None:
+            assert report.ok
+        else:
+            assert report.counterexample.detail == "no witness with disjoint shortest paths"
+            assert report.counterexample.witness == witness
+
+    def test_refinement_refutes_on_a_triangle(self, monkeypatch):
+        # the refinement asks for a c-z0 path one edge longer than a shortest
+        # one; a two-color zone graph is bipartite and has none, a triangle does
+        rg = reduced([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], [1, 0, 2, 2])
+        assert rg.zone_count == 4
+        assert check_far_witness(rg).ok
+        claim_radius_one_too_high(monkeypatch)
+        report = check_far_witness(rg)
+        assert report.instances_checked == 1
+        assert report.counterexample.detail == (
+            "every witness at R-1 has an intersecting length-R path"
+        )
+        assert report.counterexample.witness == {
+            "center": 2, "far": 3, "path": (2, 0, 3), "witnesses": (1,)
+        }
+
 
 class TestPathEnumeration:
     def test_exact_length_paths_on_cycle(self):
         rg = reduced(CYCLE4, [0, 1, 0, 1])
         dist = [bfs_distances(rg, s) for s in range(4)]
-        # 0 -> 2: the two arcs, both of length 2
-        assert sorted(_simple_paths_exact(rg.adjacency, dist, 0, 2, 2, 1000)) == [
-            (0, 1, 2),
-            (0, 3, 2),
-        ]
-        # no simple length-2 walk between adjacent cycle vertices
-        assert _simple_paths_exact(rg.adjacency, dist, 0, 1, 2, 1000) == []
+        # 0 -> 2: the two arcs, both of length 2, one through 1 and one through 3
+        assert _has_path_through(rg.adjacency, dist, 0, 2, 1, 2)
+        assert _has_path_through(rg.adjacency, dist, 0, 2, 3, 2)
+        # no simple length-2 path between adjacent cycle vertices, through any zone
+        assert not any(_has_path_through(rg.adjacency, dist, 0, 1, x, 2) for x in range(4))
 
     def test_through_vertex_detection(self):
         rg = reduced(PATH5, [0, 1, 0, 1, 0])

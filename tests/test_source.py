@@ -15,3 +15,25 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+def test_oracle_is_independent_of_the_solver():
+    # the oracle is the ground truth the solver is checked against, so it
+    # reaches neither the solver module nor the solver's radius search
+    path = next(p for p in MODULES if p.name == "oracle.py")
+    imported, named = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.alias):
+            named.update((node.name, node.asname))
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert [m for m in sorted(imported) if "solver" in m.split(".")] == []
+    assert "_radius_search" not in named
