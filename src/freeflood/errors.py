@@ -39,10 +39,6 @@ class InvalidZone(FloodError):
     """Zone id outside [0, zone_count)."""
 
 
-class SingletonGraph(FloodError):
-    """Operation needs at least two zones."""
-
-
 class NoOpMove(FloodError):
     """Flooding a zone with its current color is rejected."""
 

@@ -1,4 +1,4 @@
-"""Colored graphs, zone reduction, flooding moves, and neighborhood contraction.
+"""Colored graphs, zone reduction, and flooding moves on the zone graph.
 
 A flooding move picks a zone (a maximal connected monochromatic vertex set)
 and recolors it wholesale, possibly merging it with same-colored neighbor
@@ -20,10 +20,7 @@ from .errors import (
     EmptyGraph,
     ImproperColoring,
     InvalidVertex,
-    InvalidZone,
     SelfLoop,
-    SingletonGraph,
-    TooManyColors,
 )
 
 Adjacency = tuple[tuple[int, ...], ...]
@@ -83,14 +80,6 @@ class FloodMove(NamedTuple):
 
     vertex: int
     color: int
-
-
-class ContractionTrace(NamedTuple):
-    """Renumbering record of one flood (a neighborhood contraction with two colors)."""
-
-    absorbed: tuple[int, ...]  # old zone ids folded into the flooded zone
-    new_id: tuple[int, ...]    # old id -> new id; absorbed ids map to `merged`
-    merged: int                # new id of the flooded zone
 
 
 def _check_connected(adjacency: Sequence[Sequence[int]]) -> None:
@@ -225,30 +214,6 @@ def reduce(g: ColoredGraph) -> tuple[ReducedGraph, ZoneMap]:
     return rg, zm
 
 
-def contract_with_trace(rg: ReducedGraph, x: int) -> tuple[ReducedGraph, ContractionTrace]:
-    """Neighborhood contraction: fold zone x and all its neighbors into x.
-
-    This is flooding x with the other palette color: the merged zone keeps
-    x's slot, adopts all second neighbors, and flips color.  The returned
-    trace records the renumbering for move reporting.
-    """
-    k = rg.zone_count
-    if not 0 <= x < k:
-        raise InvalidZone(f"zone {x} outside [0, {k})")
-    if k < 2:
-        raise SingletonGraph("contraction needs at least two zones")
-    palette = set(rg.colors)
-    if len(palette) > 2:
-        raise TooManyColors("neighborhood contraction is defined for two-color instances")
-    palette.discard(rg.colors[x])
-    if len(palette) != 1:
-        raise ImproperColoring("a proper coloration with two or more zones uses two colors")
-    state = _ZoneState(rg)
-    absorbed = state.flood(x, palette.pop())
-    out, new_id = state.snapshot()
-    return out, ContractionTrace(tuple(sorted(absorbed)), tuple(new_id), new_id[x])
-
-
 class _ZoneState:
     """A zone graph that floods in place, for replaying a sequence of moves.
 
@@ -259,9 +224,9 @@ class _ZoneState:
     (Tarjan, JACM 22(2), 1975), colors[z] is live zone z's color, and count
     is the number of live zones.  A flood touches only the rows of the
     flooded zone, of the zones it absorbs and of their neighbors, and the
-    merged zone keeps the flooded zone's name, so numbering the live zones
-    in order of their names gives the same ids as renumbering after every
-    flood.
+    merged zone keeps the flooded zone's name.  The live rows are the zone
+    graph after the moves, with no renumbering: a search from a live zone
+    reaches only live zones, and an absorbed one reads distance -1.
     """
 
     __slots__ = ("adjacency", "owner", "colors", "count")
@@ -286,11 +251,10 @@ class _ZoneState:
             self.owner = owner = up
         return list(map(self.colors.__getitem__, owner))
 
-    def flood(self, x: int, color: int) -> list[int]:
+    def flood(self, x: int, color: int) -> None:
         """Flood live zone x with `color`; x absorbs its neighbors of that color.
 
-        Returns the absorbed zones.  With a single zone this only recolors.
-        Works for any color count.
+        With a single zone this only recolors.  Works for any color count.
         """
         adjacency, owner, colors = self.adjacency, self.owner, self.colors
         row = adjacency[x]
@@ -316,22 +280,3 @@ class _ZoneState:
         adjacency[x] = row
         colors[x] = color
         self.count -= len(absorbed)
-        return absorbed
-
-    def snapshot(self) -> tuple[ReducedGraph, list[int]]:
-        """The live zone graph with dense ids in order of zone names, and each original zone's id."""
-        colors = self.colors
-        new_id = [0] * len(colors)
-        rows, live_colors, gone = [], [], []
-        for z, row in enumerate(self.adjacency):
-            if row is None:
-                gone.append(z)
-            else:
-                new_id[z] = len(rows)
-                rows.append(row)
-                live_colors.append(colors[z])
-        for z in gone:
-            new_id[z] = new_id[self.find(z)]
-        renumber = new_id.__getitem__  # keeps order, so an untouched row stays sorted
-        rows = [tuple(map(renumber, row if type(row) is tuple else sorted(row))) for row in rows]
-        return ReducedGraph(tuple(rows), tuple(live_colors)), new_id

@@ -54,7 +54,7 @@ def radius_and_center(rg: ReducedGraph) -> Metrics:
     return Metrics(tuple(eccs), radius, center)
 
 
-def _radius_search(adjacency) -> tuple[int, int, int]:
+def _radius_search(adjacency, start: int = 0) -> tuple[int, int, int]:
     """Exact radius, least-index center zone and the count of searches run.
 
     A search from v gives every zone w the lower bound
@@ -65,13 +65,15 @@ def _radius_search(adjacency) -> tuple[int, int, int]:
     zones near the center.  A zone is dropped once its bound shows it cannot
     beat the best (eccentricity, id) found so far, so the result is
     (radius, min(center)) of `radius_and_center`.  A searched zone's bound
-    becomes its eccentricity, which drops it too.
+    becomes its eccentricity, which drops it too.  The first search runs
+    from `start`; a None row (an absorbed zone of a zone state) is never
+    reached, so its bound ecc(start) + 1 drops it.
     """
     lower = [0] * len(adjacency)
     best = best_zone = len(adjacency)  # above any eccentricity and any id
     alive = range(len(adjacency))
     sources = []
-    source = candidate = 0
+    source = candidate = start
     peripheral = False
     while alive:
         dist = _distances(adjacency, source)

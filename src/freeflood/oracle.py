@@ -9,11 +9,11 @@ disjoint from a chosen shortest path.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .errors import InstanceTooLarge, InvariantViolation, TooManyColors
-from .graphs import ColoredGraph, ReducedGraph, _monochromatic_zones, contract_with_trace
-from .metrics import bfs_distances, radius_and_center
+from .errors import ImproperColoring, InstanceTooLarge, InvariantViolation, TooManyColors
+from .graphs import ColoredGraph, ReducedGraph, _monochromatic_zones, _ZoneState
+from .metrics import _distances, bfs_distances, radius_and_center
 
 # Size guards: the default cap on the colorations the search stores (a hit
 # budget gives an upper bound), and the checkers' caps on zones, on listed
@@ -107,6 +107,24 @@ def brute_force_min_moves(
     raise InvariantViolation("flooding always reaches a monochromatic coloration")
 
 
+def _contractions(rg: ReducedGraph) -> Iterator[tuple[int, _ZoneState]]:
+    """Each zone x with a fresh zone state in which x is contracted with its neighborhood.
+
+    x is flooded with the other palette color; the live rows are the
+    contracted graph by original zone ids, and absorbed zones' rows are None.
+    """
+    palette = set(rg.colors)
+    if len(palette) > 2:
+        raise TooManyColors("neighborhood contraction is defined for two-color instances")
+    if len(palette) != 2:
+        raise ImproperColoring("a proper coloration with two or more zones uses two colors")
+    a, b = palette
+    for x, color in enumerate(rg.colors):
+        state = _ZoneState(rg)
+        state.flood(x, b if color == a else a)
+        yield x, state
+
+
 def check_radius_bounds(rg: ReducedGraph) -> LemmaReport:
     """Contract every zone and compare radii.
 
@@ -119,9 +137,9 @@ def check_radius_bounds(rg: ReducedGraph) -> LemmaReport:
     met = radius_and_center(rg)
     centers = set(met.center)
     checked = 0
-    for x in range(rg.zone_count):
-        contracted, _ = contract_with_trace(rg, x)
-        rx = radius_and_center(contracted).radius
+    for x, state in _contractions(rg):
+        adjacency = state.adjacency
+        rx = min(max(_distances(adjacency, z)) for z, row in enumerate(adjacency) if row is not None)
         checked += 1
         witness = {"zone": x, "radius": met.radius, "contracted_radius": rx}
         if not met.radius - 1 <= rx <= met.radius:
@@ -158,17 +176,14 @@ def check_distance_bounds(rg: ReducedGraph) -> LemmaReport:
         return LemmaReport("distance-bounds", 0)
     dist = [bfs_distances(rg, s) for s in range(n)]
     checked = 0
-    for x in range(n):
-        contracted, trace = contract_with_trace(rg, x)
-        new_id = trace.new_id
-        absorbed = set(trace.absorbed)
-        survivors = [v for v in range(n) if v not in absorbed]
-        dist_in_contracted = {s: bfs_distances(contracted, new_id[s]) for s in survivors}
+    for x, state in _contractions(rg):
+        adjacency = state.adjacency
+        survivors = [v for v in range(n) if adjacency[v] is not None]
         for i, a in enumerate(survivors):
-            row_a = dist_in_contracted[a]
+            row_a = _distances(adjacency, a)
             for b in survivors[i + 1 :]:
                 d = dist[a][b]
-                dx = row_a[new_id[b]]
+                dx = row_a[b]
                 checked += 1
                 if dx > d:
                     detail = "contraction increased a distance"

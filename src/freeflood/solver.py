@@ -95,31 +95,50 @@ def _check_certificate(
 ) -> None:
     """Replay the moves `solve` prints and check the theorem on every zone graph.
 
-    Each zone graph must be proper and connected, each move must lower the
-    radius (by the bounding search) by exactly one, the flooded zone, which
-    keeps its name, must stay central, and one zone must be left at the end.
-    A failed check is a bug in this package and raises InvariantViolation.
+    The input zone graph must be proper and connected.  After each move, on
+    the live rows: the rows the flood touched (the flooded zone's, which
+    keeps its name, and its neighbors'), a search from that zone reaching
+    every live zone, the radius (by the bounding search) one lower, and
+    that zone still central.  One zone must be left at the end.  A failed
+    check is a bug in this package and raises InvariantViolation.
     """
     zones = rg.zone_count
     try:
         _validate_reduced(rg)
         for step, state in enumerate(_replay(rg, zm, max(rg.colors) + 1, moves), start=1):
-            cur, new_id = state.snapshot()
-            _validate_reduced(cur)
-            now = _radius_search(cur.adjacency)[0]
+            adjacency, zones = state.adjacency, state.count
+            _check_rows(state, [center, *adjacency[center]])
+            dist = _distances(adjacency, center)
+            reached = len(dist) - dist.count(-1)
+            if reached != zones:
+                raise InvariantViolation(f"only {reached} of {zones} zones reachable from zone {center}")
+            now = _radius_search(adjacency, center)[0]
             if now != radius - step:
                 raise InvariantViolation(
                     f"radius {now} after {step} moves, expected {radius - step}"
                 )
-            if max(_distances(cur.adjacency, new_id[center])) != now:
+            if max(dist) != now:
                 raise InvariantViolation("flooded zone left the center set")
-            zones = state.count
     except (NoOpMove, MalformedMove) as exc:
         raise InvariantViolation(f"replay rejected a solver move: {exc}") from None
     except (ImproperColoring, DisconnectedGraph) as exc:
         raise InvariantViolation(str(exc)) from None
     if zones != 1:
         raise InvariantViolation(f"{zones} zones left after the moves, expected 1")
+
+
+def _check_rows(state: _ZoneState, zones: Sequence[int]) -> None:
+    """Each row of `zones` lists live zones of another color that list it back."""
+    adjacency, colors = state.adjacency, state.colors
+    for z in zones:
+        for w in adjacency[z]:
+            row = adjacency[w]
+            if row is None:
+                raise InvariantViolation(f"zone {z} lists absorbed zone {w}")
+            if z not in row:
+                raise InvariantViolation(f"zone {w} does not list its neighbor {z}")
+            if colors[w] == colors[z]:
+                raise InvariantViolation(f"adjacent zones {z} and {w} share color {colors[z]}")
 
 
 def _replay(

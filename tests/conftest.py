@@ -130,6 +130,25 @@ def footprint_graph(rg, zone_of):
     return colors, edges
 
 
+def live_footprint_graph(state, zone_of):
+    """`footprint_graph` of a flooded zone state, read off its live rows.
+
+    `zone_of` maps every original vertex onto its zone in the graph the
+    state started from.  Live zones keep their names, so no renumbering is
+    needed: a live zone's footprint is every vertex whose zone it holds.  A
+    row that lists an absorbed zone, or a live zone with no vertex, raises
+    KeyError.
+    """
+    members = {}
+    for v, z in enumerate(zone_of):
+        members.setdefault(state.find(z), set()).add(v)
+    live = [z for z, row in enumerate(state.adjacency) if row is not None]
+    footprints = {z: frozenset(members[z]) for z in live}
+    colors = {footprints[z]: state.colors[z] for z in live}
+    edges = {(footprints[z], footprints[w]) for z in live for w in state.adjacency[z]}
+    return colors, edges
+
+
 # The acceptance corpora, shared by the acceptance suite and the agreement
 # tests that compare fast paths against the reference sweep on them.
 ACCEPTANCE_SEED = 20250803

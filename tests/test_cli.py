@@ -614,12 +614,14 @@ def _simulate_steps(stdout, spec):
 
 
 def test_failed_internal_check_exits_9(board, capsys, monkeypatch):
-    # the search on the four-zone board is right; the replay's are one too high
+    # the first search, on the input, is right; the replay's are one too high
     real = solver._radius_search
+    calls = []
 
-    def off_by_one_after_a_move(adjacency):
-        radius, center, count = real(adjacency)
-        return radius + (len(adjacency) < 4), center, count
+    def off_by_one_after_a_move(adjacency, start=0):
+        calls.append(start)
+        radius, center, count = real(adjacency, start)
+        return radius + (len(calls) > 1), center, count
 
     monkeypatch.setattr(solver, "_radius_search", off_by_one_after_a_move)
     assert main(["solve", board, "--validate"]) == EXIT_INTERNAL
@@ -633,9 +635,8 @@ def _flood_then(fault):
     real = graphs._ZoneState.flood
 
     def flood(self, x, color):
-        absorbed = real(self, x, color)
+        real(self, x, color)
         fault(self, x, color)
-        return absorbed
 
     return flood
 
@@ -653,16 +654,31 @@ def _cut_off_flooded_zone(state, x, color):
     state.adjacency[x] = set()
 
 
+def _keep_an_absorbed_zone(state, x, color):
+    # a neighbor of the flooded zone still lists the least absorbed zone
+    if state.count > 1:
+        state.adjacency[min(state.adjacency[x])].add(state.adjacency.index(None))
+
+
+def _drop_the_flooded_zone(state, x, color):
+    # a neighbor of the flooded zone no longer lists it
+    if state.count > 1:
+        state.adjacency[min(state.adjacency[x])].discard(x)
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [
-        (_recolor_a_neighbor, "adjacent zones 0 and 3 share color 1"),
-        (_cut_off_flooded_zone, "only 1 of 8 vertices reachable from vertex 0"),
+        (_recolor_a_neighbor, "adjacent zones 5 and 0 share color 1"),
+        (_cut_off_flooded_zone, "only 1 of 8 zones reachable from zone 5"),
+        (_keep_an_absorbed_zone, "zone 0 lists absorbed zone 1"),
+        (_drop_the_flooded_zone, "zone 0 does not list its neighbor 5"),
     ],
 )
 def test_bad_replayed_zone_graph_is_an_internal_error(fault, message, tmp_path, capsys, monkeypatch):
-    # the zone graph check fails on a replayed state, and that is a bug in the
-    # package (exit 9), not a domain error in the input (exit 5)
+    # the zone graph check fails on the rows a replayed flood touched, and
+    # that is a bug in the package (exit 9), not a domain error in the input
+    # (exit 5) or a traceback
     path = tmp_path / "board.grid"
     path.write_text("0101\n1010\n0101\n")
     monkeypatch.setattr(graphs._ZoneState, "flood", _flood_then(fault))
@@ -677,8 +693,8 @@ def test_validate_refutes_moves_off_the_center(tmp_path, capsys, monkeypatch):
     # radius, but leave two zones; only --validate replays and rejects them
     real = solver._radius_search
 
-    def off_center(adjacency):
-        radius, _, searches = real(adjacency)
+    def off_center(adjacency, start=0):
+        radius, _, searches = real(adjacency, start)
         return radius, 0, searches
 
     monkeypatch.setattr(solver, "_radius_search", off_center)

@@ -1,4 +1,4 @@
-"""Construction, reduction, flooding, and contraction."""
+"""Construction, reduction, flooding, and contraction on the live zone state."""
 
 import random
 
@@ -13,21 +13,16 @@ from freeflood import (
     EmptyGraph,
     FloodMove,
     InvalidVertex,
-    InvalidZone,
     MalformedMove,
     NoOpMove,
-    ReducedGraph,
     SelfLoop,
-    SingletonGraph,
-    TooManyColors,
     build,
-    contract_with_trace,
     grid_graph,
     parse_grid,
     reduce,
 )
 
-from freeflood.graphs import _validate_reduced
+from freeflood.graphs import _ZoneState
 from freeflood.instances import GridSpec
 from freeflood.solver import _replay
 
@@ -35,6 +30,7 @@ from conftest import (
     colored_graphs,
     flood_vertices,
     footprint_graph,
+    live_footprint_graph,
     naive_zone_sets,
     zone_footprints,
 )
@@ -46,9 +42,19 @@ def checkerboard():
     return parse_grid(CHECKERBOARD)
 
 
-def replay_snapshots(rg, zm, color_count, moves):
-    """`_replay` with a snapshot of the zone state taken after every move."""
-    return [state.snapshot() for state in _replay(rg, zm, color_count, moves)]
+def replay_footprints(rg, zm, color_count, moves):
+    """`_replay` with the live zone graph, by vertex footprints, after every move."""
+    return [live_footprint_graph(state, zm.zone_of) for state in _replay(rg, zm, color_count, moves)]
+
+
+def contracted(rg, x):
+    """A fresh zone state of a {0, 1}-colored zone graph with zone x contracted.
+
+    Flooding x with the other color absorbs its whole neighborhood.
+    """
+    state = _ZoneState(rg)
+    state.flood(x, 1 - rg.colors[x])
+    return state
 
 
 class TestBuild:
@@ -167,25 +173,27 @@ class TestApplyFlood:
     def test_checkerboard_merge(self):
         g = checkerboard()
         rg, zm = reduce(g)
-        [(cur, now)] = replay_snapshots(rg, zm, g.color_count, [FloodMove(0, 1)])
-        assert [now[z] for z in zm.zone_of] == [0, 0, 0, 1]
-        assert cur.colors == (1, 0)
-        assert cur.adjacency == ((1,), (0,))
+        [state] = _replay(rg, zm, g.color_count, [FloodMove(0, 1)])
+        assert [state.find(z) for z in zm.zone_of] == [0, 0, 0, 3]
+        assert state.adjacency == [{3}, None, None, {0}]
+        assert (state.count, state.colors[0], state.colors[3]) == (2, 1, 0)
 
     def test_monochromatic_flip(self):
         g = build([(0, 1), (1, 2)], [1, 1, 1], color_count=2)
         rg, zm = reduce(g)
-        [(cur, now)] = replay_snapshots(rg, zm, g.color_count, [FloodMove(1, 0)])
-        assert cur.colors == (0,)
-        assert now == [0]
+        [state] = _replay(rg, zm, g.color_count, [FloodMove(1, 0)])
+        assert state.adjacency == [set()]
+        assert state.colors == [0]
+        assert (state.count, state.find(0)) == (1, 0)
 
     def test_path_total_merge(self):
         g = build([(0, 1), (1, 2), (2, 3), (3, 4)], [0, 0, 1, 1, 0])
         rg, zm = reduce(g)
-        [(cur, now)] = replay_snapshots(rg, zm, g.color_count, [FloodMove(2, 0)])
-        assert cur.zone_count == 1
-        assert cur.colors == (0,)
-        assert now == [0, 0, 0]
+        [state] = _replay(rg, zm, g.color_count, [FloodMove(2, 0)])
+        assert state.count == 1
+        assert state.adjacency == [None, set(), None]
+        assert state.colors[1] == 0
+        assert [state.find(z) for z in range(3)] == [1, 1, 1]
 
     def test_noop_rejected(self):
         g = checkerboard()
@@ -234,11 +242,7 @@ class TestApplyFlood:
             ref_rg, ref_zm = reduce(ref)
             expected.append(footprint_graph(ref_rg, ref_zm.zone_of))
         rg, zm = reduce(g)
-        got = []
-        for cur, now in replay_snapshots(rg, zm, g.color_count, moves):
-            _validate_reduced(cur)
-            got.append(footprint_graph(cur, [now[z] for z in zm.zone_of]))
-        assert got == expected
+        assert replay_footprints(rg, zm, g.color_count, moves) == expected
 
     @pytest.mark.parametrize("colors", [2, 3, 4])
     def test_long_replays_match_full_reduction(self, colors):
@@ -272,55 +276,40 @@ class TestApplyFlood:
             rg, zm = reduce(g)
             got = []
             for state in _replay(rg, zm, g.color_count, moves):
-                cur, now = state.snapshot()
-                assert state.count == cur.zone_count
-                got.append(footprint_graph(cur, [now[z] for z in zm.zone_of]))
+                got.append(live_footprint_graph(state, zm.zone_of))
+                assert state.count == len(got[-1][0])
             assert got == expected
         assert min(merges.values()) > 0
 
 
 class TestContract:
+    """Contraction is a flood with the other color on a fresh zone state."""
+
     def test_star_collapses(self):
         g = build([(0, 1), (0, 2), (0, 3)], [0, 1, 1, 1])
         rg, _ = reduce(g)
-        out, trace = contract_with_trace(rg, 0)
-        assert out.zone_count == 1
-        assert out.colors == (1,)
-        assert trace.absorbed == (1, 2, 3)
-        assert trace.merged == 0
+        state = contracted(rg, 0)
+        assert (state.count, state.colors[0]) == (1, 1)
+        assert state.adjacency == [set(), None, None, None]
+        assert [state.find(z) for z in range(4)] == [0, 0, 0, 0]
 
     def test_path_middle(self):
-        # direct evaluation: contracting the middle of a 5-path leaves a 3-path
+        # direct evaluation: contracting the middle of a 5-path leaves the 3-path 0-2-4
         g = build([(0, 1), (1, 2), (2, 3), (3, 4)], [0, 1, 0, 1, 0])
         rg, _ = reduce(g)
-        out, trace = contract_with_trace(rg, 2)
-        assert out.adjacency == ((1,), (0, 2), (1,))
-        assert out.colors == (0, 1, 0)
-        assert trace.new_id == (0, 1, 1, 1, 2)
+        state = contracted(rg, 2)
+        assert state.adjacency == [{2}, None, {0, 4}, None, {2}]
+        assert [state.colors[z] for z in (0, 2, 4)] == [0, 1, 0]
+        assert [state.find(z) for z in range(5)] == [0, 2, 2, 2, 4]
 
     def test_four_cycle(self):
         # direct evaluation: the neighbors vanish, one second neighbor remains
         g = build([(0, 1), (1, 2), (2, 3), (0, 3)], [0, 1, 0, 1])
         rg, _ = reduce(g)
-        out = contract_with_trace(rg, 1)[0]
-        assert out.zone_count == 2
-        assert out.adjacency == ((1,), (0,))
-        assert sorted(out.colors) == [0, 1]
-
-    def test_invalid_zone(self):
-        rg, _ = reduce(checkerboard())
-        with pytest.raises(InvalidZone):
-            contract_with_trace(rg, 7)
-
-    def test_singleton_rejected(self):
-        rg, _ = reduce(build([], [0]))
-        with pytest.raises(SingletonGraph):
-            contract_with_trace(rg, 0)
-
-    def test_three_colors_rejected(self):
-        rg, _ = reduce(build([(0, 1), (1, 2)], [0, 1, 2]))
-        with pytest.raises(TooManyColors):
-            contract_with_trace(rg, 1)
+        state = contracted(rg, 1)
+        assert state.count == 2
+        assert state.adjacency == [None, {3}, None, {1}]
+        assert sorted(state.colors[z] for z in (1, 3)) == [0, 1]
 
     @given(colored_graphs(), st.integers(0, 10_000))
     def test_zone_count_strictly_drops(self, g, pick):
@@ -328,9 +317,10 @@ class TestContract:
         if rg.zone_count < 2:
             return
         x = pick % rg.zone_count
-        out = contract_with_trace(rg, x)[0]
-        assert out.zone_count <= rg.zone_count - 1
-        assert out.zone_count == rg.zone_count - len(rg.adjacency[x])
+        state = contracted(rg, x)
+        assert state.count <= rg.zone_count - 1
+        assert state.count == rg.zone_count - len(rg.adjacency[x])
+        assert [z for z, row in enumerate(state.adjacency) if row is None] == list(rg.adjacency[x])
 
 
 class TestFloodContractEquivalence:
@@ -344,10 +334,10 @@ class TestFloodContractEquivalence:
         color = palette[1] if g.colors[vertex] == palette[0] else palette[0]
         flooded = flood_vertices(g, zm.zone_of, FloodMove(vertex, color))
         via_flood, flood_zm = reduce(flooded)
-        via_contract, trace = contract_with_trace(rg, zm.zone_of[vertex])
-        _validate_reduced(via_contract)
-        assert footprint_graph(via_flood, flood_zm.zone_of) == footprint_graph(
-            via_contract, [trace.new_id[z] for z in zm.zone_of]
+        state = _ZoneState(rg)
+        state.flood(zm.zone_of[vertex], color)
+        assert footprint_graph(via_flood, flood_zm.zone_of) == live_footprint_graph(
+            state, zm.zone_of
         )
 
     def test_labelled_check_rejects_a_wrong_contraction(self):
@@ -358,19 +348,13 @@ class TestFloodContractEquivalence:
         flooded = flood_vertices(g, zm.zone_of, FloodMove(2, 1))
         via_flood, flood_zm = reduce(flooded)
         expected = footprint_graph(via_flood, flood_zm.zone_of)
-        out, trace = contract_with_trace(rg, 2)
-        _validate_reduced(out)
-        zone_of = [trace.new_id[z] for z in zm.zone_of]
-        assert footprint_graph(out, zone_of) == expected
+        assert live_footprint_graph(contracted(rg, 2), zm.zone_of) == expected
 
-        merged, neighbor = trace.merged, out.adjacency[trace.merged][0]
-        dropped = tuple(
-            tuple(w for w in row if {z, w} != {merged, neighbor})
-            for z, row in enumerate(out.adjacency)
-        )
-        assert dropped != out.adjacency
-        assert footprint_graph(ReducedGraph(dropped, out.colors), zone_of) != expected
+        dropped = contracted(rg, 2)
+        dropped.adjacency[2].discard(4)
+        dropped.adjacency[4].discard(2)
+        assert live_footprint_graph(dropped, zm.zone_of) != expected
 
-        flipped = list(out.colors)
-        flipped[merged] = 1 - flipped[merged]
-        assert footprint_graph(ReducedGraph(out.adjacency, tuple(flipped)), zone_of) != expected
+        flipped = contracted(rg, 2)
+        flipped.colors[2] = 1 - flipped.colors[2]
+        assert live_footprint_graph(flipped, zm.zone_of) != expected

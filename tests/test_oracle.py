@@ -5,21 +5,23 @@ from hypothesis import given, settings
 
 from freeflood import (
     FloodMove,
+    ImproperColoring,
     InstanceTooLarge,
+    ReducedGraph,
     TooManyColors,
     brute_force_min_moves,
     build,
     check_distance_bounds,
     check_far_witness,
     check_radius_bounds,
-    contract_with_trace,
     gen_reduced_corpus,
     oracle,
     parse_grid,
     reduce,
 )
+from freeflood.graphs import _ZoneState
 from freeflood.oracle import _has_path_through
-from freeflood.metrics import Metrics, bfs_distances
+from freeflood.metrics import Metrics, _distances, bfs_distances
 
 from conftest import colored_graphs, flood_vertices, small_random_graphs
 
@@ -128,11 +130,13 @@ class TestRadiusBounds:
 
 class TestDistanceBounds:
     def test_path_tight_drop(self):
-        # contracting the middle zone shortens the end-to-end path from 4 to 2
+        # contracting the middle zone shortens the end-to-end path from 4 to 2;
+        # the live rows keep the original zone ids
         rg = reduced(PATH5, [0, 1, 0, 1, 0])
-        contracted, trace = contract_with_trace(rg, 2)
+        contracted = _ZoneState(rg)
+        contracted.flood(2, 1)
         d_before = bfs_distances(rg, 0)[4]
-        d_after = bfs_distances(contracted, trace.new_id[0])[trace.new_id[4]]
+        d_after = _distances(contracted.adjacency, 0)[4]
         assert (d_before, d_after) == (4, 2)
         assert check_distance_bounds(rg).ok
 
@@ -147,6 +151,33 @@ class TestDistanceBounds:
         g = build([(i, i + 1) for i in range(31)], [i % 2 for i in range(32)])
         with pytest.raises(InstanceTooLarge):
             check_distance_bounds(reduce(g)[0])
+
+
+CONTRACTION_CHECKERS = pytest.mark.parametrize(
+    "check", [check_radius_bounds, check_distance_bounds], ids=lambda f: f.__name__
+)
+
+
+class TestContractionPalette:
+    """Both contraction checkers flood each zone with the other color of the palette in use."""
+
+    @CONTRACTION_CHECKERS
+    def test_three_colors_rejected(self, check):
+        with pytest.raises(TooManyColors, match="defined for two-color instances"):
+            check(reduced([(0, 1), (1, 2)], [0, 1, 2]))
+
+    @CONTRACTION_CHECKERS
+    def test_one_color_on_two_zones_rejected(self, check):
+        with pytest.raises(ImproperColoring, match="with two or more zones uses two colors"):
+            check(ReducedGraph(((1,), (0,)), (0, 0)))
+
+    @CONTRACTION_CHECKERS
+    def test_any_two_colors_give_the_same_report(self, check):
+        # colors {3, 5}: flooding with `1 - color` would absorb no neighbor
+        for _, rg in gen_reduced_corpus(30, 5, 20, 4, 20):
+            report = check(rg)
+            assert report.ok and report.instances_checked > 0
+            assert check(ReducedGraph(rg.adjacency, tuple(5 if c else 3 for c in rg.colors))) == report
 
 
 class TestFarWitness:

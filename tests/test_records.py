@@ -5,7 +5,6 @@ import pytest
 from freeflood import (
     ColoredGraph,
     ColorOutOfRange,
-    ContractionTrace,
     Counterexample,
     FloodMove,
     GridSpec,
@@ -25,7 +24,6 @@ RECORDS = [
     (ReducedGraph, dict(adjacency=((1,), (0,)), colors=(1, 0))),
     (ZoneMap, dict(zone_of=(0, 0, 1), representative_of=(0, 2))),
     (FloodMove, dict(vertex=3, color=1)),
-    (ContractionTrace, dict(absorbed=(0, 2), new_id=(0, 0, 0), merged=0)),
     (GridSpec, dict(rows=1, cols=2, cells=b"\x00\x01")),
     (Metrics, dict(eccentricity=(2, 1, 2), radius=1, center=(1,))),
     (Solution, dict(moves=(FloodMove(1, 0),), claimed_optimum=1, center_zone_representative=1)),

@@ -12,7 +12,6 @@ from freeflood import (
     Verdict,
     brute_force_min_moves,
     build,
-    contract_with_trace,
     metrics,
     min_moves,
     parse_grid,
@@ -22,6 +21,8 @@ from freeflood import (
     solver,
     verify_solution,
 )
+
+from freeflood.graphs import _ZoneState
 
 from conftest import colored_graphs, reduced_graphs
 
@@ -137,8 +138,8 @@ class TestSolveReduced:
         # prints its moves unchecked, and the replay of those moves refutes them
         real = solver._radius_search
 
-        def off_center(adjacency):
-            radius, _, searches = real(adjacency)
+        def off_center(adjacency, start=0):
+            radius, _, searches = real(adjacency, start)
             return radius, 0, searches
 
         monkeypatch.setattr(solver, "_radius_search", off_center)
@@ -150,10 +151,13 @@ class TestSolveReduced:
     def test_validation_keeps_the_flooded_zone_central(self, monkeypatch):
         # leaf 5 hangs off leaf 3 of a star: its first flood lowers the radius
         # by one too, but leaves the hub the only center; only the search on
-        # the six-zone input is wrong, the replay's searches are real
+        # the input is wrong, the replay's searches, which start from the
+        # flooded zone, are real
         real = solver._radius_search
         monkeypatch.setattr(
-            solver, "_radius_search", lambda adj: (2, 5, 1) if len(adj) == 6 else real(adj)
+            solver,
+            "_radius_search",
+            lambda adj, start=0: (2, 5, 1) if start == 0 else real(adj, start),
         )
         g = build([(0, 1), (0, 2), (0, 3), (0, 4), (3, 5)], [0, 1, 1, 1, 1, 0])
         s = solve(g)
@@ -169,12 +173,15 @@ class TestSolveReduced:
             solve(checkerboard(), validate=True)
 
     def test_validation_checks_the_zone_graph_after_every_move(self, monkeypatch):
+        # the input zone graph whole, then after each move the rows the flood
+        # touched: the flooded zone's and its neighbors'
         seen = []
         monkeypatch.setattr(solver, "_validate_reduced", lambda rg: seen.append(rg.zone_count))
+        monkeypatch.setattr(solver, "_check_rows", lambda state, zones: seen.append(sorted(zones)))
         solve(checkerboard())
         assert seen == []
         solve(checkerboard(), validate=True)
-        assert seen == [4, 2, 1]
+        assert seen == [4, [0, 3], [0]]
 
     def test_a_rejected_move_is_an_internal_fault(self, monkeypatch):
         monkeypatch.setattr(solver, "_palette", lambda colors: [0, 5])
@@ -189,7 +196,10 @@ class TestSolveReduced:
             return
         base = radius_and_center(rg).radius
         for x in range(rg.zone_count):
-            after = radius_and_center(contract_with_trace(rg, x)[0]).radius
+            state = _ZoneState(rg)
+            state.flood(x, 1 - rg.colors[x])
+            live = [z for z, row in enumerate(state.adjacency) if row is not None]
+            after = min(max(metrics._distances(state.adjacency, z)) for z in live)
             assert base - 1 <= after <= base
 
 

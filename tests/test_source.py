@@ -37,3 +37,22 @@ def test_oracle_is_independent_of_the_solver():
             named.add(node.attr)
     assert [m for m in sorted(imported) if "solver" in m.split(".")] == []
     assert "_radius_search" not in named
+
+
+def test_zone_graphs_are_built_only_from_an_instance():
+    # after `reduce` (or the grid labeling that stands in for it) the zone
+    # graph lives in one flooded zone state: no zone graph is rebuilt after
+    # a flood, so only these two functions construct a ReducedGraph
+    builders = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.func)}
+                if "ReducedGraph" in callee:  # ReducedGraph(...), graphs.ReducedGraph._make(...)
+                    builders.add(f"{path.stem}.{func.name}")
+    assert builders == {"graphs.reduce", "instances._grid_zones"}
