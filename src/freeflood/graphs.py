@@ -109,7 +109,7 @@ def build(
     The vertex count is len(colors); edge endpoints must fall in that range.
     `color_count` defaults to max(colors) + 1.
     """
-    colors = tuple(int(c) for c in colors)
+    colors = tuple([int(c) for c in colors])
     n = len(colors)
     if n == 0:
         raise EmptyGraph("a graph needs at least one vertex")
@@ -143,7 +143,7 @@ def _assemble(
         adj[u].append(v)
         adj[v].append(u)
     _check_connected(adj)
-    return ColoredGraph(tuple(tuple(sorted(row)) for row in adj), colors, color_count)
+    return ColoredGraph(tuple([tuple(sorted(row)) for row in adj]), colors, color_count)
 
 
 def _monochromatic_zones(
@@ -207,10 +207,10 @@ def reduce(g: ColoredGraph) -> tuple[ReducedGraph, ZoneMap]:
                 zadj[zu].append(zw)
                 zadj[zw].append(zu)
     rg = ReducedGraph(
-        tuple(tuple(sorted(row)) for row in zadj),
-        tuple(g.colors[members[0]] for members in zones),
+        tuple([tuple(sorted(row)) for row in zadj]),
+        tuple([g.colors[members[0]] for members in zones]),
     )
-    zm = ZoneMap(tuple(zone_of), tuple(members[0] for members in zones))
+    zm = ZoneMap(tuple(zone_of), tuple([members[0] for members in zones]))
     return rg, zm
 
 

@@ -277,7 +277,7 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
         adjacency[zp].append(zq)
         adjacency[zq].append(zp)
     rg = ReducedGraph(
-        tuple(tuple(sorted(row)) for row in adjacency),
+        tuple([tuple(sorted(row)) for row in adjacency]),
         tuple(map(color.__getitem__, roots)),
     )
     starts = map(add, map(top.__getitem__, roots), map(begin.__getitem__, roots))

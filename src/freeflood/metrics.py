@@ -50,7 +50,7 @@ def radius_and_center(rg: ReducedGraph) -> Metrics:
     adjacency = rg.adjacency
     eccs = [max(_distances(adjacency, s)) for s in range(rg.zone_count)]
     radius = min(eccs)
-    center = tuple(z for z, e in enumerate(eccs) if e == radius)
+    center = tuple([z for z, e in enumerate(eccs) if e == radius])
     return Metrics(tuple(eccs), radius, center)
 
 

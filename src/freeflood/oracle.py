@@ -166,8 +166,10 @@ def check_distance_bounds(rg: ReducedGraph) -> LemmaReport:
     shortest path the contracted distance is at least d-2.  Whether a
     shortest path passes through x is decided by d(a,x) + d(x,b) == d(a,b);
     the length-(d+1) condition by `_has_path_through`, a search over simple
-    paths (walks would be unsound for it).  `check_far_witness` decides its
-    two conditions the same two ways.
+    paths (walks would be unsound for it), run only when d(a,x) + d(x,b) <=
+    d+1, since every a-b walk through x is at least that long.  On a
+    two-color (bipartite) zone graph parity rules every search out.
+    `check_far_witness` decides its two conditions the same two ways.
     """
     n = rg.zone_count
     if n > DISTANCE_BOUNDS_MAX_ZONES:
@@ -179,19 +181,22 @@ def check_distance_bounds(rg: ReducedGraph) -> LemmaReport:
     for x, state in _contractions(rg):
         adjacency = state.adjacency
         survivors = [v for v in range(n) if adjacency[v] is not None]
-        for i, a in enumerate(survivors):
+        for i, a in enumerate(survivors[:-1]):  # the last survivor has no b after it
             row_a = _distances(adjacency, a)
             for b in survivors[i + 1 :]:
                 d = dist[a][b]
                 dx = row_a[b]
+                via_x = dist[a][x] + dist[x][b]
                 checked += 1
                 if dx > d:
                     detail = "contraction increased a distance"
-                elif dist[a][x] + dist[x][b] == d:
+                elif via_x == d:
                     detail = "distance below d-2 with x on a shortest path" if dx < d - 2 else None
                 elif dx < d - 1:
                     detail = "distance below d-1 with x off all shortest paths"
-                elif (dx == d - 1) != _has_path_through(rg.adjacency, dist, a, b, x, d + 1):
+                elif (dx == d - 1) != (
+                    via_x <= d + 1 and _has_path_through(rg.adjacency, dist, a, b, x, d + 1)
+                ):
                     detail = "equality must coincide with a length d+1 path through x"
                 else:
                     detail = None

@@ -7,9 +7,12 @@ agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import sys
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
@@ -189,3 +192,30 @@ def acceptance_graphs() -> list[ColoredGraph]:
         corpus = gen_reduced_corpus(count, ACCEPTANCE_SEED + offset, max_n, min_zones, max_zones)
         graphs.extend(g for g, _ in corpus)
     return graphs
+
+
+CPYTHON_ONLY = pytest.mark.skipif(
+    sys.implementation.name != "cpython", reason="pins CPython's tuple free lists"
+)
+
+
+def allocated_block_growth(call, times=3000):
+    """Memory blocks still allocated after `times` calls of `call`, with no collection.
+
+    A full collection first empties CPython's free lists, so the count shows
+    what the calls park there.  A tuple built from a generator is one case:
+    CPython allocates it at 10 items and shrinks it to fit, so each one
+    takes a tuple off the size-10 list and, freed, joins the list of its
+    final size, which grows by one per such tuple up to 2 000 entries.
+    (CPython 3.11 also parks freed tuples of exactly 20 items and never
+    reuses them.)
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(times):
+            call()
+        return sys.getallocatedblocks() - before
+    finally:
+        gc.enable()

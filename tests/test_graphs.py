@@ -17,7 +17,10 @@ from freeflood import (
     NoOpMove,
     SelfLoop,
     build,
+    emit_graph,
+    gen_random,
     grid_graph,
+    parse_graph,
     parse_grid,
     reduce,
 )
@@ -27,6 +30,8 @@ from freeflood.instances import GridSpec
 from freeflood.solver import _replay
 
 from conftest import (
+    CPYTHON_ONLY,
+    allocated_block_growth,
     colored_graphs,
     flood_vertices,
     footprint_graph,
@@ -165,6 +170,14 @@ class TestReduce:
         assert again.adjacency == rg.adjacency
         assert again.colors == rg.colors
         assert zm.zone_of == tuple(range(rg.zone_count))
+
+
+@CPYTHON_ONLY
+def test_parse_and_reduce_park_no_tuples_on_free_lists():
+    # 16 vertices and 8 zones, so no tuple of 20 items; with the graph's
+    # tuples built from generators, 3 000 rounds park about 4 100 blocks
+    text = emit_graph(gen_random(16, 3, 2, seed=5))
+    assert allocated_block_growth(lambda: reduce(parse_graph(text))) < 500
 
 
 class TestApplyFlood:

@@ -10,6 +10,7 @@ from freeflood import (
     InvalidZone,
     bfs_distances,
     build,
+    gen_random,
     gen_reduced_corpus,
     grid_graph,
     metrics,
@@ -20,7 +21,13 @@ from freeflood import (
 from freeflood.instances import GridSpec
 from freeflood.metrics import _radius_search
 
-from conftest import acceptance_graphs, floyd_warshall, reduced_graphs
+from conftest import (
+    CPYTHON_ONLY,
+    acceptance_graphs,
+    allocated_block_growth,
+    floyd_warshall,
+    reduced_graphs,
+)
 
 
 def reduced_path(k):
@@ -128,6 +135,16 @@ def test_distance_axioms_and_eccentricity_spread(rg):
             assert rows[a][b] == rows[b][a]
             for c in range(n):
                 assert rows[a][c] <= rows[a][b] + rows[b][c]
+
+
+@CPYTHON_ONLY
+@pytest.mark.parametrize("seed", [5, 7, 0])
+def test_radius_and_center_park_no_tuples_on_free_lists(seed):
+    # centers of 1, 2 and 3 zones; with the center built from a generator,
+    # 3 000 sweeps park about 2 000 blocks
+    rg = reduce(gen_random(16, 3, 2, seed=seed))[0]
+    assert len(radius_and_center(rg).center) == {5: 1, 7: 2, 0: 3}[seed]
+    assert allocated_block_growth(lambda: radius_and_center(rg)) < 500
 
 
 def random_grid(side, seed):

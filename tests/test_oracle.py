@@ -1,12 +1,16 @@
 """Exhaustive search and the three contraction property checkers."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
 from freeflood import (
+    Counterexample,
     FloodMove,
     ImproperColoring,
     InstanceTooLarge,
+    LemmaReport,
     ReducedGraph,
     TooManyColors,
     brute_force_min_moves,
@@ -20,10 +24,10 @@ from freeflood import (
     reduce,
 )
 from freeflood.graphs import _ZoneState
-from freeflood.oracle import _has_path_through
+from freeflood.oracle import _contractions, _has_path_through
 from freeflood.metrics import Metrics, _distances, bfs_distances
 
-from conftest import colored_graphs, flood_vertices, small_random_graphs
+from conftest import colored_graphs, floyd_warshall, flood_vertices, small_random_graphs
 
 
 def checkerboard():
@@ -151,6 +155,134 @@ class TestDistanceBounds:
         g = build([(i, i + 1) for i in range(31)], [i % 2 for i in range(32)])
         with pytest.raises(InstanceTooLarge):
             check_distance_bounds(reduce(g)[0])
+
+
+def distance_bounds_searching_every_pair(rg):
+    """The reference for `check_distance_bounds`, with no gate on its path search.
+
+    Every pair that reaches the last test runs `_has_path_through`, whatever
+    d(a,x) + d(x,b) is; contracted rows come from `oracle._distances`, so a
+    fault patched in there reaches this copy and the checker alike.
+    """
+    n = rg.zone_count
+    if n < 2:
+        return LemmaReport("distance-bounds", 0)
+    dist = [bfs_distances(rg, s) for s in range(n)]
+    checked = 0
+    for x, state in _contractions(rg):
+        adjacency = state.adjacency
+        survivors = [v for v in range(n) if adjacency[v] is not None]
+        for i, a in enumerate(survivors):
+            row_a = oracle._distances(adjacency, a)
+            for b in survivors[i + 1 :]:
+                d = dist[a][b]
+                dx = row_a[b]
+                checked += 1
+                if dx > d:
+                    detail = "contraction increased a distance"
+                elif dist[a][x] + dist[x][b] == d:
+                    detail = "distance below d-2 with x on a shortest path" if dx < d - 2 else None
+                elif dx < d - 1:
+                    detail = "distance below d-1 with x off all shortest paths"
+                elif (dx == d - 1) != _has_path_through(rg.adjacency, dist, a, b, x, d + 1):
+                    detail = "equality must coincide with a length d+1 path through x"
+                else:
+                    detail = None
+                if detail is not None:
+                    witness = {"a": a, "b": b, "x": x, "d": d, "d_contracted": dx}
+                    return LemmaReport("distance-bounds", checked, Counterexample(rg, witness, detail))
+    return LemmaReport("distance-bounds", checked)
+
+
+def inject_row_faults(monkeypatch, seed, one_in):
+    """Shift about one contracted distance in `one_in` by -2, -1 or +1.
+
+    Whether and how far an entry moves depends only on the seed, the
+    contracted graph's absorbed zones, the source and the target, so two
+    checkers that read the same rows in different orders, or read a row the
+    other skips, see the same faults.
+    """
+    real = oracle._distances
+
+    def faulty(adjacency, source):
+        row = real(adjacency, source)
+        absorbed = tuple(v for v, r in enumerate(adjacency) if r is None)
+        for b in range(len(row)):
+            h = hash((seed, absorbed, source, b))
+            if h % one_in == 0:
+                row[b] += (-2, -1, 1)[h // one_in % 3]
+        return row
+
+    monkeypatch.setattr(oracle, "_distances", faulty)
+
+
+AGREEMENT_CORPORA = [(600, 11, 20, 3, 20), (300, 12, 30, 2, 30)]
+
+
+class TestDistanceBoundsGate:
+    """The distance test before the path search changes no report."""
+
+    @pytest.mark.parametrize("corpus", AGREEMENT_CORPORA, ids=str)
+    def test_reports_match_the_ungated_loop(self, corpus):
+        checked = 0
+        for _, rg in gen_reduced_corpus(*corpus):
+            report = check_distance_bounds(rg)
+            assert report.ok
+            assert report == distance_bounds_searching_every_pair(rg)
+            checked += report.instances_checked
+        assert checked > 100_000
+
+    @pytest.mark.parametrize("corpus", AGREEMENT_CORPORA, ids=str)
+    def test_reports_match_the_ungated_loop_under_faults(self, corpus, monkeypatch):
+        inject_row_faults(monkeypatch, corpus[1], 997)
+        details = set()
+        for _, rg in gen_reduced_corpus(*corpus):
+            report = check_distance_bounds(rg)
+            reference = distance_bounds_searching_every_pair(rg)
+            assert (report.lemma, report.instances_checked, report.ok) == (
+                reference.lemma, reference.instances_checked, reference.ok
+            )
+            if not report.ok:
+                got, want = report.counterexample, reference.counterexample
+                assert (got.detail, got.witness) == (want.detail, want.witness)
+                details.add(got.detail)
+        assert details == {
+            "contraction increased a distance",
+            "distance below d-2 with x on a shortest path",
+            "distance below d-1 with x off all shortest paths",
+            "equality must coincide with a length d+1 path through x",
+        }
+
+    # raw adjacency, not zone graphs: odd cycles make walks of either parity
+    GATE_GRAPHS = {
+        "triangle": [(0, 1), (1, 2), (0, 2)],
+        "five-cycle": [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)],
+        "triangle with pendant paths": [
+            (0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (1, 5), (2, 6), (6, 7)
+        ],
+        "two triangles on a path": [
+            (0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)
+        ],
+        "wheel": [(0, v) for v in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)],
+        "six-cycle with chord": [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 3)],
+    }
+
+    @pytest.mark.parametrize("edges", GATE_GRAPHS.values(), ids=GATE_GRAPHS)
+    def test_no_path_through_x_shorter_than_the_distance_sum(self, edges):
+        n = max(max(e) for e in edges) + 1
+        adjacency = [[] for _ in range(n)]
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        dist = floyd_warshall(adjacency)
+        found = 0
+        for a, b, x in itertools.product(range(n), repeat=3):
+            for length in range(n + 1):
+                hit = _has_path_through(adjacency, dist, a, b, x, length)
+                if dist[a][x] + dist[x][b] > length:
+                    assert not hit, (a, b, x, length)
+                found += hit
+        assert found > 0
 
 
 CONTRACTION_CHECKERS = pytest.mark.parametrize(

@@ -56,3 +56,21 @@ def test_zone_graphs_are_built_only_from_an_instance():
                 if "ReducedGraph" in callee:  # ReducedGraph(...), graphs.ReducedGraph._make(...)
                     builders.add(f"{path.stem}.{func.name}")
     assert builders == {"graphs.reduce", "instances._grid_zones"}
+
+
+def test_no_tuple_built_from_a_generator_expression():
+    # CPython sizes such a tuple at 10 items and shrinks it to fit, so every
+    # one moves a tuple from the size-10 free list to that of its final size;
+    # those lists then fill to 2 000 entries each and hold the memory until a
+    # full collection.  tuple([...]) allocates the final size at once.
+    sites = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple"
+                and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+            ):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
