@@ -403,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=STATE_BUDGET,
-        help="cap on the states the search stores, each one byte per zone plus about 50 bytes "
-        "(the default needs about 0.7 GB on a random 64x64 board)",
+        help="cap on the states the search stores, each one bit per zone plus about 60 bytes "
+        "(the default needs about 0.16 GB on a random 64x64 board)",
     )
     sub.set_defaults(func=_cmd_oracle)
 

@@ -562,26 +562,42 @@ def gen_random_bipartite(n: int, extra_edges: int, seed: int) -> ColoredGraph:
 
     Every vertex is its own zone, so reducing the result is the identity;
     handy for generating reduced graphs of a chosen size.  The side split is
-    random, so `extra_edges` is capped at the available cross pairs.
+    random, so `extra_edges` is capped at the available cross pairs.  The
+    extra edges are drawn as ranks among the cross pairs (u, v), u < v, in
+    ascending order with the tree edges left out, and each rank is unranked
+    into its pair, so no list of the pairs is built.
     """
     if n < 1:
         raise EmptyGraph("a graph needs at least one vertex")
     rng = random.Random(seed)
     side = [0] * n
-    edges: set[tuple[int, int]] = set()
+    place = [0] * n  # v's index in its side's ascending list
+    sides: tuple[list[int], list[int]] = ([0], [])
+    children: list[list[int]] = [[] for _ in range(n)]  # each u's tree neighbors above u, ascending
     for v in range(1, n):
         side[v] = 1 - side[rng.randrange(v)] if v > 1 else 1
-        opposite = [u for u in range(v) if side[u] != side[v]]
-        u = opposite[rng.randrange(len(opposite))]
-        edges.add((u, v))
-    cross = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if side[u] != side[v] and (u, v) not in edges
-    ]
-    edges.update(rng.sample(cross, min(extra_edges, len(cross))))
-    return _assemble(sorted(edges), tuple(side), 2)  # valid by construction
+        opposite = sides[1 - side[v]]
+        children[opposite[rng.randrange(len(opposite))]].append(v)
+        place[v] = len(sides[side[v]])
+        sides[side[v]].append(v)
+    edges = [(u, v) for u in range(n) for v in children[u]]
+    count = len(sides[0]) * len(sides[1]) - (n - 1)
+    ranks = sorted(rng.sample(range(count), min(extra_edges, count)), reverse=True)
+    base = 0  # the rank of u's first cross pair
+    for u in range(n):
+        if not ranks:
+            break
+        opposite = sides[1 - side[u]]
+        first = u - place[u]  # opposite[first:] are the opposite vertices above u
+        pairs = len(opposite) - first - len(children[u])
+        while ranks and ranks[-1] < base + pairs:
+            at = first + ranks.pop() - base
+            for w in children[u]:
+                if place[w] <= at:
+                    at += 1
+            edges.append((u, opposite[at]))
+        base += pairs
+    return _assemble(edges, tuple(side), 2)  # valid by construction
 
 
 def gen_random(n: int, extra_edges: int, color_count: int, seed: int) -> ColoredGraph:

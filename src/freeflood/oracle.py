@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import ImproperColoring, InstanceTooLarge, InvariantViolation, TooManyColors
-from .graphs import ColoredGraph, ReducedGraph, _monochromatic_zones, _ZoneState
+from .errors import DisconnectedGraph, ImproperColoring, InstanceTooLarge, InvariantViolation, TooManyColors
+from .graphs import ColoredGraph, ReducedGraph, _ZoneState
 from .metrics import _distances, bfs_distances, radius_and_center
 
 # Size guards: the default cap on the colorations the search stores (a hit
@@ -53,39 +53,53 @@ class LemmaReport(NamedTuple):
         return self.counterexample is None
 
 
-def _successors(adjacency, state: bytes, a: int, b: int) -> list[bytes]:
-    """One successor per zone of `state`: that zone flooded with the other color."""
-    out = []
-    for members in _monochromatic_zones(adjacency, state)[1]:
-        other = b if state[members[0]] == a else a
-        nxt = bytearray(state)
-        for u in members:
-            nxt[u] = other
-        out.append(bytes(nxt))
-    return out
+def _zones(neighbors: dict[int, int], state: int, full: int) -> Iterator[int]:
+    """The zones of coloring `state` as vertex bit sets, in least-vertex order.
+
+    Bit v of `state` is set when vertex v has the palette's second color, and
+    `neighbors` maps the bit of each vertex onto the bit set of its
+    neighbors.  Each zone grows from the lowest vertex not yet in a zone,
+    one level at a time, inside that vertex's color class.
+    """
+    left = full
+    while left:
+        zone = frontier = left & -left
+        free = ((state if state & zone else full ^ state) & left) ^ zone
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                reach |= neighbors[bit]
+                frontier ^= bit
+            frontier = reach & free
+            free ^= frontier
+            zone |= frontier
+        yield zone
+        left ^= zone
 
 
 def brute_force_min_moves(
     g: ColoredGraph | ReducedGraph, state_budget: int | None = STATE_BUDGET
 ) -> StateSpaceReport:
-    """Exact optimum by breadth-first search over color bytestrings.
+    """Exact optimum by breadth-first search over colorings as int bit sets.
 
     g may be a colored graph or its zone graph, with the same report: a
-    flood recolors whole zones.  A state is one byte per vertex of g, and
-    k zones have at most 2**k states.  A hit budget gives exhausted=False
-    and the zone count minus one, a feasible upper bound: every move merges
-    the flooded zone with at least one neighbor.
+    flood recolors whole zones.  A state is an int whose bit v is set when
+    vertex v has the palette's second color, a flood flips the bits of one
+    zone, and k zones have at most 2**k states.  A hit budget gives
+    exhausted=False and a feasible upper bound: the moves that flooding
+    vertex 0's zone again and again takes to leave one zone, which is that
+    zone's eccentricity in the zone graph, at most the zone count minus one.
     """
     used = sorted(set(g.colors))
     if len(used) > 2:
         raise TooManyColors(f"{len(used)} colors in use; the oracle handles two")
     if len(used) == 1:
         return StateSpaceReport(0, 1, True)
-    a, b = used
-    if b > 255:
-        raise InstanceTooLarge("colors above 255 do not fit the state encoding")
-    initial = bytes(g.colors)
-    n = len(initial)
+    second = used[1]
+    neighbors = {1 << v: sum([1 << w for w in row]) for v, row in enumerate(g.adjacency)}
+    full = (1 << len(g.colors)) - 1
+    initial = sum([1 << v for v, c in enumerate(g.colors) if c == second])
     visited = {initial}
     frontier = [initial]
     depth = 0
@@ -93,14 +107,18 @@ def brute_force_min_moves(
         depth += 1
         nxt = []
         for state in frontier:
-            for succ in _successors(g.adjacency, state, a, b):
+            for zone in _zones(neighbors, state, full):
+                succ = state ^ zone
                 if succ in visited:
                     continue
                 visited.add(succ)
-                if succ.count(succ[0]) == n:
+                if not succ or succ == full:
                     return StateSpaceReport(depth, len(visited), True)
                 if state_budget is not None and len(visited) >= state_budget:
-                    upper = len(_monochromatic_zones(g.adjacency, initial)[1]) - 1
+                    upper, coloring = 0, initial
+                    while coloring and coloring != full:
+                        coloring ^= next(_zones(neighbors, coloring, full))
+                        upper += 1
                     return StateSpaceReport(upper, len(visited), False)
                 nxt.append(succ)
         frontier = nxt
@@ -125,6 +143,30 @@ def _contractions(rg: ReducedGraph) -> Iterator[tuple[int, _ZoneState]]:
         yield x, state
 
 
+def _contracted_radius(adjacency) -> int:
+    """Radius of a zone state's live rows, by lockstep ball growth.
+
+    Every live zone's ball is a bit set of zone ids.  The ball of radius r+1
+    around z is the union of the radius-r balls around z and its neighbors,
+    so all balls grow one level at a time, and the radius is the first level
+    at which some ball holds every live zone.  Exact: nothing is pruned.
+    """
+    balls = [0 if row is None else 1 << z for z, row in enumerate(adjacency)]
+    everything = sum(balls)
+    rows = [(z, row) for z, row in enumerate(adjacency) if row is not None]
+    for radius in range(len(rows)):
+        if everything in balls:
+            return radius
+        grown = balls[:]
+        for z, row in rows:
+            ball = balls[z]
+            for w in row:
+                ball |= balls[w]
+            grown[z] = ball
+        balls = grown
+    raise DisconnectedGraph("the contracted zone graph is disconnected")
+
+
 def check_radius_bounds(rg: ReducedGraph) -> LemmaReport:
     """Contract every zone and compare radii.
 
@@ -138,8 +180,7 @@ def check_radius_bounds(rg: ReducedGraph) -> LemmaReport:
     centers = set(met.center)
     checked = 0
     for x, state in _contractions(rg):
-        adjacency = state.adjacency
-        rx = min(max(_distances(adjacency, z)) for z, row in enumerate(adjacency) if row is not None)
+        rx = _contracted_radius(state.adjacency)
         checked += 1
         witness = {"zone": x, "radius": met.radius, "contracted_radius": rx}
         if not met.radius - 1 <= rx <= met.radius:

@@ -16,8 +16,18 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from freeflood import ColoredGraph, build, gen_random, gen_reduced_corpus, grid_graph, reduce
+from freeflood import (
+    ColoredGraph,
+    StateSpaceReport,
+    build,
+    gen_random,
+    gen_reduced_corpus,
+    grid_graph,
+    reduce,
+)
+from freeflood.graphs import _monochromatic_zones
 from freeflood.instances import GridSpec
+from freeflood.metrics import _distances
 
 settings.register_profile(
     "freeflood",
@@ -150,6 +160,60 @@ def live_footprint_graph(state, zone_of):
     colors = {footprints[z]: state.colors[z] for z in live}
     edges = {(footprints[z], footprints[w]) for z in live for w in state.adjacency[z]}
     return colors, edges
+
+
+def bytes_state_search(g, state_budget):
+    """The reference for `brute_force_min_moves`: states as one color byte per vertex.
+
+    Zones come from `_monochromatic_zones`, in least-vertex order, and each
+    successor is a fresh copy of the state with one zone recolored, so the
+    search stores states in the same breadth-first order as the bit-set one.
+    A hit budget replays flooding vertex 0's zone until one zone is left.
+    """
+    used = sorted(set(g.colors))
+    if len(used) == 1:
+        return StateSpaceReport(0, 1, True)
+    a, b = used
+    code = {a: 0, b: 1}
+    initial = bytes([code[c] for c in g.colors])
+    n = len(initial)
+
+    def successors(state):
+        out = []
+        for members in _monochromatic_zones(g.adjacency, state)[1]:
+            nxt = bytearray(state)
+            for u in members:
+                nxt[u] = 1 - state[u]
+            out.append(bytes(nxt))
+        return out
+
+    visited = {initial}
+    frontier = [initial]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for state in frontier:
+            for succ in successors(state):
+                if succ in visited:
+                    continue
+                visited.add(succ)
+                if succ.count(succ[0]) == n:
+                    return StateSpaceReport(depth, len(visited), True)
+                if state_budget is not None and len(visited) >= state_budget:
+                    upper, state = 0, initial
+                    while state.count(state[0]) != n:
+                        state = successors(state)[0]
+                        upper += 1
+                    return StateSpaceReport(upper, len(visited), False)
+                nxt.append(succ)
+        frontier = nxt
+    raise AssertionError("flooding always reaches a monochromatic coloration")
+
+
+def contracted_radius_by_sweep(adjacency):
+    """The reference for `oracle._contracted_radius`: one search per live zone."""
+    return min(max(_distances(adjacency, z)) for z, row in enumerate(adjacency) if row is not None)
 
 
 # The acceptance corpora, shared by the acceptance suite and the agreement

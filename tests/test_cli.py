@@ -329,8 +329,16 @@ def test_solve_and_verify_expand_no_zone_map(tmp_path, capsys, monkeypatch):
 def test_oracle_budget(board, capsys):
     assert main(["oracle", board, "--budget", "2"]) == EXIT_OK
     out = capsys.readouterr().out
+    assert "optimum 2\n" in out  # flooding vertex 0's zone twice leaves one zone
     assert "exhausted false" in out
     assert "upper bound" in out
+
+
+def test_oracle_takes_colors_above_255(tmp_path, capsys):
+    path = tmp_path / "wide.graph"
+    path.write_text("2 1 300\n0\n299\n0 1\n")
+    expected = (EXIT_OK, "optimum 1\nstates 2\nexhausted true\n", "")
+    assert _run(["oracle", str(path)], capsys) == expected
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

@@ -296,6 +296,36 @@ class TestGenerators:
             assert type(g) is ColoredGraph
             assert g == build(edges, colors, color_count)
 
+    def test_bipartite_equals_the_cross_pair_list_draw(self):
+        # the reference lists every cross pair, Theta(n^2), and samples from
+        # the list; the generator samples ranks and unranks them, with the
+        # same draws from the same random state
+        def listing_every_cross_pair(n, extra_edges, seed):
+            rng = random.Random(seed)
+            side = [0] * n
+            edges = set()
+            for v in range(1, n):
+                side[v] = 1 - side[rng.randrange(v)] if v > 1 else 1
+                opposite = [u for u in range(v) if side[u] != side[v]]
+                edges.add((opposite[rng.randrange(len(opposite))], v))
+            cross = [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if side[u] != side[v] and (u, v) not in edges
+            ]
+            edges.update(rng.sample(cross, min(extra_edges, len(cross))))
+            return build(sorted(edges), side, 2), len(cross)
+
+        saturated = 0
+        for n in (1, 2, 3, 4, 7, 12, 25, 60):
+            for extra in sorted({0, 1, 2, n // 3, n, 4 * n, n * n}):
+                for seed in range(8):
+                    want, cross = listing_every_cross_pair(n, extra, seed)
+                    assert gen_random_bipartite(n, extra, seed) == want, (n, extra, seed)
+                    saturated += extra >= cross
+        assert saturated > 50
+
     def test_digest_tracks_content(self):
         a = gen_random(8, 2, 2, seed=1)
         b = gen_random(8, 2, 2, seed=2)

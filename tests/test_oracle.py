@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from freeflood import (
+    ColoredGraph,
     Counterexample,
+    DisconnectedGraph,
     FloodMove,
     ImproperColoring,
     InstanceTooLarge,
@@ -24,10 +26,17 @@ from freeflood import (
     reduce,
 )
 from freeflood.graphs import _ZoneState
-from freeflood.oracle import _contractions, _has_path_through
+from freeflood.oracle import _contracted_radius, _contractions, _has_path_through
 from freeflood.metrics import Metrics, _distances, bfs_distances
 
-from conftest import colored_graphs, floyd_warshall, flood_vertices, small_random_graphs
+from conftest import (
+    bytes_state_search,
+    colored_graphs,
+    contracted_radius_by_sweep,
+    floyd_warshall,
+    flood_vertices,
+    small_random_graphs,
+)
 
 
 def checkerboard():
@@ -84,17 +93,33 @@ class TestBruteForce:
         g = checkerboard()
         report = brute_force_min_moves(g, state_budget=2)
         assert not report.exhausted
-        assert report.optimum == 3  # zone count minus one
+        assert report.optimum == 2  # flooding vertex 0's zone twice leaves one zone
         assert report.states_explored == 2
+
+    @given(colored_graphs(max_vertices=9, max_extra=4))
+    @settings(max_examples=80)
+    def test_budget_fallback_lies_between_the_optimum_and_the_zone_count(self, g):
+        rg = reduce(g)[0]
+        exact = brute_force_min_moves(g, state_budget=None)
+        for budget in (1, 2, 5):
+            report = brute_force_min_moves(g, state_budget=budget)
+            if report.exhausted:
+                assert report == exact
+            else:
+                assert exact.optimum <= report.optimum <= rg.zone_count - 1
+                assert report.optimum == max(bfs_distances(rg, 0))  # vertex 0's zone is zone 0
 
     def test_three_colors_rejected(self):
         with pytest.raises(TooManyColors):
             brute_force_min_moves(build([(0, 1), (1, 2)], [0, 1, 2]))
 
-    def test_colors_above_255_rejected(self):
-        # a state is one byte per vertex
-        with pytest.raises(InstanceTooLarge, match="colors above 255 do not fit"):
-            brute_force_min_moves(build([(0, 1), (1, 2)], [0, 256, 0]))
+    def test_colors_above_255_give_the_report_of_colors_0_and_1(self):
+        # a state is a bit set over the vertices, whatever the two colors are
+        edges = [(0, 1), (1, 2), (2, 3)]
+        for budget in (None, 1):
+            report = brute_force_min_moves(build(edges, [0, 256, 0, 0]), budget)
+            assert report == brute_force_min_moves(build(edges, [0, 1, 0, 0]), budget)
+            assert report.exhausted is (budget is None)
 
     @given(colored_graphs(max_vertices=9))
     @settings(max_examples=50)
@@ -130,6 +155,78 @@ class TestRadiusBounds:
         report = check_radius_bounds(reduced([], [0]))
         assert report.ok
         assert report.instances_checked == 0
+
+    def test_disconnected_zone_graph_rejected(self):
+        # ball growth ends once a ball holds every live zone, which two
+        # components never let happen
+        two_edges = ReducedGraph(((1,), (0,), (3,), (2,)), (0, 1, 0, 1))
+        with pytest.raises(DisconnectedGraph, match="contracted zone graph is disconnected"):
+            check_radius_bounds(two_edges)
+
+
+def bit_set_agreement_graphs():
+    """Vertex and zone graphs of the seeded corpora the bit-set paths are checked on."""
+    graphs = small_random_graphs()
+    for seed in (21, 22, 23):
+        for g, rg in gen_reduced_corpus(60, seed, 20, 2, 20):
+            graphs += [g, rg]
+    return graphs
+
+
+AGREEMENT_BUDGETS = [None, 1, 2, 5, 50]
+
+
+def contracted_radii_agree(rg):
+    """Assert that every contraction of rg gives the sweep's radius; return how many there were."""
+    if rg.zone_count < 2:
+        return 0
+    count = 0
+    for _, state in _contractions(rg):
+        assert _contracted_radius(state.adjacency) == contracted_radius_by_sweep(state.adjacency)
+        count += 1
+    return count
+
+
+class TestBitSetAgreement:
+    """The bit-set search and ball growth agree exactly with the byte-state and sweep references."""
+
+    @pytest.mark.parametrize("budget", AGREEMENT_BUDGETS)
+    def test_reports_match_the_bytes_search_on_the_corpora(self, budget):
+        reports = []
+        for g in bit_set_agreement_graphs():
+            report = brute_force_min_moves(g, state_budget=budget)
+            assert report == bytes_state_search(g, budget)
+            reports.append(report)
+        assert any(r.exhausted for r in reports)
+        assert budget is None or not all(r.exhausted for r in reports)
+
+    @given(colored_graphs(max_vertices=12, max_extra=5))
+    @settings(max_examples=100)
+    def test_reports_match_the_bytes_search_on_vertex_graphs(self, g):
+        for budget in AGREEMENT_BUDGETS:
+            assert brute_force_min_moves(g, state_budget=budget) == bytes_state_search(g, budget)
+
+    def test_contracted_radii_match_the_sweep_on_the_corpora(self):
+        graphs = bit_set_agreement_graphs()
+        contractions = sum(
+            contracted_radii_agree(reduce(g)[0]) for g in graphs if isinstance(g, ColoredGraph)
+        )
+        assert contractions > 3_000
+
+    @given(colored_graphs(max_vertices=12, max_extra=5))
+    @settings(max_examples=100)
+    def test_contracted_radii_match_the_sweep_on_vertex_graphs(self, g):
+        contracted_radii_agree(reduce(g)[0])
+
+    @pytest.mark.parametrize("claim", ["true radius", "radius one too high"])
+    def test_radius_bounds_reports_match_the_sweep(self, claim, monkeypatch):
+        if claim == "radius one too high":
+            claim_radius_one_too_high(monkeypatch)
+        corpus = [rg for _, rg in gen_reduced_corpus(100, 24, 30, 2, 30)]
+        reports = [check_radius_bounds(rg) for rg in corpus]
+        monkeypatch.setattr(oracle, "_contracted_radius", contracted_radius_by_sweep)
+        assert reports == [check_radius_bounds(rg) for rg in corpus]
+        assert all(r.ok is (claim == "true radius") for r in reports)
 
 
 class TestDistanceBounds:
