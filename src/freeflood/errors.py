@@ -35,10 +35,6 @@ class ImproperColoring(FloodError):
     """Adjacent zones of a reduced graph must have different colors."""
 
 
-class InvalidZone(FloodError):
-    """Zone id outside [0, zone_count)."""
-
-
 class NoOpMove(FloodError):
     """Flooding a zone with its current color is rejected."""
 

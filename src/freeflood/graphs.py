@@ -131,49 +131,41 @@ def build(
         if key in seen:
             raise DuplicateEdge(f"edge {key} given twice")
         seen[key] = None
-    return _assemble(seen, colors, color_count)
+    g = _assemble(seen, colors, color_count)
+    _check_connected(g.adjacency)
+    return g
 
 
 def _assemble(
     edges: Iterable[tuple[int, int]], colors: tuple[int, ...], color_count: int
 ) -> ColoredGraph:
     """The ColoredGraph on edges already checked for range, self-loops and repeats."""
-    adj: list[list[int]] = [[] for _ in colors]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    _check_connected(adj)
-    return ColoredGraph(tuple([tuple(sorted(row)) for row in adj]), colors, color_count)
+    return ColoredGraph(_rows(len(colors), edges), colors, color_count)
 
 
-def _monochromatic_zones(
-    adjacency: Sequence[Sequence[int]], colors: Sequence[int]
-) -> tuple[list[int], list[list[int]]]:
-    """Connected monochromatic components, numbered by smallest member vertex.
+def _rows(count: int, pairs: Iterable[tuple[int, int]]) -> Adjacency:
+    """Sorted adjacency rows of the items 0 .. count-1, from distinct unordered pairs."""
+    rows: list[list[int]] = [[] for _ in range(count)]
+    for u, v in pairs:
+        rows[u].append(v)
+        rows[v].append(u)
+    return tuple([tuple(sorted(row)) for row in rows])
 
-    Returns (zone_of, zones) where zones[z][0] is the smallest vertex of
-    zone z.  Linear in vertices plus edges.
+
+def _forest_zones(parent: list[int]) -> tuple[list[int], tuple[int, ...]]:
+    """The zones of a union-find forest with parent[k] <= k, numbered by least item.
+
+    Returns the roots, one per zone in item order, and each item's zone;
+    `parent` is overwritten with the zones.
     """
-    n = len(colors)
-    zone_of = [-1] * n
-    zones: list[list[int]] = []
-    for v in range(n):
-        if zone_of[v] >= 0:
-            continue
-        zid = len(zones)
-        color = colors[v]
-        members = [v]
-        zone_of[v] = zid
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adjacency[u]:
-                if zone_of[w] < 0 and colors[w] == color:
-                    zone_of[w] = zid
-                    members.append(w)
-                    stack.append(w)
-        zones.append(members)
-    return zone_of, zones
+    roots = []
+    for k, p in enumerate(parent):  # p <= k, so parent[p] already holds p's zone
+        if p == k:
+            parent[k] = len(roots)
+            roots.append(k)
+        else:
+            parent[k] = parent[p]
+    return roots, tuple(parent)
 
 
 def _validate_reduced(rg: ReducedGraph) -> None:
@@ -191,27 +183,38 @@ def _validate_reduced(rg: ReducedGraph) -> None:
 def reduce(g: ColoredGraph) -> tuple[ReducedGraph, ZoneMap]:
     """Contract every zone of g to a single vertex.
 
-    The induced coloration is proper by construction; zone count and edge
-    count never exceed the original graph's.  Linear in vertices plus edges.
+    Same-colored neighbors are united in a union-find whose roots are least
+    vertices, as `instances._grid_zones` unites runs, so zones are numbered
+    by their least vertex.  The induced coloration is proper by
+    construction; zone count and edge count never exceed the original
+    graph's.  Near-linear in vertices plus edges.
     """
-    zone_of, zones = _monochromatic_zones(g.adjacency, g.colors)
-    k = len(zones)
-    zadj: list[list[int]] = [[] for _ in range(k)]
-    seen: set[tuple[int, int]] = set()
-    for u in range(g.vertex_count):
-        zu = zone_of[u]
-        for w in g.adjacency[u]:
+    adjacency, colors = g.adjacency, g.colors
+    parent = list(range(len(colors)))  # parent[k] <= k, so a root is its tree's least vertex
+    for u, row in enumerate(adjacency):
+        color = colors[u]
+        for w in row:
+            if w > u and colors[w] == color:
+                x = u  # find, inlined
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                y = w
+                while parent[y] != y:
+                    parent[y] = y = parent[parent[y]]
+                if x < y:
+                    parent[y] = x
+                elif y < x:
+                    parent[x] = y
+    roots, zone_of = _forest_zones(parent)
+    del parent  # before the pair set grows
+    pairs = set()
+    for zu, row in zip(zone_of, adjacency):
+        for w in row:
             zw = zone_of[w]
-            if zu < zw and (zu, zw) not in seen:
-                seen.add((zu, zw))
-                zadj[zu].append(zw)
-                zadj[zw].append(zu)
-    rg = ReducedGraph(
-        tuple([tuple(sorted(row)) for row in zadj]),
-        tuple([g.colors[members[0]] for members in zones]),
-    )
-    zm = ZoneMap(tuple(zone_of), tuple([members[0] for members in zones]))
-    return rg, zm
+            if zu < zw:
+                pairs.add((zu, zw))
+    rg = ReducedGraph(_rows(len(roots), pairs), tuple([colors[r] for r in roots]))
+    return rg, ZoneMap(zone_of, tuple(roots))
 
 
 class _ZoneState:

@@ -29,6 +29,7 @@ from .errors import (
     TooManyEdges,
 )
 from .graphs import ColoredGraph, FloodMove, ReducedGraph, ZoneMap, _assemble, build, reduce
+from .graphs import _check_connected, _forest_zones, _rows
 
 _DIGITS = "0123456789"
 _DIGIT_BYTES = _DIGITS.encode()
@@ -152,7 +153,7 @@ class _BandZones(Sequence[int]):
         first, end = self._band_runs[band], self._band_runs[band + 1]
         begin = self._begin[first:end]
         widths = map(sub, chain(begin[1:], (self._cols,)), begin)
-        return tuple(chain.from_iterable(map(repeat, self._zone_of_run[first:end], widths)))
+        return tuple(list(chain.from_iterable(map(repeat, self._zone_of_run[first:end], widths))))
 
     def bands(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Each band's row of zones, one per cell, and the band's height, top to bottom."""
@@ -253,14 +254,7 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
     # per run would be traversed by every full collection while the map lives.
     begin = tuple(begin)
     band_runs.append(len(begin))  # the run count ends the last band
-    for k, p in enumerate(parent):  # parents come first, so this finds every root
-        parent[k] = parent[p]
-    runs = range(len(begin))
-    roots = list(compress(runs, map(eq, runs, parent)))  # each zone's first run
-    zone_of_root = [0] * len(begin)
-    for z, k in enumerate(roots):
-        zone_of_root[k] = z
-    zone_of_run = tuple(map(zone_of_root.__getitem__, parent))
+    roots, zone_of_run = _forest_zones(parent)  # each zone's first run, each run's zone
 
     # zones of runs that follow each other in a band, then of runs that touch across bands
     band_slices = map(slice, band_runs, band_runs[1:])
@@ -272,15 +266,8 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
     pairs = set()
     for zp, zq in zone_pairs:
         pairs.add((zp, zq) if zp < zq else (zq, zp))
-    adjacency: list[list[int]] = [[] for _ in roots]
-    for zp, zq in pairs:
-        adjacency[zp].append(zq)
-        adjacency[zq].append(zp)
-    rg = ReducedGraph(
-        tuple([tuple(sorted(row)) for row in adjacency]),
-        tuple(map(color.__getitem__, roots)),
-    )
-    starts = map(add, map(top.__getitem__, roots), map(begin.__getitem__, roots))
+    rg = ReducedGraph(_rows(len(roots), pairs), tuple(list(map(color.__getitem__, roots))))
+    starts = list(map(add, map(top.__getitem__, roots), map(begin.__getitem__, roots)))
     zone_of = _BandZones(rows, cols, begin, zone_of_run, band_runs, band_rows)
     return rg, ZoneMap(zone_of, tuple(starts))
 
@@ -367,7 +354,9 @@ def parse_graph(text: str) -> ColoredGraph:
         raise EdgeCountMismatch(
             f"header declares {m} edges, found extra content", line=lines[pos][0]
         )
-    return _assemble(seen, tuple(colors), color_count)  # every line checked above
+    g = _assemble(seen, tuple(colors), color_count)  # every line checked above
+    _check_connected(g.adjacency)
+    return g
 
 
 def emit_graph(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
@@ -500,7 +489,7 @@ def _place_pattern(place: int) -> bytes:
     return b"".join(bytes((d,)) * 10**place for d in _DIGIT_BYTES)
 
 
-_PLACE_PATTERNS = tuple(map(_place_pattern, range(4)))  # the patterns of places 0-3, 11 110 bytes
+_PLACE_PATTERNS = tuple([_place_pattern(p) for p in range(4)])  # places 0-3, 11 110 bytes
 
 
 def _digit_column(lo: int, count: int, place: int) -> bytearray:

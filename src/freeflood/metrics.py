@@ -1,10 +1,9 @@
-"""Shortest-path metrics of reduced graphs: distances, eccentricity, radius, center."""
+"""Shortest-path metrics of reduced graphs: eccentricity, radius, center."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InvalidZone
 from .graphs import ReducedGraph
 
 
@@ -31,13 +30,6 @@ def _distances(adjacency, source: int) -> list[int]:
                     nxt.append(w)
         frontier = nxt
     return dist
-
-
-def bfs_distances(rg: ReducedGraph, source: int) -> tuple[int, ...]:
-    """Unweighted shortest-path distances from `source` to every zone."""
-    if not 0 <= source < rg.zone_count:
-        raise InvalidZone(f"zone {source} outside [0, {rg.zone_count})")
-    return tuple(_distances(rg.adjacency, source))
 
 
 def radius_and_center(rg: ReducedGraph) -> Metrics:

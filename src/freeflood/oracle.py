@@ -13,7 +13,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import DisconnectedGraph, ImproperColoring, InstanceTooLarge, InvariantViolation, TooManyColors
 from .graphs import ColoredGraph, ReducedGraph, _ZoneState
-from .metrics import _distances, bfs_distances, radius_and_center
+from .metrics import _distances, radius_and_center
 
 # Size guards: the default cap on the colorations the search stores (a hit
 # budget gives an upper bound), and the checkers' caps on zones, on listed
@@ -217,7 +217,7 @@ def check_distance_bounds(rg: ReducedGraph) -> LemmaReport:
         raise InstanceTooLarge(f"{n} zones exceeds the checker guard of {DISTANCE_BOUNDS_MAX_ZONES}")
     if n < 2:
         return LemmaReport("distance-bounds", 0)
-    dist = [bfs_distances(rg, s) for s in range(n)]
+    dist = [_distances(rg.adjacency, s) for s in range(n)]
     checked = 0
     for x, state in _contractions(rg):
         adjacency = state.adjacency
@@ -330,7 +330,7 @@ def check_far_witness(rg: ReducedGraph) -> LemmaReport:
         return LemmaReport("far-witness", 0)
     met = radius_and_center(rg)
     radius = met.radius
-    dist = [bfs_distances(rg, s) for s in range(n)]
+    dist = [_distances(rg.adjacency, s) for s in range(n)]
     checked = 0
     for c in met.center:
         dc = dist[c]

@@ -11,6 +11,7 @@ import gc
 import itertools
 import random
 import sys
+from typing import Sequence
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -18,14 +19,15 @@ from hypothesis import strategies as st
 
 from freeflood import (
     ColoredGraph,
+    ReducedGraph,
     StateSpaceReport,
+    ZoneMap,
     build,
     gen_random,
     gen_reduced_corpus,
     grid_graph,
     reduce,
 )
-from freeflood.graphs import _monochromatic_zones
 from freeflood.instances import GridSpec
 from freeflood.metrics import _distances
 
@@ -162,10 +164,66 @@ def live_footprint_graph(state, zone_of):
     return colors, edges
 
 
+def monochromatic_zones(
+    adjacency: Sequence[Sequence[int]], colors: Sequence[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Connected monochromatic components, numbered by smallest member vertex.
+
+    Returns (zone_of, zones) where zones[z][0] is the smallest vertex of
+    zone z.  Linear in vertices plus edges.
+    """
+    n = len(colors)
+    zone_of = [-1] * n
+    zones: list[list[int]] = []
+    for v in range(n):
+        if zone_of[v] >= 0:
+            continue
+        zid = len(zones)
+        color = colors[v]
+        members = [v]
+        zone_of[v] = zid
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in adjacency[u]:
+                if zone_of[w] < 0 and colors[w] == color:
+                    zone_of[w] = zid
+                    members.append(w)
+                    stack.append(w)
+        zones.append(members)
+    return zone_of, zones
+
+
+def reduce_by_search(g):
+    """The reference for `reduce`: zones by `monochromatic_zones`' depth-first search.
+
+    Each zone keeps its member list, and the zone graph's edges are
+    collected in a second pass over the adjacency.
+    """
+    zone_of, zones = monochromatic_zones(g.adjacency, g.colors)
+    k = len(zones)
+    zadj = [[] for _ in range(k)]
+    seen = set()
+    for u in range(g.vertex_count):
+        zu = zone_of[u]
+        for w in g.adjacency[u]:
+            zw = zone_of[w]
+            if zu < zw and (zu, zw) not in seen:
+                seen.add((zu, zw))
+                zadj[zu].append(zw)
+                zadj[zw].append(zu)
+    rg = ReducedGraph(
+        tuple([tuple(sorted(row)) for row in zadj]),
+        tuple([g.colors[members[0]] for members in zones]),
+    )
+    zm = ZoneMap(tuple(zone_of), tuple([members[0] for members in zones]))
+    return rg, zm
+
+
 def bytes_state_search(g, state_budget):
     """The reference for `brute_force_min_moves`: states as one color byte per vertex.
 
-    Zones come from `_monochromatic_zones`, in least-vertex order, and each
+    Zones come from `monochromatic_zones`, in least-vertex order, and each
     successor is a fresh copy of the state with one zone recolored, so the
     search stores states in the same breadth-first order as the bit-set one.
     A hit budget replays flooding vertex 0's zone until one zone is left.
@@ -180,7 +238,7 @@ def bytes_state_search(g, state_budget):
 
     def successors(state):
         out = []
-        for members in _monochromatic_zones(g.adjacency, state)[1]:
+        for members in monochromatic_zones(g.adjacency, state)[1]:
             nxt = bytearray(state)
             for u in members:
                 nxt[u] = 1 - state[u]

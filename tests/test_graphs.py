@@ -19,6 +19,7 @@ from freeflood import (
     build,
     emit_graph,
     gen_random,
+    gen_reduced_corpus,
     grid_graph,
     parse_graph,
     parse_grid,
@@ -31,12 +32,14 @@ from freeflood.solver import _replay
 
 from conftest import (
     CPYTHON_ONLY,
+    acceptance_graphs,
     allocated_block_growth,
     colored_graphs,
     flood_vertices,
     footprint_graph,
     live_footprint_graph,
     naive_zone_sets,
+    reduce_by_search,
     zone_footprints,
 )
 
@@ -170,6 +173,37 @@ class TestReduce:
         assert again.adjacency == rg.adjacency
         assert again.colors == rg.colors
         assert zm.zone_of == tuple(range(rg.zone_count))
+
+
+class TestReduceAgreesWithSearch:
+    """`reduce`'s union-find gives the depth-first search's zone graph and map, exactly."""
+
+    @given(st.integers(1, 4).flatmap(lambda c: colored_graphs(max_vertices=16, color_count=c)))
+    def test_hypothesis_graphs(self, g):
+        assert reduce(g) == reduce_by_search(g)
+
+    @pytest.mark.parametrize(
+        "offset, bounds", enumerate([(50, 2, 50), (30, 2, 30), (20, 3, 20)]), ids=str
+    )
+    def test_check_corpora(self, offset, bounds):
+        corpus = list(gen_reduced_corpus(200, 7 + offset, *bounds))
+        assert len(corpus) == 200
+        for g, _ in corpus:
+            assert reduce(g) == reduce_by_search(g)
+
+    def test_acceptance_corpora(self):
+        for g in acceptance_graphs():
+            assert reduce(g) == reduce_by_search(g)
+
+    def test_seeded_grid_graph(self):
+        rng = random.Random(256)
+        g = grid_graph(GridSpec(256, 256, tuple(rng.randrange(2) for _ in range(256 * 256))))
+        assert reduce(g) == reduce_by_search(g)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_large_random_graphs(self, seed):
+        g = gen_random(20000, 40000, 3, seed)
+        assert reduce(g) == reduce_by_search(g)
 
 
 @CPYTHON_ONLY

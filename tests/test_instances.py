@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from freeflood import (
     ColoredGraph,
     ColorOutOfRange,
+    DisconnectedGraph,
     DuplicateEdge,
     EdgeCountMismatch,
     Empty,
@@ -193,6 +194,13 @@ class TestGraphFormat:
             parse_graph("2 1\n0\n1\n0 1\n")
         with pytest.raises(ParseError):
             parse_graph("a b c\n")
+
+    def test_disconnected_file_rejected(self):
+        # parse_graph assembles without build, so it checks connectivity itself
+        with pytest.raises(DisconnectedGraph, match="only 2 of 3 vertices reachable"):
+            parse_graph("3 1 2\n0\n1\n0\n0 1\n")
+        with pytest.raises(DisconnectedGraph, match="only 2 of 4 vertices reachable"):
+            parse_graph("4 2 2\n0\n1\n0\n1\n0 1\n2 3\n")
 
     def test_positioned_color_error(self):
         with pytest.raises(ColorOutOfRange) as err:

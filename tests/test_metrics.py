@@ -7,8 +7,6 @@ from hypothesis import given
 
 from freeflood import (
     FloodMove,
-    InvalidZone,
-    bfs_distances,
     build,
     gen_random,
     gen_reduced_corpus,
@@ -19,7 +17,7 @@ from freeflood import (
     solve,
 )
 from freeflood.instances import GridSpec
-from freeflood.metrics import _radius_search
+from freeflood.metrics import _distances, _radius_search
 
 from conftest import (
     CPYTHON_ONLY,
@@ -43,26 +41,21 @@ def reduced_cycle(k):
 
 def test_bfs_singleton():
     rg = reduce(build([], [0]))[0]
-    assert bfs_distances(rg, 0) == (0,)
+    assert _distances(rg.adjacency, 0) == [0]
 
 
 def test_bfs_path_from_end():
-    assert bfs_distances(reduced_path(5), 0) == (0, 1, 2, 3, 4)
+    assert _distances(reduced_path(5).adjacency, 0) == [0, 1, 2, 3, 4]
 
 
 def test_bfs_four_cycle():
-    assert bfs_distances(reduced_cycle(4), 0) == (0, 1, 2, 1)
-
-
-def test_bfs_invalid_source():
-    with pytest.raises(InvalidZone):
-        bfs_distances(reduced_path(3), 3)
+    assert _distances(reduced_cycle(4).adjacency, 0) == [0, 1, 2, 1]
 
 
 def test_eccentricity_path_end_and_middle():
     rg = reduced_path(5)
-    assert max(bfs_distances(rg, 0)) == 4
-    assert max(bfs_distances(rg, 2)) == 2
+    assert max(_distances(rg.adjacency, 0)) == 4
+    assert max(_distances(rg.adjacency, 2)) == 2
 
 
 def test_eccentricity_grid_center():
@@ -76,7 +69,7 @@ def test_eccentricity_grid_center():
             if r < 2:
                 edges.append((v, v + 3))
     rg = reduce(build(edges, [(r + c) % 2 for r in range(3) for c in range(3)]))[0]
-    assert max(bfs_distances(rg, 4)) == 2
+    assert max(_distances(rg.adjacency, 4)) == 2
 
 
 def test_radius_star():
@@ -109,7 +102,7 @@ def test_radius_singleton():
 def test_distances_match_floyd_warshall(rg):
     reference = floyd_warshall(rg.adjacency)
     for s in range(rg.zone_count):
-        assert list(bfs_distances(rg, s)) == reference[s]
+        assert _distances(rg.adjacency, s) == reference[s]
 
 
 @given(reduced_graphs(max_vertices=14))
@@ -126,7 +119,7 @@ def test_metrics_match_naive_all_pairs(rg):
 @given(reduced_graphs(max_vertices=14))
 def test_distance_axioms_and_eccentricity_spread(rg):
     n = rg.zone_count
-    rows = [bfs_distances(rg, s) for s in range(n)]
+    rows = [_distances(rg.adjacency, s) for s in range(n)]
     met = radius_and_center(rg)
     for a in range(n):
         assert rows[a][a] == 0

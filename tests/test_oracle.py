@@ -27,7 +27,7 @@ from freeflood import (
 )
 from freeflood.graphs import _ZoneState
 from freeflood.oracle import _contracted_radius, _contractions, _has_path_through
-from freeflood.metrics import Metrics, _distances, bfs_distances
+from freeflood.metrics import Metrics, _distances
 
 from conftest import (
     bytes_state_search,
@@ -107,7 +107,7 @@ class TestBruteForce:
                 assert report == exact
             else:
                 assert exact.optimum <= report.optimum <= rg.zone_count - 1
-                assert report.optimum == max(bfs_distances(rg, 0))  # vertex 0's zone is zone 0
+                assert report.optimum == max(_distances(rg.adjacency, 0))  # zone 0 holds vertex 0
 
     def test_three_colors_rejected(self):
         with pytest.raises(TooManyColors):
@@ -236,7 +236,7 @@ class TestDistanceBounds:
         rg = reduced(PATH5, [0, 1, 0, 1, 0])
         contracted = _ZoneState(rg)
         contracted.flood(2, 1)
-        d_before = bfs_distances(rg, 0)[4]
+        d_before = _distances(rg.adjacency, 0)[4]
         d_after = _distances(contracted.adjacency, 0)[4]
         assert (d_before, d_after) == (4, 2)
         assert check_distance_bounds(rg).ok
@@ -264,7 +264,7 @@ def distance_bounds_searching_every_pair(rg):
     n = rg.zone_count
     if n < 2:
         return LemmaReport("distance-bounds", 0)
-    dist = [bfs_distances(rg, s) for s in range(n)]
+    dist = [oracle._distances(rg.adjacency, s) for s in range(n)]
     checked = 0
     for x, state in _contractions(rg):
         adjacency = state.adjacency
@@ -297,13 +297,18 @@ def inject_row_faults(monkeypatch, seed, one_in):
     Whether and how far an entry moves depends only on the seed, the
     contracted graph's absorbed zones, the source and the target, so two
     checkers that read the same rows in different orders, or read a row the
-    other skips, see the same faults.
+    other skips, see the same faults.  Rows of a graph with no absorbed zone
+    (the input zone graph, whose distances the checkers read through the
+    same `oracle._distances`) are left alone, so the faults stay in the
+    contracted rows.
     """
     real = oracle._distances
 
     def faulty(adjacency, source):
         row = real(adjacency, source)
         absorbed = tuple(v for v, r in enumerate(adjacency) if r is None)
+        if not absorbed:
+            return row
         for b in range(len(row)):
             h = hash((seed, absorbed, source, b))
             if h % one_in == 0:
@@ -472,7 +477,7 @@ class TestFarWitness:
 class TestPathEnumeration:
     def test_exact_length_paths_on_cycle(self):
         rg = reduced(CYCLE4, [0, 1, 0, 1])
-        dist = [bfs_distances(rg, s) for s in range(4)]
+        dist = [_distances(rg.adjacency, s) for s in range(4)]
         # 0 -> 2: the two arcs, both of length 2, one through 1 and one through 3
         assert _has_path_through(rg.adjacency, dist, 0, 2, 1, 2)
         assert _has_path_through(rg.adjacency, dist, 0, 2, 3, 2)
@@ -481,11 +486,11 @@ class TestPathEnumeration:
 
     def test_through_vertex_detection(self):
         rg = reduced(PATH5, [0, 1, 0, 1, 0])
-        dist = [bfs_distances(rg, s) for s in range(5)]
+        dist = [_distances(rg.adjacency, s) for s in range(5)]
         assert _has_path_through(rg.adjacency, dist, 0, 4, 2, 4)
         assert not _has_path_through(rg.adjacency, dist, 0, 4, 2, 5)
         rg2 = reduced(CYCLE4, [0, 1, 0, 1])
-        dist2 = [bfs_distances(rg2, s) for s in range(4)]
+        dist2 = [_distances(rg2.adjacency, s) for s in range(4)]
         # adjacent pair 0-3: the length-3 detour runs through both 1 and 2
         assert _has_path_through(rg2.adjacency, dist2, 0, 3, 1, 3)
         assert not _has_path_through(rg2.adjacency, dist2, 0, 3, 1, 2)

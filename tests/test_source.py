@@ -58,11 +58,26 @@ def test_zone_graphs_are_built_only_from_an_instance():
     assert builders == {"graphs.reduce", "instances._grid_zones"}
 
 
+# iterators with no length hint, so tuple() over one starts at 10 items as over a generator
+UNSIZED_ITERATORS = {"map", "zip", "chain", "compress", "starmap"}
+
+
+def _unsized(arg):
+    """Is `arg` a generator expression or a call of an iterator with no length hint?"""
+    if isinstance(arg, ast.GeneratorExp):
+        return True
+    if not isinstance(arg, ast.Call):
+        return False
+    callee = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(arg.func)}
+    return bool(callee & UNSIZED_ITERATORS)  # map(...), chain.from_iterable(...)
+
+
 def test_no_tuple_built_from_a_generator_expression():
     # CPython sizes such a tuple at 10 items and shrinks it to fit, so every
     # one moves a tuple from the size-10 free list to that of its final size;
     # those lists then fill to 2 000 entries each and hold the memory until a
-    # full collection.  tuple([...]) allocates the final size at once.
+    # full collection.  tuple([...]) and tuple(list(map(...))) allocate the
+    # final size at once.
     sites = []
     for path in MODULES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
@@ -70,7 +85,7 @@ def test_no_tuple_built_from_a_generator_expression():
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "tuple"
-                and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+                and any(_unsized(arg) for arg in node.args)
             ):
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
