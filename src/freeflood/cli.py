@@ -29,6 +29,8 @@ from .instances import (
 )
 from .metrics import radius_and_center
 from .oracle import (
+    DISTANCE_BOUNDS_MAX_ZONES,
+    FAR_WITNESS_MAX_ZONES,
     STATE_BUDGET,
     brute_force_min_moves,
     check_distance_bounds,
@@ -275,17 +277,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("error: --count takes at least 1 graph", file=sys.stderr)
         return EXIT_USAGE
     print(f"# seed {args.seed}")
+    # (name, checker, min zones, max zones); max zones caps the vertices too, inside each guard
     suites = [
-        ("radius-bounds", check_radius_bounds, dict(max_n=50, min_zones=2, max_zones=50)),
-        ("distance-bounds", check_distance_bounds, dict(max_n=30, min_zones=2, max_zones=30)),
-        ("far-witness", check_far_witness, dict(max_n=20, min_zones=3, max_zones=20)),
+        ("radius-bounds", check_radius_bounds, 2, 50),
+        ("distance-bounds", check_distance_bounds, 2, DISTANCE_BOUNDS_MAX_ZONES),
+        ("far-witness", check_far_witness, 3, FAR_WITNESS_MAX_ZONES),
     ]
     failed = False
-    for offset, (name, checker, bounds) in enumerate(suites):
+    for offset, (name, checker, min_zones, max_zones) in enumerate(suites):
         graphs = 0
         checks = 0
         bad = None
-        for _, rg in gen_reduced_corpus(args.count, args.seed + offset, **bounds):
+        for _, rg in gen_reduced_corpus(args.count, args.seed + offset, max_zones, min_zones, max_zones):
             report = checker(rg)
             graphs += 1
             checks += report.instances_checked

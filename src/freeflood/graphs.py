@@ -21,6 +21,7 @@ from .errors import (
     ImproperColoring,
     InvalidVertex,
     SelfLoop,
+    TooManyColors,
 )
 
 Adjacency = tuple[tuple[int, ...], ...]
@@ -69,10 +70,6 @@ class ZoneMap(NamedTuple):
 
     zone_of: Sequence[int]
     representative_of: tuple[int, ...]
-
-    @property
-    def zone_count(self) -> int:
-        return len(self.representative_of)
 
 
 class FloodMove(NamedTuple):
@@ -166,6 +163,14 @@ def _forest_zones(parent: list[int]) -> tuple[list[int], tuple[int, ...]]:
         else:
             parent[k] = parent[p]
     return roots, tuple(parent)
+
+
+def _palette(colors: Sequence[int]) -> list[int]:
+    """The colors in use, ascending: the one place the two-color rule is stated."""
+    used = sorted(set(colors))
+    if len(used) > 2:
+        raise TooManyColors(f"{len(used)} colors in use; freeflood handles two")
+    return used
 
 
 def _validate_reduced(rg: ReducedGraph) -> None:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import DisconnectedGraph, ImproperColoring, InstanceTooLarge, InvariantViolation, TooManyColors
-from .graphs import ColoredGraph, ReducedGraph, _ZoneState
+from .errors import DisconnectedGraph, ImproperColoring, InstanceTooLarge, InvariantViolation
+from .graphs import ColoredGraph, ReducedGraph, _palette, _ZoneState
 from .metrics import _distances, radius_and_center
 
 # Size guards: the default cap on the colorations the search stores (a hit
@@ -91,9 +91,7 @@ def brute_force_min_moves(
     vertex 0's zone again and again takes to leave one zone, which is that
     zone's eccentricity in the zone graph, at most the zone count minus one.
     """
-    used = sorted(set(g.colors))
-    if len(used) > 2:
-        raise TooManyColors(f"{len(used)} colors in use; the oracle handles two")
+    used = _palette(g.colors)
     if len(used) == 1:
         return StateSpaceReport(0, 1, True)
     second = used[1]
@@ -131,9 +129,7 @@ def _contractions(rg: ReducedGraph) -> Iterator[tuple[int, _ZoneState]]:
     x is flooded with the other palette color; the live rows are the
     contracted graph by original zone ids, and absorbed zones' rows are None.
     """
-    palette = set(rg.colors)
-    if len(palette) > 2:
-        raise TooManyColors("neighborhood contraction is defined for two-color instances")
+    palette = _palette(rg.colors)
     if len(palette) != 2:
         raise ImproperColoring("a proper coloration with two or more zones uses two colors")
     a, b = palette
@@ -182,19 +178,14 @@ def check_radius_bounds(rg: ReducedGraph) -> LemmaReport:
     for x, state in _contractions(rg):
         rx = _contracted_radius(state.adjacency)
         checked += 1
-        witness = {"zone": x, "radius": met.radius, "contracted_radius": rx}
         if not met.radius - 1 <= rx <= met.radius:
-            return LemmaReport(
-                "radius-bounds",
-                checked,
-                Counterexample(rg, witness, "contracted radius outside [R-1, R]"),
-            )
-        if x in centers and rx != met.radius - 1:
-            return LemmaReport(
-                "radius-bounds",
-                checked,
-                Counterexample(rg, witness, "contracting a center zone must drop the radius by 1"),
-            )
+            detail = "contracted radius outside [R-1, R]"
+        elif x in centers and rx != met.radius - 1:
+            detail = "contracting a center zone must drop the radius by 1"
+        else:
+            continue
+        witness = {"zone": x, "radius": met.radius, "contracted_radius": rx}
+        return LemmaReport("radius-bounds", checked, Counterexample(rg, witness, detail))
     return LemmaReport("radius-bounds", checked)
 
 
@@ -279,32 +270,27 @@ def _has_path_through(adjacency, dist, a, b, x, length) -> bool:
     return walk(a, length, a == x)
 
 
-class _ShortestPaths:
-    """All shortest paths from a fixed source, read off the BFS dag."""
+def _shortest_paths(adjacency, dist, v: int, memo: dict) -> tuple[tuple[int, ...], ...]:
+    """All shortest paths from the source of `dist` to v, read off the BFS dag.
 
-    def __init__(self, adjacency, dist_from_source, cap: int):
-        self.adjacency = adjacency
-        self.dist = dist_from_source
-        self.cap = cap
-        self._memo: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def to(self, v: int) -> tuple[tuple[int, ...], ...]:
-        got = self._memo.get(v)
-        if got is not None:
-            return got
-        if self.dist[v] == 0:
-            got = ((v,),)
-        else:
-            out = []
-            for u in self.adjacency[v]:
-                if self.dist[u] + 1 == self.dist[v]:
-                    for p in self.to(u):
-                        out.append(p + (v,))
-                        if len(out) > self.cap:
-                            raise InstanceTooLarge("shortest-path enumeration budget exceeded")
-            got = tuple(out)
-        self._memo[v] = got
+    `memo` holds the paths to each vertex already listed from that source.
+    """
+    got = memo.get(v)
+    if got is not None:
         return got
+    if dist[v] == 0:
+        got = ((v,),)
+    else:
+        out = []
+        for u in adjacency[v]:
+            if dist[u] + 1 == dist[v]:
+                for p in _shortest_paths(adjacency, dist, u, memo):
+                    out.append(p + (v,))
+                    if len(out) > FAR_WITNESS_PATH_CAP:
+                        raise InstanceTooLarge("shortest-path enumeration budget exceeded")
+        got = tuple(out)
+    memo[v] = got
+    return got
 
 
 def check_far_witness(rg: ReducedGraph) -> LemmaReport:
@@ -334,28 +320,21 @@ def check_far_witness(rg: ReducedGraph) -> LemmaReport:
     checked = 0
     for c in met.center:
         dc = dist[c]
-        spaths = _ShortestPaths(rg.adjacency, dc, FAR_WITNESS_PATH_CAP)
+        memo = {}
         candidates = [z for z in range(n) if z != c and radius - 1 <= dc[z] <= radius]
         for y in range(n):
             if dc[y] != radius:
                 continue
-            for gamma in spaths.to(y):
+            for gamma in _shortest_paths(rg.adjacency, dc, y, memo):
                 beyond = gamma[1:]
                 witnesses = [
                     z for z in candidates
                     if z != y and all(dc[t] + dist[t][z] > dc[z] for t in beyond)
                 ]
                 checked += 1
-                detail_base = {"center": c, "far": y, "path": gamma}
                 if not witnesses:
-                    return LemmaReport(
-                        "far-witness",
-                        checked,
-                        Counterexample(rg, detail_base, "no witness with disjoint shortest paths"),
-                    )
-                if any(dc[z] == radius for z in witnesses):
-                    continue
-                if all(
+                    detail = "no witness with disjoint shortest paths"
+                elif any(dc[z] == radius for z in witnesses) or not all(
                     any(
                         dc[t] + dist[t][z0] <= dc[z0] + 1
                         and _has_path_through(rg.adjacency, dist, c, z0, t, dc[z0] + 1)
@@ -363,13 +342,11 @@ def check_far_witness(rg: ReducedGraph) -> LemmaReport:
                     )
                     for z0 in witnesses
                 ):
-                    return LemmaReport(
-                        "far-witness",
-                        checked,
-                        Counterexample(
-                            rg,
-                            {**detail_base, "witnesses": tuple(witnesses)},
-                            "every witness at R-1 has an intersecting length-R path",
-                        ),
-                    )
+                    continue
+                else:
+                    detail = "every witness at R-1 has an intersecting length-R path"
+                witness = {"center": c, "far": y, "path": gamma}
+                if witnesses:
+                    witness["witnesses"] = tuple(witnesses)
+                return LemmaReport("far-witness", checked, Counterexample(rg, witness, detail))
     return LemmaReport("far-witness", checked)

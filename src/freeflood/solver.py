@@ -17,13 +17,13 @@ from .errors import (
     InvariantViolation,
     MalformedMove,
     NoOpMove,
-    TooManyColors,
 )
 from .graphs import (
     ColoredGraph,
     FloodMove,
     ReducedGraph,
     ZoneMap,
+    _palette,
     _validate_reduced,
     _ZoneState,
     reduce,
@@ -47,13 +47,6 @@ class Verdict(enum.Enum):
     OPTIMAL = "optimal"
     FEASIBLE_SUBOPTIMAL = "feasible_suboptimal"
     INFEASIBLE = "infeasible"
-
-
-def _palette(colors: Sequence[int]) -> list[int]:
-    used = sorted(set(colors))
-    if len(used) > 2:
-        raise TooManyColors(f"{len(used)} colors in use; this solver handles two")
-    return used
 
 
 def min_moves(g: ColoredGraph) -> int:

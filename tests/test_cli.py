@@ -1,10 +1,12 @@
 """Command-line surface: output shapes, pipelines, and exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,6 +24,7 @@ from freeflood import (
     grid_graph,
     instance_digest,
     instances,
+    oracle,
     parse_graph,
     parse_grid_spec,
     parse_moves,
@@ -364,6 +367,21 @@ def test_check_runs_clean(capsys):
     assert out.count("no counterexample") == 3
 
 
+def test_check_suites_sit_at_the_checkers_zone_guards(monkeypatch, capsys):
+    # no drawn graph has more vertices, so more zones, than its checker takes
+    bounds = []
+    real = cli.gen_reduced_corpus
+
+    def recording(count, seed, max_n, min_zones, max_zones):
+        bounds.append((max_n, max_zones))
+        return real(count, seed, max_n, min_zones, max_zones)
+
+    monkeypatch.setattr(cli, "gen_reduced_corpus", recording)
+    assert main(["check", "--count", "1"]) == EXIT_OK
+    capsys.readouterr()
+    assert bounds == [(50, 50), (oracle.DISTANCE_BOUNDS_MAX_ZONES,) * 2, (oracle.FAR_WITNESS_MAX_ZONES,) * 2]
+
+
 def test_gen_deterministic_and_parseable(capsys):
     assert main(["gen", "--n", "8", "--extra-edges", "2", "--seed", "9"]) == EXIT_OK
     first = capsys.readouterr().out
@@ -423,6 +441,18 @@ def test_gen_refuses_sizes_past_the_limit(argv, capsys):
     )
 
 
+def test_gen_refuses_more_extra_edges_than_non_tree_slots(tmp_path, capsys):
+    # within gen's usage bounds, but two vertices leave no slot off the
+    # spanning tree: a domain error, raised before anything is drawn or written
+    path = tmp_path / "out.graph"
+    for argv in (["--n", "2", "--extra-edges", "1"], ["--n", "2", "--extra-edges", "1", "-o", str(path)]):
+        assert main(["gen", *argv]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 1 extra edges requested, only 0 non-tree slots\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -438,6 +468,21 @@ def test_bench_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--repeat" in captured.err
+
+
+def test_readme_synopsis_lists_every_subcommand_and_long_option():
+    # one line per subcommand in README's Command line block, naming exactly
+    # that subcommand's long options (--help aside)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0].splitlines()
+    listed = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line)) for line in lines}
+    assert len(listed) == len(lines)
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {s for a in sub._actions for s in a.option_strings if s.startswith("--") and s != "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert listed == options
 
 
 def test_bench_refuses_a_side_over_the_limit(capsys):

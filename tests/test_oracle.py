@@ -26,7 +26,7 @@ from freeflood import (
     reduce,
 )
 from freeflood.graphs import _ZoneState
-from freeflood.oracle import _contracted_radius, _contractions, _has_path_through
+from freeflood.oracle import _contracted_radius, _contractions, _has_path_through, _shortest_paths
 from freeflood.metrics import Metrics, _distances
 
 from conftest import (
@@ -162,6 +162,27 @@ class TestRadiusBounds:
         two_edges = ReducedGraph(((1,), (0,), (3,), (2,)), (0, 1, 0, 1))
         with pytest.raises(DisconnectedGraph, match="contracted zone graph is disconnected"):
             check_radius_bounds(two_edges)
+
+    def test_radius_claimed_one_too_high_is_refuted(self, monkeypatch):
+        # R = 3 claimed on a five-zone path of radius 2: contracting zone 1
+        # leaves a three-zone path of radius 1, below R-1
+        claim_radius_one_too_high(monkeypatch)
+        report = check_radius_bounds(reduced(PATH5, [0, 1, 0, 1, 0]))
+        assert report.instances_checked == 2
+        assert report.counterexample.detail == "contracted radius outside [R-1, R]"
+        assert report.counterexample.witness == {"zone": 1, "radius": 3, "contracted_radius": 1}
+
+    def test_end_zone_claimed_central_is_refuted(self, monkeypatch):
+        # every zone of a five-zone path claimed central at its radius 2:
+        # contracting end zone 0 leaves a four-zone path, still of radius 2
+        real = oracle.radius_and_center
+        monkeypatch.setattr(
+            oracle, "radius_and_center", lambda rg: real(rg)._replace(center=tuple(range(rg.zone_count)))
+        )
+        report = check_radius_bounds(reduced(PATH5, [0, 1, 0, 1, 0]))
+        assert report.instances_checked == 1
+        assert report.counterexample.detail == "contracting a center zone must drop the radius by 1"
+        assert report.counterexample.witness == {"zone": 0, "radius": 2, "contracted_radius": 2}
 
 
 def bit_set_agreement_graphs():
@@ -397,7 +418,7 @@ class TestContractionPalette:
 
     @CONTRACTION_CHECKERS
     def test_three_colors_rejected(self, check):
-        with pytest.raises(TooManyColors, match="defined for two-color instances"):
+        with pytest.raises(TooManyColors, match="3 colors in use; freeflood handles two"):
             check(reduced([(0, 1), (1, 2)], [0, 1, 2]))
 
     @CONTRACTION_CHECKERS
@@ -415,6 +436,21 @@ class TestContractionPalette:
 
 
 class TestFarWitness:
+    def test_shortest_paths_in_order_under_the_cap(self, monkeypatch):
+        # two diamonds in a row: four shortest 0-6 paths, listed by their
+        # predecessors in ascending order, last step first
+        rg = reduced(
+            [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)], [0, 1, 1, 0, 1, 1, 0]
+        )
+        dist = _distances(rg.adjacency, 0)
+        monkeypatch.setattr(oracle, "FAR_WITNESS_PATH_CAP", 4)
+        assert _shortest_paths(rg.adjacency, dist, 6, {}) == (
+            (0, 1, 3, 4, 6), (0, 2, 3, 4, 6), (0, 1, 3, 5, 6), (0, 2, 3, 5, 6)
+        )
+        monkeypatch.setattr(oracle, "FAR_WITNESS_PATH_CAP", 3)
+        with pytest.raises(InstanceTooLarge, match="shortest-path enumeration budget exceeded"):
+            _shortest_paths(rg.adjacency, dist, 6, {})
+
     def test_four_cycle_other_side(self):
         assert check_far_witness(reduced(CYCLE4, [0, 1, 0, 1])).ok
 

@@ -1,6 +1,8 @@
 """Source-level rules that hold for every module of the package."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,50 @@ def test_no_tuple_built_from_a_generator_expression():
             ):
                 sites.append(f"{path.name}:{node.lineno}")
     assert sites == []
+
+
+# The public surface, pinned.  perfbench's tracer wraps every public function
+# of these modules and charges it by its qualified name, so a new public
+# function either maps to a metric by name or lands in none; adding one, or a
+# name to `__all__`, must be a deliberate change made here as well.
+PUBLIC_ALL = [
+    "ColorOutOfRange", "ColoredGraph", "Counterexample", "DisconnectedGraph", "DuplicateEdge",
+    "EdgeCountMismatch", "Empty", "EmptyGraph", "FloodError", "FloodMove", "GridSpec",
+    "ImproperColoring", "InstanceTooLarge", "InvalidCharacter", "InvalidVertex",
+    "InvariantViolation", "LemmaReport", "MalformedMove", "Metrics", "NoOpMove", "ParseError",
+    "RaggedRows", "ReducedGraph", "SelfLoop", "Solution", "StateSpaceReport", "TooManyColors",
+    "TooManyEdges", "Verdict", "ZoneMap", "brute_force_min_moves", "build",
+    "check_distance_bounds", "check_far_witness", "check_radius_bounds", "emit_graph",
+    "emit_grid", "emit_moves", "gen_random", "gen_random_bipartite", "gen_reduced_corpus",
+    "grid_graph", "instance_digest", "min_moves", "parse_graph", "parse_grid", "parse_grid_spec",
+    "parse_moves", "radius_and_center", "reduce", "solve", "verify_solution",
+]
+PUBLIC_FUNCTIONS = {
+    "graphs": ["build", "reduce"],
+    "instances": [
+        "emit_graph", "emit_grid", "emit_moves", "gen_random", "gen_random_bipartite",
+        "gen_reduced_corpus", "grid_graph", "instance_digest", "parse_graph", "parse_grid",
+        "parse_grid_spec", "parse_moves",
+    ],
+    "metrics": ["radius_and_center"],
+    "solver": ["min_moves", "solve", "verify_solution"],
+    "oracle": ["brute_force_min_moves", "check_distance_bounds", "check_far_witness", "check_radius_bounds"],
+}
+
+
+def test_all_is_pinned():
+    import freeflood
+
+    assert len(PUBLIC_ALL) == 52
+    assert sorted(freeflood.__all__) == PUBLIC_ALL
+
+
+@pytest.mark.parametrize("layer", sorted(PUBLIC_FUNCTIONS))
+def test_public_functions_are_pinned(layer):
+    # chosen as the tracer chooses: public names bound to functions defined in the module
+    module = importlib.import_module(f"freeflood.{layer}")
+    defined = [
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and inspect.isfunction(value) and value.__module__ == module.__name__
+    ]
+    assert sorted(defined) == PUBLIC_FUNCTIONS[layer]
