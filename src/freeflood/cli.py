@@ -84,14 +84,21 @@ def _parse_instance(path: str) -> GridSpec | ColoredGraph:
     """Read and parse an instance file: a GridSpec, or a built graph.
 
     The first content line tells the formats apart: a graph file's is its
-    `n m c` header, a grid row is one field.
+    `n m c` header, a grid row is one field.  It is looked for in one
+    "\n"-ended piece of the text at a time: `splitlines` of the pieces
+    gives the lines of the whole text, since "\n" always ends a line and
+    the one two-character line end, "\r\n", ends in it.
     """
     text = _read_text(path)
     fields = []
-    for raw in text.splitlines():
-        fields = raw.split("#", 1)[0].split()
-        if fields:
-            break
+    start = 0
+    while not fields and start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            fields = raw.split("#", 1)[0].split()
+            if fields:
+                break
+        start = end
     if len(fields) > 1:
         return parse_graph(text)
     return parse_grid_spec(text)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import chain, compress, groupby, repeat, starmap
-from operator import add, eq, index, ne, sub
+from operator import add, eq, index, lt, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -34,8 +34,9 @@ from .graphs import _check_connected, _forest_zones, _rows
 _DIGITS = "0123456789"
 _DIGIT_BYTES = _DIGITS.encode()
 _CELL_VALUES = bytes(range(10))
-_DIGIT_VALUES = bytes.maketrans(_DIGIT_BYTES, _CELL_VALUES)
 _VALUE_DIGITS = bytes.maketrans(_CELL_VALUES, _DIGIT_BYTES)
+_GRAPH_BYTES = _DIGIT_BYTES + b" \n"  # all that a graph file for `_graph_in_bulk` holds
+_GRID_VALUES = bytes([b - 48 if 48 <= b < 58 else 255 for b in range(256)])  # non-digits to 255
 _PAD = b"\0"  # fills the unused digit positions and missing lines of a grid's edge band
 _BAND_CELLS = 1 << 16  # cells per band when a grid's edges are written
 _TILE_CELLS = 1000  # fewest cells in a tiled band; below it the band costs more than it saves
@@ -67,7 +68,36 @@ class GridSpec(_GridFields):
 
 
 def parse_grid_spec(text: str) -> GridSpec:
-    """Parse rows of digit characters into a GridSpec."""
+    """Parse rows of digit characters into a GridSpec.
+
+    The usual file, ASCII rows of one width each ended by "\n" (the last one
+    may lack it), is checked and converted in whole-text passes: the
+    newlines are read off with one strided slice, and the cells are mapped
+    to colors by one `translate` that sends any other byte to 255.  Any
+    other text (other line ends, blank lines, a fault) goes to
+    `_grid_by_lines`, which accepts the same files and locates the first
+    fault.
+    """
+    if text.isascii():
+        data = text.encode()
+        size = len(data)
+        width = data.find(b"\n")
+        if width < 0:  # one row, no newline
+            width = size
+        stride = width + 1
+        newlines = size // stride  # one per full `stride`-byte line
+        if width and size % stride in (0, width) and data[width::stride] == b"\n" * newlines:
+            cells = data.replace(b"\n", b"")
+            if len(cells) == size - newlines:  # no newline off the stride
+                cells = cells.translate(_GRID_VALUES)
+                if b"\xff" not in cells:
+                    return GridSpec(len(cells) // width, width, cells)
+    return _grid_by_lines(text)
+
+
+def _grid_by_lines(text: str) -> GridSpec:
+    """`parse_grid_spec` one line at a time: accepts any line ends and
+    trailing blank lines, and reports the first fault with its position."""
     lines = text.splitlines()
     while lines and lines[-1] == "":
         lines.pop()
@@ -89,7 +119,7 @@ def parse_grid_spec(text: str) -> GridSpec:
         for j, ch in enumerate(row, start=1):
             if ch not in _DIGITS:
                 raise InvalidCharacter(f"{ch!r} is not a digit", line=i, column=j)
-    return GridSpec(len(lines), width, b"".join(chunks).translate(_DIGIT_VALUES))
+    return GridSpec(len(lines), width, b"".join(chunks).translate(_GRID_VALUES))
 
 
 def grid_graph(spec: GridSpec) -> ColoredGraph:
@@ -185,8 +215,11 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
     their runs follow each other in a band or overlap in adjacent bands.
     The zone map is the run tables themselves (`_BandZones`): a cell's zone
     is found by two binary searches, and no per-cell table is written.
-    Cells are touched only by C-level work (comparing each row with the one
-    above); the Python-level work grows with the bands and their runs.
+    Cells are touched only by C-level work: comparing each row with the one
+    above, and cutting a band's row into runs where the row xor itself
+    shifted by one byte (no carries, so each byte is one cell xor its left
+    neighbor) is nonzero.  The Python-level work grows with the bands and
+    their runs.
     """
     rows, cols, cells = spec.rows, spec.cols, spec.cells
     n = rows * cols
@@ -206,7 +239,8 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
     for row, same in groupby(row_slices):
         height = len(list(same))
         tail = row[1:]
-        changes = list(map(ne, tail, row))
+        x = int.from_bytes(row, "big")
+        changes = (x ^ (x >> 8)).to_bytes(cols, "big")[1:]  # byte i: cell i+1 xor cell i
         cuts = list(compress(columns, changes))
         first = len(begin)
         last = first + len(cuts)
@@ -296,7 +330,74 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_graph(text: str) -> ColoredGraph:
-    """Parse an "n m c" header, n color lines, and m edge lines."""
+    """Parse an "n m c" header, n color lines, and m edge lines.
+
+    A file of ASCII digits, spaces and "\n" only, with one header line, n
+    color lines and m "u v" lines, is checked in whole-text passes
+    (`_graph_in_bulk`).  Any other text (comments, blank lines, other line
+    ends, a fault) goes to `_graph_by_lines`, which accepts the same files
+    and locates the first fault.
+    """
+    edges, colors, color_count = _graph_in_bulk(text) or _graph_by_lines(text)
+    g = _assemble(edges, tuple(colors), color_count)  # every edge and color checked
+    _check_connected(g.adjacency)
+    return g
+
+
+def _graph_in_bulk(text: str) -> tuple[Iterable[tuple[int, int]], list[int], int] | None:
+    """The checked edges, colors and color count of a plain graph file, or None.
+
+    None means the text is not digits, spaces and "\n" laid out as one
+    header line, n color lines and m lines "u v" with one space (the last
+    one may lack its "\n"), or breaks a rule of the format.  The edge lines
+    are split into tokens once and converted with `map(int, ...)`; their
+    layout is checked on the separators left when the digits are deleted.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode()
+    if data.translate(None, _GRAPH_BYTES):
+        return None
+    header, _, body = data.partition(b"\n")
+    fields = header.split()
+    if len(fields) != 3:
+        return None
+    n, m, color_count = map(int, fields)
+    if not 1 <= n <= len(body) or color_count < 1:  # a color line takes at least one byte
+        return None
+    lines = body.split(b"\n", n)  # the n color lines, then the edge text
+    if len(lines) == n:  # no edge text, and no newline after the last color
+        lines.append(b"")
+    edge_text = lines.pop()
+    try:
+        colors = list(map(int, lines))
+    except ValueError:  # a blank line, or a line of two fields
+        return None
+    if max(colors) >= color_count:
+        return None
+    tokens = edge_text.split()
+    if len(tokens) != 2 * m:
+        return None
+    if edge_text and not edge_text.endswith(b"\n"):
+        edge_text += b"\n"
+    if edge_text.translate(None, _DIGIT_BYTES) != b" \n" * m:  # each line one "u v"
+        return None
+    us = list(map(int, tokens[0::2]))
+    vs = list(map(int, tokens[1::2]))
+    del tokens
+    if m and max(vs) >= n:  # 0 <= u < v, so v < n is the range check
+        return None
+    if not all(map(lt, us, vs)):
+        return None
+    if len(set(map(add, map(mul, us, repeat(n)), vs))) != m:  # u * n + v names the edge
+        return None
+    return zip(us, vs), colors, color_count
+
+
+def _graph_by_lines(text: str) -> tuple[dict[tuple[int, int], None], list[int], int]:
+    """`parse_graph`'s checks one content line at a time: accepts comments,
+    blank lines and any line ends, and reports the first fault with its
+    position."""
     lines = _content_lines(text)
     if not lines:
         raise Empty("no content", line=1)
@@ -354,9 +455,7 @@ def parse_graph(text: str) -> ColoredGraph:
         raise EdgeCountMismatch(
             f"header declares {m} edges, found extra content", line=lines[pos][0]
         )
-    g = _assemble(seen, tuple(colors), color_count)  # every line checked above
-    _check_connected(g.adjacency)
-    return g
+    return seen, colors, color_count
 
 
 def emit_graph(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
@@ -610,10 +709,24 @@ def gen_random(n: int, extra_edges: int, color_count: int, seed: int) -> Colored
         edges.add((a, b) if a < b else (b, a))
     if extra_edges:
         if extra_edges > slots // 3:
-            pool = [
-                (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges
-            ]
-            edges.update(rng.sample(pool, extra_edges))
+            # ranks among the non-tree pairs (u, v), u < v, in ascending order:
+            # the indices a sample of that list would draw, unranked into pairs
+            above: list[list[int]] = [[] for _ in range(n)]  # u's tree neighbors above u
+            for u, v in sorted(edges):
+                above[u].append(v)
+            ranks = sorted(rng.sample(range(slots), extra_edges), reverse=True)
+            base = 0  # the rank of u's first non-tree pair
+            for u in range(n):
+                if not ranks:
+                    break
+                pairs = n - 1 - u - len(above[u])
+                while ranks and ranks[-1] < base + pairs:
+                    at = u + 1 + ranks.pop() - base
+                    for w in above[u]:
+                        if w <= at:
+                            at += 1
+                    edges.add((u, at))
+                base += pairs
         else:
             want = n - 1 + extra_edges
             while len(edges) < want:

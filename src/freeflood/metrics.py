@@ -46,7 +46,7 @@ def radius_and_center(rg: ReducedGraph) -> Metrics:
     return Metrics(tuple(eccs), radius, center)
 
 
-def _radius_search(adjacency, start: int = 0) -> tuple[int, int, int]:
+def _radius_search(adjacency, start: int = 0, dist=None) -> tuple[int, int, int]:
     """Exact radius, least-index center zone and the count of searches run.
 
     A search from v gives every zone w the lower bound
@@ -58,7 +58,8 @@ def _radius_search(adjacency, start: int = 0) -> tuple[int, int, int]:
     beat the best (eccentricity, id) found so far, so the result is
     (radius, min(center)) of `radius_and_center`.  A searched zone's bound
     becomes its eccentricity, which drops it too.  The first search runs
-    from `start`; a None row (an absorbed zone of a zone state) is never
+    from `start`, or is `dist` when the caller has run it (the list is then
+    overwritten); a None row (an absorbed zone of a zone state) is never
     reached, so its bound ecc(start) + 1 drops it.
     """
     lower = [0] * len(adjacency)
@@ -67,8 +68,9 @@ def _radius_search(adjacency, start: int = 0) -> tuple[int, int, int]:
     sources = []
     source = candidate = start
     peripheral = False
-    while alive:
-        dist = _distances(adjacency, source)
+    if dist is None:
+        dist = _distances(adjacency, start)
+    while True:
         sources.append(source)
         ecc = max(dist)
         if ecc < best or (ecc == best and source < best_zone):
@@ -88,10 +90,12 @@ def _radius_search(adjacency, start: int = 0) -> tuple[int, int, int]:
                 if bound < least:
                     least, candidate = bound, w
         alive = kept
+        if not alive:
+            return best, best_zone, len(sources)
         if peripheral:
             source, peripheral = candidate, False
-        elif alive:  # after a candidate's search, the least farthest unsearched zone
+        else:  # after a candidate's search, the least farthest unsearched zone
             for s in sources:
                 dist[s] = -1
             source, peripheral = dist.index(max(dist)), True
-    return best, best_zone, len(sources)
+        dist = _distances(adjacency, source)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from freeflood import (
     ColoredGraph,
+    FloodError,
     ReducedGraph,
     StateSpaceReport,
     ZoneMap,
@@ -28,6 +29,20 @@ from freeflood import (
     grid_graph,
     reduce,
 )
+from freeflood.errors import (
+    ColorOutOfRange,
+    DuplicateEdge,
+    EdgeCountMismatch,
+    Empty,
+    EmptyGraph,
+    InvalidCharacter,
+    InvalidVertex,
+    ParseError,
+    RaggedRows,
+    SelfLoop,
+    TooManyEdges,
+)
+from freeflood.graphs import _assemble, _check_connected
 from freeflood.instances import GridSpec
 from freeflood.metrics import _distances
 
@@ -272,6 +287,172 @@ def bytes_state_search(g, state_budget):
 def contracted_radius_by_sweep(adjacency):
     """The reference for `oracle._contracted_radius`: one search per live zone."""
     return min(max(_distances(adjacency, z)) for z, row in enumerate(adjacency) if row is not None)
+
+
+# The line-by-line readers and the pool draw the package replaced with
+# whole-text passes and unranked draws, kept verbatim as the references the
+# fast paths must agree with exactly: same object, or same error class,
+# message, line and column.
+_DIGITS = "0123456789"
+_DIGIT_BYTES = _DIGITS.encode()
+_DIGIT_VALUES = bytes.maketrans(_DIGIT_BYTES, bytes(range(10)))
+
+
+def reference_parse_grid_spec(text: str) -> GridSpec:
+    """Parse rows of digit characters into a GridSpec."""
+    lines = text.splitlines()
+    while lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise Empty("no grid rows", line=1)
+    width = len(lines[0])
+    if width == 0:
+        raise Empty("first grid row is empty", line=1)
+    chunks = []
+    for i, row in enumerate(lines, start=1):
+        if row.isascii() and len(row) == width:
+            raw = row.encode()
+            if not raw.translate(None, _DIGIT_BYTES):
+                chunks.append(raw)
+                continue
+        # the row is bad: find the first fault the way a reader would
+        if len(row) != width:
+            raise RaggedRows(f"row has width {len(row)}, expected {width}", line=i)
+        for j, ch in enumerate(row, start=1):
+            if ch not in _DIGITS:
+                raise InvalidCharacter(f"{ch!r} is not a digit", line=i, column=j)
+    return GridSpec(len(lines), width, b"".join(chunks).translate(_DIGIT_VALUES))
+
+
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """Logical lines with comments stripped, keeping 1-based line numbers."""
+    out = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((i, line))
+    return out
+
+
+def reference_parse_graph(text: str) -> ColoredGraph:
+    """Parse an "n m c" header, n color lines, and m edge lines."""
+    lines = _content_lines(text)
+    if not lines:
+        raise Empty("no content", line=1)
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3:
+        raise ParseError("header must be 'n m c'", line=lineno)
+    try:
+        n, m, color_count = (int(p) for p in parts)
+    except ValueError:
+        raise ParseError("header fields must be integers", line=lineno) from None
+    if n < 1:
+        raise ParseError("vertex count must be at least 1", line=lineno)
+    if m < 0:
+        raise ParseError("edge count cannot be negative", line=lineno)
+    if color_count < 1:
+        raise ParseError("color count must be at least 1", line=lineno)
+    pos = 1
+    colors = []
+    for k in range(n):
+        if pos >= len(lines):
+            raise ParseError(f"expected {n} color lines, found {k}", line=lines[-1][0])
+        lineno, line = lines[pos]
+        pos += 1
+        try:
+            color = int(line)
+        except ValueError:
+            raise ParseError("expected a single color id", line=lineno) from None
+        if not 0 <= color < color_count:
+            raise ColorOutOfRange(f"line {lineno}: color {color} outside [0, {color_count})")
+        colors.append(color)
+    seen: dict[tuple[int, int], None] = {}  # ordered, so assembly walks the edges in file order
+    for k in range(m):
+        if pos >= len(lines):
+            raise EdgeCountMismatch(f"header declares {m} edges, found {k}", line=lines[-1][0])
+        lineno, line = lines[pos]
+        pos += 1
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError("expected 'u v'", line=lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("edge endpoints must be integers", line=lineno) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidVertex(f"line {lineno}: edge ({u}, {v}) outside [0, {n})")
+        if u == v:
+            raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
+        if not u < v:
+            raise ParseError("edge endpoints must satisfy u < v", line=lineno)
+        if (u, v) in seen:
+            raise DuplicateEdge(f"line {lineno}: edge ({u}, {v}) given twice")
+        seen[u, v] = None
+    if pos < len(lines):
+        raise EdgeCountMismatch(
+            f"header declares {m} edges, found extra content", line=lines[pos][0]
+        )
+    g = _assemble(seen, tuple(colors), color_count)  # every line checked above
+    _check_connected(g.adjacency)
+    return g
+
+
+def reference_parse_instance(text: str):
+    """`cli._parse_instance` on text: the first content line of the whole
+    text's `splitlines` picks the format."""
+    fields = []
+    for raw in text.splitlines():
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            break
+    if len(fields) > 1:
+        return reference_parse_graph(text)
+    return reference_parse_grid_spec(text)
+
+
+def reference_gen_random(n: int, extra_edges: int, color_count: int, seed: int) -> ColoredGraph:
+    """Seeded connected instance: a random spanning tree plus extra edges.
+
+    The same seed always yields the same instance.
+    """
+    if n < 1:
+        raise EmptyGraph("a graph needs at least one vertex")
+    if color_count < 1:
+        raise ColorOutOfRange("at least one color is needed")
+    slots = n * (n - 1) // 2 - (n - 1)
+    if extra_edges > slots:
+        raise TooManyEdges(f"{extra_edges} extra edges requested, only {slots} non-tree slots")
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    edges: set[tuple[int, int]] = set()
+    for i in range(1, n):
+        a, b = order[i], order[rng.randrange(i)]
+        edges.add((a, b) if a < b else (b, a))
+    if extra_edges:
+        if extra_edges > slots // 3:
+            pool = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges
+            ]
+            edges.update(rng.sample(pool, extra_edges))
+        else:
+            want = n - 1 + extra_edges
+            while len(edges) < want:
+                u, v = rng.randrange(n), rng.randrange(n)
+                if u != v:
+                    edges.add((u, v) if u < v else (v, u))
+    colors = [rng.randrange(color_count) for _ in range(n)]
+    return _assemble(sorted(edges), tuple(colors), color_count)  # valid by construction
+
+
+def outcome(call, *args):
+    """What `call(*args)` gives: ("ok", its result), or the error's class,
+    message, line and column."""
+    try:
+        return "ok", call(*args)
+    except FloodError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
 
 
 # The acceptance corpora, shared by the acceptance suite and the agreement

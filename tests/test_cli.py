@@ -671,9 +671,9 @@ def test_failed_internal_check_exits_9(board, capsys, monkeypatch):
     real = solver._radius_search
     calls = []
 
-    def off_by_one_after_a_move(adjacency, start=0):
+    def off_by_one_after_a_move(adjacency, start=0, dist=None):
         calls.append(start)
-        radius, center, count = real(adjacency, start)
+        radius, center, count = real(adjacency, start, dist)
         return radius + (len(calls) > 1), center, count
 
     monkeypatch.setattr(solver, "_radius_search", off_by_one_after_a_move)
@@ -746,8 +746,8 @@ def test_validate_refutes_moves_off_the_center(tmp_path, capsys, monkeypatch):
     # radius, but leave two zones; only --validate replays and rejects them
     real = solver._radius_search
 
-    def off_center(adjacency, start=0):
-        radius, _, searches = real(adjacency, start)
+    def off_center(adjacency, start=0, dist=None):
+        radius, _, searches = real(adjacency, start, dist)
         return radius, 0, searches
 
     monkeypatch.setattr(solver, "_radius_search", off_center)

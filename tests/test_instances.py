@@ -37,8 +37,16 @@ from freeflood import (
     parse_moves,
     reduce,
 )
-from freeflood import instances
+from freeflood import cli, instances
 from freeflood.instances import GridSpec, _grid_zones
+
+from conftest import (
+    outcome,
+    reference_gen_random,
+    reference_parse_graph,
+    reference_parse_grid_spec,
+    reference_parse_instance,
+)
 
 
 class TestGrid:
@@ -228,7 +236,7 @@ class TestGraphFormat:
         edges = [(u, w) for u, row in enumerate(g.adjacency) for w in row if u < w]
         rng.shuffle(edges)
         expected = build([(w, u) for u, w in edges], g.colors, g.color_count)
-        # the file's lines are checked as they are read, so parsing never builds
+        # the file is checked as it is parsed, so parsing never builds
         monkeypatch.setattr(instances, "build", None)
         assert parse_graph(text) == g == expected
 
@@ -303,6 +311,17 @@ class TestGenerators:
         for edges, colors, color_count, g in drawn:
             assert type(g) is ColoredGraph
             assert g == build(edges, colors, color_count)
+
+    def test_pool_draw_equals_the_pair_list_draw(self):
+        # past slots // 3 extra edges the draw is of ranks, unranked into
+        # pairs; it must give the graph that sampling the pair list gave
+        for n in range(1, 61):
+            slots = n * (n - 1) // 2 - (n - 1)
+            for seed in range(12):
+                rng = random.Random(n * 100 + seed)
+                for extra in {0, slots // 3, slots // 3 + 1, slots, slots + 1, rng.randint(0, slots)}:
+                    args = n, extra, 1 + seed % 3, seed
+                    assert outcome(gen_random, *args) == outcome(reference_gen_random, *args)
 
     def test_bipartite_equals_the_cross_pair_list_draw(self):
         # the reference lists every cross pair, Theta(n^2), and samples from
@@ -566,3 +585,168 @@ def _banded(bands):
     cells = tuple(c for row, height in bands for _ in range(height) for c in row)
     cols = len(bands[0][0])
     return GridSpec(len(cells) // cols, cols, cells)
+
+
+# Every str.splitlines line end; bytes.splitlines and str.split disagree with
+# it on several, so a text that holds one must leave the whole-text passes.
+LINE_ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+# what else a hand-made file may hold: blanks, a comment, signs and
+# underscores int() accepts, a letter and a non-ASCII digit
+OTHER_CHARS = [" ", "  ", "\t", "#", "+", "-", "_", "x", "\u0663"]
+ALPHABET = [*"0123456789", *LINE_ENDS, *OTHER_CHARS]
+
+
+@st.composite
+def _mutated(draw, base):
+    """`base` with up to three edits: a character put in, one taken out, a
+    "\\n" swapped for another line end, the last line end dropped, or blank
+    and whitespace lines added at the end."""
+    text = base
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "line end", "drop end", "trailer"]))
+        at = draw(st.integers(0, len(text)))
+        if kind == "insert":
+            text = text[:at] + draw(st.sampled_from(ALPHABET)) + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1 :]
+        elif kind == "line end":
+            at = text.find("\n", at)
+            if at >= 0:
+                text = text[:at] + draw(st.sampled_from(LINE_ENDS)) + text[at + 1 :]
+        elif kind == "drop end":
+            text = text.rstrip("\n")
+        else:
+            text += "".join(draw(st.lists(st.sampled_from(["\n", " \n", "\t\n", "\r\n", "\f"]))))
+    return text
+
+
+_FREE_TEXTS = st.lists(st.sampled_from(ALPHABET), max_size=40).map("".join)
+_GRID_TEXTS = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1)).map(
+    lambda shape: emit_grid(_seeded_board(*shape))
+)
+_GRAPH_TEXTS = st.tuples(st.integers(1, 14), st.integers(0, 6), st.integers(0, 2**32 - 1)).map(
+    lambda drawn: emit_graph(_seeded_graph(*drawn))
+)
+
+
+def _seeded_board(rows, cols, seed, colors=3):
+    rng = random.Random(seed)
+    return GridSpec(rows, cols, bytes([rng.randrange(colors) for _ in range(rows * cols)]))
+
+
+def _seeded_graph(n, extra, seed, colors=3):
+    slots = n * (n - 1) // 2 - (n - 1)
+    return gen_random(n, min(extra, slots), colors, seed)
+
+
+def _assert_parsers_agree(text):
+    """Both parsers and the CLI's format sniff give what the line-by-line
+    references give: the same object, or the same error, line and column."""
+    assert outcome(parse_grid_spec, text) == outcome(reference_parse_grid_spec, text)
+    assert outcome(parse_graph, text) == outcome(reference_parse_graph, text)
+    with patch.object(cli, "_read_text", lambda path: text):
+        assert outcome(cli._parse_instance, "-") == outcome(reference_parse_instance, text)
+
+
+class TestWholeTextParse:
+    """The whole-text passes against the line-by-line readers they stand in front of."""
+
+    @given(st.one_of(_FREE_TEXTS, _GRID_TEXTS.flatmap(_mutated), _GRAPH_TEXTS.flatmap(_mutated)))
+    @settings(max_examples=600)
+    def test_agrees_with_the_line_readers(self, text):
+        _assert_parsers_agree(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "\n", " \n", "0", "0\n", "01\n10", "01\n10\n\n", "01\r\n10\r\n", "01\n\n10\n",
+            "01\f10\v", "01\x1c10", "01\x8510", "01\u202810", "01\n10\x85", "\n01\n10\n",
+            "01\n1\n", "01\n100\n", "0 1\n10\n", "01\n1x\n", "01\n1\u0663\n", "\u06630\n",
+            "1 0 1\n0", "1 0 1\n0\n", "1 0 1\n0\n\n", "2 1 2\n0\n1\n0 1", "2 1 2\n0\n1\n0 1\n",
+            "2 1 2\n0\n1\n0  1\n", "2 1 2\n0\n1\n 0 1\n", "2 1 2\n0\n1\n0 1 \n", " 2 1 2\n0\n1\n0 1\n",
+            "2 1 2\n 0 \n1\n0 1\n", "2 1 2\n0\n\n1\n0 1\n", "2 1 2\n0\n1\n\n0 1\n", "2 1 2\n0 1\n0 1\n",
+            "2 1 2\n0\n1\n0 1\n\n", "2 1 2\n0\n1\n1 0\n", "2 1 2\n0\n1\n1 1\n", "2 1 2\n0\n1\n0 2\n",
+            "2 1 2\n0\n2\n0 1\n", "2 1 2\n00\n01\n00 01\n", "3 1 2\n0\n1\n0\n0 1\n", "2 0 2\n0\n1\n",
+            "2 0 2\n0\n1\n0 1\n", "2 2 2\n0\n1\n0 1\n0 1\n", "2 1 2\n0\n1\n0 1\n0 1\n", "2 1 0\n0\n0\n0 1\n",
+            "0 0 1\n", "2 1 2\n0\n1\n0\n1\n", "2 1 2\n0\n1\n0 1\r\n", "2 1 2\n0\n1\n0\t1\n",
+            "2 1 2\n0\n1\n+0 1\n", "2 1 2\n0\n1\n0 1_0\n", "2 1 2 # c\n0\n1\n0 1\n", "2 1 2\n0\n1",
+            "3 2 2\n0\n1\n0\n0 1\n1 2", "3 2 2\n0\n1\n0\n0 1 1 2\n", "3 2 2\n0\n1\n0\n0\n1 1 2\n",
+            "99999999999999999999 1 2\n0\n", "2 99999999999999999999 2\n0\n1\n0 1\n",
+        ],
+    )
+    def test_corner_texts(self, text):
+        _assert_parsers_agree(text)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_boards(self, seed):
+        rng = random.Random(seed)
+        boards = [
+            _seeded_board(rng.randint(2, 40), rng.randint(2, 40), seed, colors=rng.choice([2, 3, 10])),
+            _banded([([rng.randrange(2) for _ in range(9)], rng.randint(1, 4)) for _ in range(5)]),
+            _seeded_board(1, 1, seed),
+            _seeded_board(1, rng.randint(2, 60), seed),
+            _seeded_board(rng.randint(2, 60), 1, seed),
+        ]
+        for spec in boards:
+            text = emit_grid(spec)
+            at = rng.randrange(len(text))
+            for variant in (
+                text,
+                text[:-1],
+                text.replace("\n", "\r\n"),
+                text + "\n \n",
+                text[:at] + rng.choice(ALPHABET) + text[at + 1 :],
+                text[:at] + text[at + 1 :],
+            ):
+                _assert_parsers_agree(variant)
+            assert parse_grid_spec(text) == spec
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_graph_files(self, seed):
+        rng = random.Random(seed)
+        for n in (1, 2, rng.randint(3, 12), rng.randint(13, 120)):
+            g = _seeded_graph(n, rng.randint(0, n), rng.randrange(2**32), colors=rng.randint(1, 3))
+            text = emit_graph(g)
+            at = rng.randrange(len(text))
+            lines = text.splitlines(keepends=True)
+            i, j = sorted(rng.sample(range(len(lines)), 2)) if len(lines) > 1 else (0, 0)
+            swapped = lines[:i] + lines[j : j + 1] + lines[i + 1 : j] + lines[i : i + 1] + lines[j + 1 :]
+            for variant in (
+                text,
+                text[:-1],
+                text.replace("\n", "\r\n"),
+                "# made by gen\n" + text,
+                text + "\n\n",
+                text[:at] + rng.choice(ALPHABET) + text[at + 1 :],
+                text[:at] + text[at + 1 :],
+                text[:at] + " " + text[at:],
+                "".join(swapped),
+                "".join(lines[:-1]),
+                text + lines[-1],
+            ):
+                _assert_parsers_agree(variant)
+            assert parse_graph(text) == g
+
+    def test_valid_files_never_reach_the_line_readers(self):
+        # a whole-text pass that turned a valid file away would still agree
+        # with the references, only slower; so the readers must not be called
+        def refuse(text):
+            raise AssertionError("a valid file reached the line-by-line reader")
+
+        specs = [_seeded_board(1, 1, 0), _seeded_board(1, 9, 1), _seeded_board(9, 1, 2)]
+        specs += [_seeded_board(rows, cols, seed, 10) for rows, cols, seed in [(3, 4, 3), (64, 64, 4)]]
+        specs.append(_banded([([0, 1, 1, 0], 3), ([1, 1, 0, 0], 2), ([0, 1, 1, 0], 1)]))
+        # ids of 1 to 5 digits: the 101x100 board's graph file names vertex 10 099
+        graphs = [_seeded_graph(n, n // 2, n) for n in (1, 2, 10, 11, 99, 101, 1000, 1001)]
+        graph_texts = [emit_graph(g) for g in graphs] + [emit_graph(_seeded_board(101, 100, 5))]
+        with patch.object(instances, "_grid_by_lines", refuse), patch.object(
+            instances, "_graph_by_lines", refuse
+        ):
+            for spec in specs:
+                text = emit_grid(spec)
+                assert parse_grid_spec(text) == parse_grid_spec(text[:-1]) == spec
+            for g, text in zip(graphs, graph_texts):
+                assert parse_graph(text) == parse_graph(text[:-1]) == g
+            big = graph_texts[-1]
+            assert big.endswith("10098 10099\n")
+            assert parse_graph(big) == parse_graph(big[:-1]) == grid_graph(_seeded_board(101, 100, 5))

@@ -1,5 +1,7 @@
 """Solver behavior: optimum values, certificates, replay verification."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -138,8 +140,8 @@ class TestSolveReduced:
         # prints its moves unchecked, and the replay of those moves refutes them
         real = solver._radius_search
 
-        def off_center(adjacency, start=0):
-            radius, _, searches = real(adjacency, start)
+        def off_center(adjacency, start=0, dist=None):
+            radius, _, searches = real(adjacency, start, dist)
             return radius, 0, searches
 
         monkeypatch.setattr(solver, "_radius_search", off_center)
@@ -157,7 +159,7 @@ class TestSolveReduced:
         monkeypatch.setattr(
             solver,
             "_radius_search",
-            lambda adj, start=0: (2, 5, 1) if start == 0 else real(adj, start),
+            lambda adj, start=0, dist=None: (2, 5, 1) if start == 0 else real(adj, start, dist),
         )
         g = build([(0, 1), (0, 2), (0, 3), (0, 4), (3, 5)], [0, 1, 1, 1, 1, 0])
         s = solve(g)
@@ -165,6 +167,32 @@ class TestSolveReduced:
         assert verify_solution(g, s) is Verdict.INFEASIBLE
         with pytest.raises(InvariantViolation, match="flooded zone left the center set"):
             solve(g, validate=True)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_validation_searches_once_per_step_for_reach_and_radius(self, seed, monkeypatch):
+        # each step's search from the flooded zone, which checks that every
+        # zone is reached, is also the first search of that step's radius
+        # search: the searches run are exactly those the radius searches count
+        rng = random.Random(seed)
+        g = parse_grid("\n".join("".join(rng.choice("01") for _ in range(12)) for _ in range(12)))
+        calls, counted = [], []
+        real_distances, real_search = metrics._distances, solver._radius_search
+
+        def distances(adjacency, source):
+            calls.append(source)
+            return real_distances(adjacency, source)
+
+        def search(adjacency, start=0, dist=None):
+            found = real_search(adjacency, start, dist)
+            counted.append(found[2])
+            return found
+
+        monkeypatch.setattr(metrics, "_distances", distances)
+        monkeypatch.setattr(solver, "_distances", distances)
+        monkeypatch.setattr(solver, "_radius_search", search)
+        s = solve(g, validate=True)
+        assert len(counted) == 1 + len(s.moves) > 1
+        assert len(calls) == sum(counted)
 
     def test_validation_needs_one_zone_at_the_end(self, monkeypatch):
         monkeypatch.setattr(solver, "_radius_search", lambda adj: (0, 0, 1))
