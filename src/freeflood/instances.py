@@ -366,6 +366,8 @@ def _graph_in_bulk(text: str) -> tuple[Iterable[tuple[int, int]], list[int], int
     if not 1 <= n <= len(body) or color_count < 1:  # a color line takes at least one byte
         return None
     lines = body.split(b"\n", n)  # the n color lines, then the edge text
+    if len(lines) < n:  # fewer color lines than declared
+        return None
     if len(lines) == n:  # no edge text, and no newline after the last color
         lines.append(b"")
     edge_text = lines.pop()

@@ -628,6 +628,17 @@ _GRAPH_TEXTS = st.tuples(st.integers(1, 14), st.integers(0, 6), st.integers(0, 2
     lambda drawn: emit_graph(_seeded_graph(*drawn))
 )
 
+# graph-file shaped texts of digits, spaces and "\n" only, the texts the
+# whole-text pass reads itself: a header, then lines of 0-5 pieces
+_PLAIN_LINES = st.lists(st.sampled_from(["0", "1", "2", "10", " "]), max_size=5).map("".join)
+_PLAIN_TEXTS = st.tuples(
+    st.integers(0, 5), st.integers(0, 4), st.integers(0, 3), st.lists(_PLAIN_LINES, max_size=8)
+).flatmap(
+    lambda d: st.sampled_from(["", "\n"]).map(
+        lambda end: "\n".join([f"{d[0]} {d[1]} {d[2]}", *d[3]]) + end
+    )
+)
+
 
 def _seeded_board(rows, cols, seed, colors=3):
     rng = random.Random(seed)
@@ -651,7 +662,11 @@ def _assert_parsers_agree(text):
 class TestWholeTextParse:
     """The whole-text passes against the line-by-line readers they stand in front of."""
 
-    @given(st.one_of(_FREE_TEXTS, _GRID_TEXTS.flatmap(_mutated), _GRAPH_TEXTS.flatmap(_mutated)))
+    @given(
+        st.one_of(
+            _FREE_TEXTS, _PLAIN_TEXTS, _GRID_TEXTS.flatmap(_mutated), _GRAPH_TEXTS.flatmap(_mutated)
+        )
+    )
     @settings(max_examples=600)
     def test_agrees_with_the_line_readers(self, text):
         _assert_parsers_agree(text)
@@ -672,6 +687,7 @@ class TestWholeTextParse:
             "2 1 2\n0\n1\n+0 1\n", "2 1 2\n0\n1\n0 1_0\n", "2 1 2 # c\n0\n1\n0 1\n", "2 1 2\n0\n1",
             "3 2 2\n0\n1\n0\n0 1\n1 2", "3 2 2\n0\n1\n0\n0 1 1 2\n", "3 2 2\n0\n1\n0\n0\n1 1 2\n",
             "99999999999999999999 1 2\n0\n", "2 99999999999999999999 2\n0\n1\n0 1\n",
+            "3 0 2\n00\n", "3 0 2\n000", "4 1 2\n0\n1\n0 2",  # fewer color lines than n
         ],
     )
     def test_corner_texts(self, text):
