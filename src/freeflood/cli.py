@@ -149,7 +149,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     parsed = time.perf_counter()
     rg, zm, _ = _zones(source)
     loaded = time.perf_counter()
-    solution, searches = _solve_zones(rg, zm, validate=args.validate)
+    solution, searches, certificate_searches = _solve_zones(rg, zm, validate=args.validate)
     solved = time.perf_counter()
     if args.moves_out:
         with open(args.moves_out, "w", encoding="utf-8") as handle:
@@ -178,6 +178,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "digest_ms": digest_ms,
             },
         }
+        if args.validate:
+            doc["certificate_searches"] = certificate_searches
         _print_json(doc)
     else:
         print(f"optimum {solution.claimed_optimum}")

@@ -334,9 +334,10 @@ def parse_graph(text: str) -> ColoredGraph:
 
     A file of ASCII digits, spaces and "\n" only, with one header line, n
     color lines and m "u v" lines, is checked in whole-text passes
-    (`_graph_in_bulk`).  Any other text (comments, blank lines, other line
-    ends, a fault) goes to `_graph_by_lines`, which accepts the same files
-    and locates the first fault.
+    (`_graph_in_bulk`), after any leading comment lines.  Any other text
+    (other comments, blank lines, other line ends, a fault) goes to
+    `_graph_by_lines`, which accepts the same files and locates the first
+    fault.
     """
     edges, colors, color_count = _graph_in_bulk(text) or _graph_by_lines(text)
     g = _assemble(edges, tuple(colors), color_count)  # every edge and color checked
@@ -349,13 +350,21 @@ def _graph_in_bulk(text: str) -> tuple[Iterable[tuple[int, int]], list[int], int
 
     None means the text is not digits, spaces and "\n" laid out as one
     header line, n color lines and m lines "u v" with one space (the last
-    one may lack its "\n"), or breaks a rule of the format.  The edge lines
-    are split into tokens once and converted with `map(int, ...)`; their
-    layout is checked on the separators left when the digits are deleted.
+    one may lack its "\n"), or breaks a rule of the format.  Leading
+    comment lines of printable ASCII, such as the "# seed N" that `gen`
+    writes, are skipped.  The edge lines are split into tokens once and
+    converted with `map(int, ...)`; their layout is checked on the
+    separators left when the digits are deleted.
     """
     if not text.isascii():
         return None
-    data = text.encode()
+    start = 0
+    while text.startswith("#", start):
+        end = text.find("\n", start) + 1
+        if not end or not text[start : end - 1].isprintable():  # no other line end inside
+            return None
+        start = end
+    data = text[start:].encode()
     if data.translate(None, _GRAPH_BYTES):
         return None
     header, _, body = data.partition(b"\n")

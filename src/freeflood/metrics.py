@@ -46,7 +46,7 @@ def radius_and_center(rg: ReducedGraph) -> Metrics:
     return Metrics(tuple(eccs), radius, center)
 
 
-def _radius_search(adjacency, start: int = 0, dist=None) -> tuple[int, int, int]:
+def _radius_search(adjacency, start: int = 0, dist=None, target=None) -> tuple[int, int, int]:
     """Exact radius, least-index center zone and the count of searches run.
 
     A search from v gives every zone w the lower bound
@@ -61,9 +61,19 @@ def _radius_search(adjacency, start: int = 0, dist=None) -> tuple[int, int, int]
     from `start`, or is `dist` when the caller has run it (the list is then
     overwritten); a None row (an absorbed zone of a zone state) is never
     reached, so its bound ecc(start) + 1 drops it.
+
+    With a `target` the search only decides whether the radius is at least
+    `target`.  It starts as if (target, -1) were the best found, so a zone
+    is dropped once its bound reaches the target, with no tie-break by id,
+    and it stops at the first search whose eccentricity is below it.  The
+    first value returned is then that eccentricity, or `target` when every
+    zone was dropped: it is below `target` exactly when the radius is.
     """
     lower = [0] * len(adjacency)
-    best = best_zone = len(adjacency)  # above any eccentricity and any id
+    if target is None:
+        best = best_zone = len(adjacency)  # above any eccentricity and any id
+    else:
+        best, best_zone = target, -1  # below any id: a bound equal to the target drops its zone
     alive = range(len(adjacency))
     sources = []
     source = candidate = start
@@ -74,6 +84,8 @@ def _radius_search(adjacency, start: int = 0, dist=None) -> tuple[int, int, int]
         sources.append(source)
         ecc = max(dist)
         if ecc < best or (ecc == best and source < best_zone):
+            if target is not None:  # below the target: the radius is too
+                return ecc, source, len(sources)
             best, best_zone = ecc, source
         kept = []
         least = best + 1

@@ -68,8 +68,10 @@ def solve(g: ColoredGraph, validate: bool = False) -> Solution:
 
 def _solve_zones(
     rg: ReducedGraph, zm: ZoneMap, validate: bool = False
-) -> tuple[Solution, int]:
-    """`solve` on the zone graph (rg, zm) of an instance; also the count of radius searches."""
+) -> tuple[Solution, int, int]:
+    """`solve` on the zone graph (rg, zm) of an instance; also the counts of
+    searches run by the radius search and by the certificate (0 without
+    `validate`)."""
     palette = _palette(rg.colors)
     radius, center, searches = _radius_search(rg.adjacency)
     rep = zm.representative_of[center]
@@ -78,24 +80,28 @@ def _solve_zones(
     for _ in range(radius):
         color = palette[1] if color == palette[0] else palette[0]
         moves.append(FloodMove(rep, color))
-    if validate:
-        _check_certificate(rg, zm, radius, center, moves)
-    return Solution(tuple(moves), radius, rep), searches
+    certificate = _check_certificate(rg, zm, radius, center, moves) if validate else 0
+    return Solution(tuple(moves), radius, rep), searches, certificate
 
 
 def _check_certificate(
     rg: ReducedGraph, zm: ZoneMap, radius: int, center: int, moves: Sequence[FloodMove]
-) -> None:
+) -> int:
     """Replay the moves `solve` prints and check the theorem on every zone graph.
 
     The input zone graph must be proper and connected.  After each move, on
     the live rows: the rows the flood touched (the flooded zone's, which
     keeps its name, and its neighbors'), a search from that zone reaching
-    every live zone, the radius (by the bounding search) one lower, and
-    that zone still central.  One zone must be left at the end.  A failed
-    check is a bug in this package and raises InvariantViolation.
+    every live zone, and the radius one lower with that zone still central.
+    That search gives the zone's eccentricity; the target search, seeded
+    with it, shows that no live zone is below it, so it is the radius, and
+    it must be the expected one.  Only when a check fails does the full
+    search run, to name the failure.  One zone must be left at the end.  A
+    failed check is a bug in this package and raises InvariantViolation.
+    Returns the count of searches run.
     """
     zones = rg.zone_count
+    searches = 0
     try:
         _validate_reduced(rg)
         for step, state in enumerate(_replay(rg, zm, max(rg.colors) + 1, moves), start=1):
@@ -106,19 +112,23 @@ def _check_certificate(
             if reached != zones:
                 raise InvariantViolation(f"only {reached} of {zones} zones reachable from zone {center}")
             ecc = max(dist)
-            now = _radius_search(adjacency, center, dist)[0]  # its first search is this one
-            if now != radius - step:
-                raise InvariantViolation(
-                    f"radius {now} after {step} moves, expected {radius - step}"
-                )
-            if ecc != now:
-                raise InvariantViolation("flooded zone left the center set")
+            found, _, count = _radius_search(adjacency, center, dist, ecc)  # seeded with that search
+            searches += count
+            if found != ecc or ecc != radius - step:
+                now = _radius_search(adjacency, center)[0]  # a check failed: name it
+                if now != radius - step:
+                    raise InvariantViolation(
+                        f"radius {now} after {step} moves, expected {radius - step}"
+                    )
+                if ecc != now:
+                    raise InvariantViolation("flooded zone left the center set")
     except (NoOpMove, MalformedMove) as exc:
         raise InvariantViolation(f"replay rejected a solver move: {exc}") from None
     except (ImproperColoring, DisconnectedGraph) as exc:
         raise InvariantViolation(str(exc)) from None
     if zones != 1:
         raise InvariantViolation(f"{zones} zones left after the moves, expected 1")
+    return searches
 
 
 def _check_rows(state: _ZoneState, zones: Sequence[int]) -> None:
@@ -172,7 +182,14 @@ def verify_solution(g: ColoredGraph, s: Solution) -> Verdict:
 def _verify_zones(
     rg: ReducedGraph, zm: ZoneMap, color_count: int, moves: Sequence[FloodMove]
 ) -> Verdict:
-    """`verify_solution` on the zone graph (rg, zm) of an instance with `color_count` colors."""
+    """`verify_solution` on the zone graph (rg, zm) of an instance with `color_count` colors.
+
+    A replay that ends in one zone shows the moves feasible.  A move merges
+    the flooded zone with some of its neighbors, which lowers the radius by
+    at most one, so no feasible list is shorter than the radius: the moves
+    are optimal exactly when the target search proves the radius at least
+    their count.
+    """
     zones = rg.zone_count
     try:
         for state in _replay(rg, zm, color_count, moves):
@@ -182,6 +199,6 @@ def _verify_zones(
     if zones != 1:
         return Verdict.INFEASIBLE
     _palette(rg.colors)
-    if len(moves) == _radius_search(rg.adjacency)[0]:
+    if _radius_search(rg.adjacency, target=len(moves))[0] == len(moves):
         return Verdict.OPTIMAL
     return Verdict.FEASIBLE_SUBOPTIMAL

@@ -31,20 +31,26 @@ from freeflood import (
 )
 from freeflood.errors import (
     ColorOutOfRange,
+    DisconnectedGraph,
     DuplicateEdge,
     EdgeCountMismatch,
     Empty,
     EmptyGraph,
+    ImproperColoring,
     InvalidCharacter,
     InvalidVertex,
+    InvariantViolation,
+    MalformedMove,
+    NoOpMove,
     ParseError,
     RaggedRows,
     SelfLoop,
     TooManyEdges,
 )
-from freeflood.graphs import _assemble, _check_connected
+from freeflood.graphs import FloodMove, _assemble, _check_connected, _palette, _validate_reduced
 from freeflood.instances import GridSpec
-from freeflood.metrics import _distances
+from freeflood.metrics import _distances, _radius_search
+from freeflood.solver import Verdict, _check_rows, _replay
 
 settings.register_profile(
     "freeflood",
@@ -287,6 +293,66 @@ def bytes_state_search(g, state_budget):
 def contracted_radius_by_sweep(adjacency):
     """The reference for `oracle._contracted_radius`: one search per live zone."""
     return min(max(_distances(adjacency, z)) for z, row in enumerate(adjacency) if row is not None)
+
+
+# `verify`'s and `--validate`'s checks as they were before both proved a
+# known target with the target search, kept verbatim (only renamed) as the
+# references the target-bounded checks must agree with exactly: the same
+# verdict, or the same error class and message.
+def reference_verify_zones(
+    rg: ReducedGraph, zm: ZoneMap, color_count: int, moves: Sequence[FloodMove]
+) -> Verdict:
+    """`verify_solution` on the zone graph (rg, zm) of an instance with `color_count` colors."""
+    zones = rg.zone_count
+    try:
+        for state in _replay(rg, zm, color_count, moves):
+            zones = state.count
+    except NoOpMove:
+        return Verdict.INFEASIBLE
+    if zones != 1:
+        return Verdict.INFEASIBLE
+    _palette(rg.colors)
+    if len(moves) == _radius_search(rg.adjacency)[0]:
+        return Verdict.OPTIMAL
+    return Verdict.FEASIBLE_SUBOPTIMAL
+
+
+def reference_check_certificate(
+    rg: ReducedGraph, zm: ZoneMap, radius: int, center: int, moves: Sequence[FloodMove]
+) -> None:
+    """Replay the moves `solve` prints and check the theorem on every zone graph.
+
+    The input zone graph must be proper and connected.  After each move, on
+    the live rows: the rows the flood touched (the flooded zone's, which
+    keeps its name, and its neighbors'), a search from that zone reaching
+    every live zone, the radius (by the bounding search) one lower, and
+    that zone still central.  One zone must be left at the end.  A failed
+    check is a bug in this package and raises InvariantViolation.
+    """
+    zones = rg.zone_count
+    try:
+        _validate_reduced(rg)
+        for step, state in enumerate(_replay(rg, zm, max(rg.colors) + 1, moves), start=1):
+            adjacency, zones = state.adjacency, state.count
+            _check_rows(state, [center, *adjacency[center]])
+            dist = _distances(adjacency, center)
+            reached = len(dist) - dist.count(-1)
+            if reached != zones:
+                raise InvariantViolation(f"only {reached} of {zones} zones reachable from zone {center}")
+            ecc = max(dist)
+            now = _radius_search(adjacency, center, dist)[0]  # its first search is this one
+            if now != radius - step:
+                raise InvariantViolation(
+                    f"radius {now} after {step} moves, expected {radius - step}"
+                )
+            if ecc != now:
+                raise InvariantViolation("flooded zone left the center set")
+    except (NoOpMove, MalformedMove) as exc:
+        raise InvariantViolation(f"replay rejected a solver move: {exc}") from None
+    except (ImproperColoring, DisconnectedGraph) as exc:
+        raise InvariantViolation(str(exc)) from None
+    if zones != 1:
+        raise InvariantViolation(f"{zones} zones left after the moves, expected 1")
 
 
 # The line-by-line readers and the pool draw the package replaced with

@@ -24,6 +24,7 @@ from freeflood import (
     grid_graph,
     instance_digest,
     instances,
+    metrics,
     oracle,
     parse_graph,
     parse_grid_spec,
@@ -100,6 +101,28 @@ def test_solve_machine_work_counters(tmp_path, capsys):
         assert main(["solve", str(tmp_path / path), "--format", "machine"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert {key: doc[key] for key in expected} == expected
+
+
+def test_solve_machine_counts_certificate_searches(tmp_path, capsys, monkeypatch):
+    # only --validate adds the key: the searches the certificate ran, at
+    # least one per move, each one breadth-first search
+    path = str(tmp_path / "a.grid")
+    assert main(["gen", "--grid", "24x24", "--seed", "5", "-o", path]) == EXIT_OK
+    assert main(["solve", path, "--format", "machine"]) == EXIT_OK
+    assert "certificate_searches" not in json.loads(capsys.readouterr().out)
+    calls = []
+    real = metrics._distances
+
+    def distances(adjacency, source):
+        calls.append(source)
+        return real(adjacency, source)
+
+    monkeypatch.setattr(metrics, "_distances", distances)
+    monkeypatch.setattr(solver, "_distances", distances)
+    assert main(["solve", path, "--format", "machine", "--validate"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc)[-2:] == ["timings", "certificate_searches"]
+    assert doc["certificate_searches"] == len(calls) - doc["searches"] >= doc["optimum"] > 1
 
 
 def test_solve_verify_pipeline(board, tmp_path, capsys):
@@ -667,17 +690,20 @@ def _simulate_steps(stdout, spec):
 
 
 def test_failed_internal_check_exits_9(board, capsys, monkeypatch):
-    # the first search, on the input, is right; the replay's are one too high
+    # the first search, on the input, is right; the replay's are one too
+    # high: the target search's answer misses its target, and the full
+    # search run to name the failure reads the radius one too high
     real = solver._radius_search
     calls = []
 
-    def off_by_one_after_a_move(adjacency, start=0, dist=None):
-        calls.append(start)
-        radius, center, count = real(adjacency, start, dist)
+    def off_by_one_after_a_move(adjacency, start=0, dist=None, target=None):
+        calls.append(target)
+        radius, center, count = real(adjacency, start, dist, target)
         return radius + (len(calls) > 1), center, count
 
     monkeypatch.setattr(solver, "_radius_search", off_by_one_after_a_move)
     assert main(["solve", board, "--validate"]) == EXIT_INTERNAL
+    assert calls == [None, 1, None]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal check failed: radius 2 after 1 moves, expected 1\n"
@@ -746,8 +772,8 @@ def test_validate_refutes_moves_off_the_center(tmp_path, capsys, monkeypatch):
     # radius, but leave two zones; only --validate replays and rejects them
     real = solver._radius_search
 
-    def off_center(adjacency, start=0, dist=None):
-        radius, _, searches = real(adjacency, start, dist)
+    def off_center(adjacency, start=0, dist=None, target=None):
+        radius, _, searches = real(adjacency, start, dist, target)
         return radius, 0, searches
 
     monkeypatch.setattr(solver, "_radius_search", off_center)

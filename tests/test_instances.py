@@ -639,6 +639,14 @@ _PLAIN_TEXTS = st.tuples(
     )
 )
 
+# leading comment lines, as `gen` writes its "# seed N", before texts of the
+# graph format; a comment may hold any line end, which makes it two lines
+_COMMENT_LINES = st.lists(st.sampled_from(ALPHABET), max_size=6).map(lambda cs: "#" + "".join(cs) + "\n")
+_COMMENTED_TEXTS = st.tuples(
+    st.lists(_COMMENT_LINES, max_size=3),
+    st.one_of(_PLAIN_TEXTS, _GRAPH_TEXTS, _GRAPH_TEXTS.flatmap(_mutated)),
+).map(lambda parts: "".join(parts[0]) + parts[1])
+
 
 def _seeded_board(rows, cols, seed, colors=3):
     rng = random.Random(seed)
@@ -664,7 +672,11 @@ class TestWholeTextParse:
 
     @given(
         st.one_of(
-            _FREE_TEXTS, _PLAIN_TEXTS, _GRID_TEXTS.flatmap(_mutated), _GRAPH_TEXTS.flatmap(_mutated)
+            _FREE_TEXTS,
+            _PLAIN_TEXTS,
+            _GRID_TEXTS.flatmap(_mutated),
+            _GRAPH_TEXTS.flatmap(_mutated),
+            _COMMENTED_TEXTS,
         )
     )
     @settings(max_examples=600)
@@ -688,6 +700,14 @@ class TestWholeTextParse:
             "3 2 2\n0\n1\n0\n0 1\n1 2", "3 2 2\n0\n1\n0\n0 1 1 2\n", "3 2 2\n0\n1\n0\n0\n1 1 2\n",
             "99999999999999999999 1 2\n0\n", "2 99999999999999999999 2\n0\n1\n0 1\n",
             "3 0 2\n00\n", "3 0 2\n000", "4 1 2\n0\n1\n0 2",  # fewer color lines than n
+            # leading comment lines: skipped by the whole-text pass when each
+            # is printable ASCII, else left to the line reader
+            "# seed 1\n2 1 2\n0\n1\n0 1\n", "#\n2 1 2\n0\n1\n0 1", "# a\n#b\n1 0 1\n0\n",
+            "# seed 1", "# seed 1\n", "#\n#\n", "# a\f2 1 2\n0\n1\n0 1\n", "# a\x1c2 1 2\n0\n1\n0 1\n",
+            "# a\r2 1 2\n0\n1\n0 1\n", "# a\r\n2 1 2\n0\n1\n0 1\n", "# a\t\n2 1 2\n0\n1\n0 1\n",
+            "# \u0663\n2 1 2\n0\n1\n0 1\n", "# a\n 2 1 2\n0\n1\n0 1\n", "# a\n\n2 1 2\n0\n1\n0 1\n",
+            " # a\n2 1 2\n0\n1\n0 1\n", "2 1 2\n# a\n0\n1\n0 1\n", "# a\n2 1 2\n0\n1\n1 0\n",
+            "# a\n2 1 2\n0\n2\n0 1\n", "# a\n3 0 2\n00\n", "# 2 1 2\n0\n1\n0 1\n",
         ],
     )
     def test_corner_texts(self, text):
@@ -743,7 +763,7 @@ class TestWholeTextParse:
                 _assert_parsers_agree(variant)
             assert parse_graph(text) == g
 
-    def test_valid_files_never_reach_the_line_readers(self):
+    def test_valid_files_never_reach_the_line_readers(self, tmp_path):
         # a whole-text pass that turned a valid file away would still agree
         # with the references, only slower; so the readers must not be called
         def refuse(text):
@@ -755,9 +775,21 @@ class TestWholeTextParse:
         # ids of 1 to 5 digits: the 101x100 board's graph file names vertex 10 099
         graphs = [_seeded_graph(n, n // 2, n) for n in (1, 2, 10, 11, 99, 101, 1000, 1001)]
         graph_texts = [emit_graph(g) for g in graphs] + [emit_graph(_seeded_board(101, 100, 5))]
+        # `gen`'s own graph files, "# seed N" line included
+        generated = []
+        for n, extra, colors, seed in [(1, 0, 1, 0), (30, 40, 2, 1), (500, 700, 3, 2)]:
+            path = tmp_path / f"gen-{n}.graph"
+            argv = ["gen", "--n", str(n), "--extra-edges", str(extra), "--color-count", str(colors)]
+            assert cli.main([*argv, "--seed", str(seed), "-o", str(path)]) == 0
+            generated.append((gen_random(n, extra, colors, seed), path.read_text()))
         with patch.object(instances, "_grid_by_lines", refuse), patch.object(
             instances, "_graph_by_lines", refuse
         ):
+            for g, text in generated:
+                assert text.startswith("# seed ")
+                assert parse_graph(text) == parse_graph(text[:-1]) == g
+                with patch.object(cli, "_read_text", lambda path: text):
+                    assert cli._parse_instance("-") == g
             for spec in specs:
                 text = emit_grid(spec)
                 assert parse_grid_spec(text) == parse_grid_spec(text[:-1]) == spec

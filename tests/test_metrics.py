@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from freeflood import (
     FloodMove,
@@ -13,9 +14,12 @@ from freeflood import (
     grid_graph,
     metrics,
     radius_and_center,
+    Verdict,
     reduce,
     solve,
+    verify_solution,
 )
+from freeflood.graphs import _ZoneState
 from freeflood.instances import GridSpec
 from freeflood.metrics import _distances, _radius_search
 
@@ -23,6 +27,7 @@ from conftest import (
     CPYTHON_ONLY,
     acceptance_graphs,
     allocated_block_growth,
+    contracted_radius_by_sweep,
     floyd_warshall,
     reduced_graphs,
 )
@@ -225,6 +230,22 @@ def test_bounded_radius_center_searches_few_sources_at_256(seed, monkeypatch):
     assert max(metrics._distances(rg.adjacency, center)) == radius
 
 
+def test_verify_searches_less_than_the_radius_search(monkeypatch):
+    # `verify` only proves the radius at least the optimal moves' count: its
+    # target search drops a zone once its bound reaches that count, with no
+    # tie-break by id
+    boards = [random_grid(64, seed) for seed in range(1, 6)]
+    solutions = [solve(g) for g in boards]
+    sources = counted_sources(monkeypatch)
+    for g in boards:
+        _radius_search(reduce(g)[0].adjacency)
+    searched = len(sources)
+    del sources[:]
+    for g, s in zip(boards, solutions):
+        assert verify_solution(g, s) is Verdict.OPTIMAL
+    assert len(sources) < searched
+
+
 def test_bounded_radius_center_matches_sweep_on_seeded_corpus():
     graphs = 0
     for seed in range(5):
@@ -232,3 +253,70 @@ def test_bounded_radius_center_matches_sweep_on_seeded_corpus():
             assert _radius_search(rg.adjacency)[:2] == full_sweep_answer(rg)
             graphs += 1
     assert graphs == 1000
+
+
+def assert_target_answers(adjacency, radius, start=0):
+    """The target search, from `start` and seeded with its search, answers
+    "radius >= t" for t = R - 1, R and R + 1: it returns t itself when the
+    radius is at least t, else the eccentricity, below t, of the zone it names."""
+    for t in (radius - 1, radius, radius + 1):
+        for dist in (None, _distances(adjacency, start)):
+            found, zone, searches = _radius_search(adjacency, start, dist, t)
+            assert searches >= 1
+            if radius >= t:
+                assert (found, zone) == (t, -1)
+            else:
+                assert found == max(_distances(adjacency, zone)) < t
+
+
+@given(reduced_graphs(max_vertices=14))
+def test_target_search_decides_the_radius(rg):
+    assert_target_answers(rg.adjacency, full_sweep_answer(rg)[0])
+
+
+def test_target_search_decides_the_radius_on_corpora(agreement_corpus):
+    for _, rg, _, (radius, _) in agreement_corpus:
+        assert_target_answers(rg.adjacency, radius)
+
+
+def test_target_search_decides_the_radius_on_seeded_corpus():
+    for seed in range(3):
+        for _, rg in gen_reduced_corpus(200, seed, 60, 1, 60):
+            assert_target_answers(rg.adjacency, full_sweep_answer(rg)[0])
+
+
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_target_search_stops_at_the_first_eccentricity_below_it(seed, monkeypatch):
+    rg = reduce(random_grid(64, seed))[0]
+    radius = _radius_search(rg.adjacency)[0]
+    sources = counted_sources(monkeypatch)
+    for t in (radius + 1, radius + 2):
+        del sources[:]
+        found, zone, searches = _radius_search(rg.adjacency, target=t)
+        eccs = [max(_distances(rg.adjacency, s)) for s in sources]
+        assert len(eccs) == searches and sources[-1] == zone
+        assert min(eccs[:-1], default=t) >= t > eccs[-1] == found
+
+
+@given(reduced_graphs(max_vertices=14), st.lists(st.integers(0, 13), max_size=4))
+def test_target_search_decides_the_radius_of_zone_states(rg, floods):
+    # absorbed zones leave None rows, which the search never reaches
+    state = _ZoneState(rg)
+    for x in floods:
+        if x < rg.zone_count and state.count > 1:
+            x = state.find(x)
+            state.flood(x, 1 - state.colors[x])
+    live = [z for z, row in enumerate(state.adjacency) if row is not None]
+    radius = contracted_radius_by_sweep(state.adjacency)
+    for start in live[:3]:
+        assert_target_answers(state.adjacency, radius, start)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_target_search_decides_the_radius_of_grid_zone_states(seed):
+    rg = reduce(random_grid(64, seed))[0]
+    center = _radius_search(rg.adjacency)[1]
+    state = _ZoneState(rg)
+    for _ in range(3):
+        state.flood(center, 1 - state.colors[center])
+        assert_target_answers(state.adjacency, contracted_radius_by_sweep(state.adjacency), center)

@@ -14,6 +14,7 @@ from freeflood import (
     Verdict,
     brute_force_min_moves,
     build,
+    gen_random,
     metrics,
     min_moves,
     parse_grid,
@@ -26,7 +27,13 @@ from freeflood import (
 
 from freeflood.graphs import _ZoneState
 
-from conftest import colored_graphs, reduced_graphs
+from conftest import (
+    colored_graphs,
+    outcome,
+    reduced_graphs,
+    reference_check_certificate,
+    reference_verify_zones,
+)
 
 
 def checkerboard():
@@ -140,8 +147,8 @@ class TestSolveReduced:
         # prints its moves unchecked, and the replay of those moves refutes them
         real = solver._radius_search
 
-        def off_center(adjacency, start=0, dist=None):
-            radius, _, searches = real(adjacency, start, dist)
+        def off_center(adjacency, start=0, dist=None, target=None):
+            radius, _, searches = real(adjacency, start, dist, target)
             return radius, 0, searches
 
         monkeypatch.setattr(solver, "_radius_search", off_center)
@@ -159,7 +166,9 @@ class TestSolveReduced:
         monkeypatch.setattr(
             solver,
             "_radius_search",
-            lambda adj, start=0, dist=None: (2, 5, 1) if start == 0 else real(adj, start, dist),
+            lambda adj, start=0, dist=None, target=None: (
+                (2, 5, 1) if start == 0 else real(adj, start, dist, target)
+            ),
         )
         g = build([(0, 1), (0, 2), (0, 3), (0, 4), (3, 5)], [0, 1, 1, 1, 1, 0])
         s = solve(g)
@@ -182,8 +191,8 @@ class TestSolveReduced:
             calls.append(source)
             return real_distances(adjacency, source)
 
-        def search(adjacency, start=0, dist=None):
-            found = real_search(adjacency, start, dist)
+        def search(adjacency, start=0, dist=None, target=None):
+            found = real_search(adjacency, start, dist, target)
             counted.append(found[2])
             return found
 
@@ -193,6 +202,29 @@ class TestSolveReduced:
         s = solve(g, validate=True)
         assert len(counted) == 1 + len(s.moves) > 1
         assert len(calls) == sum(counted)
+
+    @pytest.mark.parametrize(
+        "claim, message",
+        [
+            # zone 1 of the 5-zone path has eccentricity 3: its first flood
+            # leaves it at the step's target 2, but zone 3 is below it
+            ((3, 1, 1), "radius 1 after 1 moves, expected 2"),
+            ((1, 2, 1), "radius 1 after 1 moves, expected 0"),
+        ],
+    )
+    def test_validation_refutes_a_radius_one_off(self, claim, message, monkeypatch):
+        # the search on the input claims a radius one too high, from a zone
+        # of that eccentricity, or one too low; the replay's searches are real
+        real = solver._radius_search
+        monkeypatch.setattr(
+            solver,
+            "_radius_search",
+            lambda adj, start=0, dist=None, target=None: (
+                claim if dist is None and target is None and start == 0 else real(adj, start, dist, target)
+            ),
+        )
+        with pytest.raises(InvariantViolation, match=f"^{message}$"):
+            solve(alternating_path(5), validate=True)
 
     def test_validation_needs_one_zone_at_the_end(self, monkeypatch):
         monkeypatch.setattr(solver, "_radius_search", lambda adj: (0, 0, 1))
@@ -277,3 +309,97 @@ def test_solver_matches_exhaustive_search(g):
     report = brute_force_min_moves(g)
     assert report.exhausted
     assert report.optimum == min_moves(g)
+
+
+def _seeded_instances(seed):
+    """Seeded 2-color grids and graphs, and one 3-color graph, for the agreement tests."""
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+    yield parse_grid("\n".join("".join(rng.choice("01") for _ in range(cols)) for _ in range(rows)))
+    for n, colors in ((rng.randint(2, 40), 2), (rng.randint(2, 12), 3)):
+        extra = min(rng.randint(0, n), (n - 1) * (n - 2) // 2)  # at most the non-tree pairs
+        yield gen_random(n, extra, colors, rng.randrange(2**32))
+
+
+def _flood_until_one_zone(g, rng, vertices):
+    """Floods of vertices drawn from `vertices`, each with a color of one of
+    its zone's neighbors, until one zone is left: a feasible move list."""
+    rg, zm = reduce(g)
+    state, moves = _ZoneState(rg), []
+    while state.count > 1:
+        v = rng.choice(vertices)
+        x = state.find(zm.zone_of[v])
+        color = state.colors[rng.choice(sorted(state.adjacency[x]))]
+        state.flood(x, color)
+        moves.append(FloodMove(v, color))
+    return moves
+
+
+def _move_lists(g, rng):
+    """Optimal, one too long, multi-zone, infeasible, no-op and out-of-range
+    move lists on g; on a 3-color g the floods reach one color."""
+    n, colors = len(g.colors), g.color_count
+    lists = [_flood_until_one_zone(g, rng, range(n)), _flood_until_one_zone(g, rng, [rng.randrange(n)])]
+    if colors == 2:
+        best = list(solve(g).moves)
+        last = best[-1].color if best else g.colors[0]
+        lists += [best, best + [FloodMove(best[0].vertex if best else 0, 1 - last)], best[:-1], best[1:]]
+    lists += [
+        [FloodMove(rng.randrange(n), rng.randrange(colors)) for _ in range(rng.randint(1, 6))],
+        [FloodMove(0, g.colors[0])],
+        [FloodMove(n, 0)],
+        [FloodMove(0, colors)],
+    ]
+    return lists
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_verify_agrees_with_the_reference(seed):
+    rng = random.Random(seed)
+    for g in _seeded_instances(seed):
+        rg, zm = reduce(g)
+        for moves in _move_lists(g, rng):
+            assert outcome(solver._verify_zones, rg, zm, g.color_count, moves) == outcome(
+                reference_verify_zones, rg, zm, g.color_count, moves
+            )
+
+
+def _certificate_outcome(check, rg, zm, radius, center, moves):
+    """Whether the check passes, or the class and message of its error."""
+    result = outcome(check, rg, zm, radius, center, moves)
+    return result[0] == "ok" or result
+
+
+def _alternating_moves(rg, zm, radius, center):
+    """`solve`'s move list for a claimed radius and center zone."""
+    rep, color, moves = zm.representative_of[center], rg.colors[center], []
+    for _ in range(max(radius, 0)):
+        color = 1 - color
+        moves.append(FloodMove(rep, color))
+    return moves
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_certificate_agrees_with_the_reference(seed):
+    # every zone claimed as the center, with its eccentricity and one off,
+    # and the true certificate with its moves (all on the center, as `solve`
+    # prints them) cut, extended or recolored
+    rng = random.Random(seed)
+    for g in list(_seeded_instances(seed))[:2]:
+        rg, zm = reduce(g)
+        claims = []
+        for z in range(rg.zone_count):
+            ecc = max(metrics._distances(rg.adjacency, z))
+            claims += [(r, z, _alternating_moves(rg, zm, r, z)) for r in (ecc - 1, ecc, ecc + 1)]
+        radius, center, _ = metrics._radius_search(rg.adjacency)
+        moves = _alternating_moves(rg, zm, radius, center)
+        rep = zm.representative_of[center]
+        claims += [
+            (radius, center, moves[:-1]),
+            (radius, center, moves + moves[-1:]),
+            (radius, center, [FloodMove(rep, rng.randrange(3)) for _ in moves]),  # no-op or out of range
+            (radius, center, [FloodMove(rep, 1 - m.color) for m in moves]),
+        ]
+        for claim in claims:
+            got = _certificate_outcome(solver._check_certificate, rg, zm, *claim)
+            assert got == _certificate_outcome(reference_check_certificate, rg, zm, *claim)
