@@ -176,7 +176,8 @@ def _palette(colors: Sequence[int]) -> list[int]:
 def _validate_reduced(rg: ReducedGraph) -> None:
     """Check what holds by construction: a proper coloration and connectivity.
 
-    Run only on the `validate=True` path, once per zone graph.
+    Run once per zone graph on the `validate=True` path, and by the lemma
+    checkers of `oracle`, whose hand-built inputs hold nothing by construction.
     """
     for z, row in enumerate(rg.adjacency):
         for w in row:

@@ -4,7 +4,9 @@ A breadth-first search over whole colorations gives exact optima on small
 instances, and three exhaustive checkers turn the contraction properties the
 solver relies on into executable predicates: radius bounds under contraction,
 distance bounds under contraction, and the existence of a far witness
-disjoint from a chosen shortest path.
+disjoint from a chosen shortest path.  The checkers take the paper's domain,
+the connected zone graph of a proper two-coloring, and `_two_color_domain`
+turns away anything else; such a graph is bipartite.
 """
 
 from __future__ import annotations
@@ -12,17 +14,16 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import DisconnectedGraph, ImproperColoring, InstanceTooLarge, InvariantViolation
-from .graphs import ColoredGraph, ReducedGraph, _palette, _ZoneState
+from .graphs import ColoredGraph, ReducedGraph, _palette, _validate_reduced, _ZoneState
 from .metrics import _distances, radius_and_center
 
 # Size guards: the default cap on the colorations the search stores (a hit
-# budget gives an upper bound), and the checkers' caps on zones, on listed
-# shortest paths and on one path search's steps (InstanceTooLarge past one).
+# budget gives an upper bound), and the checkers' caps on zones and on listed
+# shortest paths (InstanceTooLarge past one).
 STATE_BUDGET = 1_000_000
 DISTANCE_BOUNDS_MAX_ZONES = 30
 FAR_WITNESS_MAX_ZONES = 20
 FAR_WITNESS_PATH_CAP = 100_000
-PATH_STEP_CAP = 2_000_000
 
 
 class StateSpaceReport(NamedTuple):
@@ -123,16 +124,24 @@ def brute_force_min_moves(
     raise InvariantViolation("flooding always reaches a monochromatic coloration")
 
 
+def _two_color_domain(rg: ReducedGraph) -> list[int]:
+    """The palette of rg, checked to be the paper's domain: a connected zone
+    graph of two or more zones, properly colored with two colors."""
+    palette = _palette(rg.colors)
+    if len(palette) != 2:
+        raise ImproperColoring("a proper coloration with two or more zones uses two colors")
+    _validate_reduced(rg)
+    return palette
+
+
 def _contractions(rg: ReducedGraph) -> Iterator[tuple[int, _ZoneState]]:
     """Each zone x with a fresh zone state in which x is contracted with its neighborhood.
 
     x is flooded with the other palette color; the live rows are the
     contracted graph by original zone ids, and absorbed zones' rows are None.
+    rg is checked by `_two_color_domain` before the first contraction.
     """
-    palette = _palette(rg.colors)
-    if len(palette) != 2:
-        raise ImproperColoring("a proper coloration with two or more zones uses two colors")
-    a, b = palette
+    a, b = _two_color_domain(rg)
     for x, color in enumerate(rg.colors):
         state = _ZoneState(rg)
         state.flood(x, b if color == a else a)
@@ -196,12 +205,10 @@ def check_distance_bounds(rg: ReducedGraph) -> LemmaReport:
     through x, the contracted distance is at least d-1 and equals d-1 exactly
     when some simple a-b path of length d+1 passes through x; with x on a
     shortest path the contracted distance is at least d-2.  Whether a
-    shortest path passes through x is decided by d(a,x) + d(x,b) == d(a,b);
-    the length-(d+1) condition by `_has_path_through`, a search over simple
-    paths (walks would be unsound for it), run only when d(a,x) + d(x,b) <=
-    d+1, since every a-b walk through x is at least that long.  On a
-    two-color (bipartite) zone graph parity rules every search out.
-    `check_far_witness` decides its two conditions the same two ways.
+    shortest path passes through x is decided by d(a,x) + d(x,b) == d(a,b).
+    A two-color zone graph is bipartite, so it has no a-b path of length
+    d+1, and the contracted distance must never equal d-1 off the shortest
+    paths.
     """
     n = rg.zone_count
     if n > DISTANCE_BOUNDS_MAX_ZONES:
@@ -218,17 +225,14 @@ def check_distance_bounds(rg: ReducedGraph) -> LemmaReport:
             for b in survivors[i + 1 :]:
                 d = dist[a][b]
                 dx = row_a[b]
-                via_x = dist[a][x] + dist[x][b]
                 checked += 1
                 if dx > d:
                     detail = "contraction increased a distance"
-                elif via_x == d:
+                elif dist[a][x] + dist[x][b] == d:
                     detail = "distance below d-2 with x on a shortest path" if dx < d - 2 else None
                 elif dx < d - 1:
                     detail = "distance below d-1 with x off all shortest paths"
-                elif (dx == d - 1) != (
-                    via_x <= d + 1 and _has_path_through(rg.adjacency, dist, a, b, x, d + 1)
-                ):
+                elif dx == d - 1:  # every a-b walk has the parity of d: no path of length d+1
                     detail = "equality must coincide with a length d+1 path through x"
                 else:
                     detail = None
@@ -236,38 +240,6 @@ def check_distance_bounds(rg: ReducedGraph) -> LemmaReport:
                     witness = {"a": a, "b": b, "x": x, "d": d, "d_contracted": dx}
                     return LemmaReport("distance-bounds", checked, Counterexample(rg, witness, detail))
     return LemmaReport("distance-bounds", checked)
-
-
-def _has_path_through(adjacency, dist, a, b, x, length) -> bool:
-    """Is there a simple a-b path with exactly `length` edges that visits x?"""
-    dist_b = dist[b]
-    dist_x = dist[x]
-    x_to_b = dist[x][b]
-    visited = [False] * len(adjacency)
-    visited[a] = True
-    steps = 0
-
-    def walk(v: int, remaining: int, seen_x: bool) -> bool:
-        nonlocal steps
-        steps += 1
-        if steps > PATH_STEP_CAP:
-            raise InstanceTooLarge("path enumeration budget exceeded")
-        if remaining == 0:
-            return v == b and seen_x
-        bound = dist_b[v] if seen_x else dist_x[v] + x_to_b
-        if bound > remaining:
-            return False
-        for w in adjacency[v]:
-            if visited[w] or (w == b and remaining != 1):
-                continue
-            visited[w] = True
-            hit = walk(w, remaining - 1, seen_x or w == x)
-            visited[w] = False
-            if hit:
-                return True
-        return False
-
-    return walk(a, length, a == x)
 
 
 def _shortest_paths(adjacency, dist, v: int, memo: dict) -> tuple[tuple[int, ...], ...]:
@@ -299,12 +271,10 @@ def check_far_witness(rg: ReducedGraph) -> LemmaReport:
     For each center c, each y at distance R from c, and each shortest c-y
     path: some zone z (distinct from both c and y) at distance R or R-1 must
     have all of its shortest paths from c meeting the chosen path only in c.
-    Refinement: either such a z exists at distance R, or among those at R-1
-    some z0 also keeps every simple path of length R from c disjoint.
-
     Only the chosen paths are listed: t is on a shortest c-z path exactly
-    when d(c,t) + d(t,z) == d(c,z).  A two-color zone graph is bipartite, so
-    no c-z0 path has length d(c,z0)+1 and the refinement always holds there.
+    when d(c,t) + d(t,z) == d(c,z).  The refinement to a witness at R-1,
+    about c-z paths one edge longer than shortest, is vacuous here: every
+    c-z walk in a bipartite graph has the parity of d(c,z).
 
     Graphs with at most two zones are skipped (reported with zero checks):
     they have no candidate witness besides c itself.
@@ -314,6 +284,7 @@ def check_far_witness(rg: ReducedGraph) -> LemmaReport:
         raise InstanceTooLarge(f"{n} zones exceeds the checker guard of {FAR_WITNESS_MAX_ZONES}")
     if n <= 2:
         return LemmaReport("far-witness", 0)
+    _two_color_domain(rg)
     met = radius_and_center(rg)
     radius = met.radius
     dist = [_distances(rg.adjacency, s) for s in range(n)]
@@ -327,26 +298,10 @@ def check_far_witness(rg: ReducedGraph) -> LemmaReport:
                 continue
             for gamma in _shortest_paths(rg.adjacency, dc, y, memo):
                 beyond = gamma[1:]
-                witnesses = [
-                    z for z in candidates
-                    if z != y and all(dc[t] + dist[t][z] > dc[z] for t in beyond)
-                ]
                 checked += 1
-                if not witnesses:
+                # y ends the chosen path, so it is never a witness
+                if not any(all(dc[t] + dist[t][z] > dc[z] for t in beyond) for z in candidates):
+                    witness = {"center": c, "far": y, "path": gamma}
                     detail = "no witness with disjoint shortest paths"
-                elif any(dc[z] == radius for z in witnesses) or not all(
-                    any(
-                        dc[t] + dist[t][z0] <= dc[z0] + 1
-                        and _has_path_through(rg.adjacency, dist, c, z0, t, dc[z0] + 1)
-                        for t in beyond
-                    )
-                    for z0 in witnesses
-                ):
-                    continue
-                else:
-                    detail = "every witness at R-1 has an intersecting length-R path"
-                witness = {"center": c, "far": y, "path": gamma}
-                if witnesses:
-                    witness["witnesses"] = tuple(witnesses)
-                return LemmaReport("far-witness", checked, Counterexample(rg, witness, detail))
+                    return LemmaReport("far-witness", checked, Counterexample(rg, witness, detail))
     return LemmaReport("far-witness", checked)

@@ -89,21 +89,27 @@ def _check_certificate(
 ) -> int:
     """Replay the moves `solve` prints and check the theorem on every zone graph.
 
-    The input zone graph must be proper and connected.  After each move, on
-    the live rows: the rows the flood touched (the flooded zone's, which
-    keeps its name, and its neighbors'), a search from that zone reaching
-    every live zone, and the radius one lower with that zone still central.
-    That search gives the zone's eccentricity; the target search, seeded
-    with it, shows that no live zone is below it, so it is the radius, and
-    it must be the expected one.  Only when a check fails does the full
-    search run, to name the failure.  One zone must be left at the end.  A
-    failed check is a bug in this package and raises InvariantViolation.
-    Returns the count of searches run.
+    The input zone graph must be proper and connected, and the target
+    search, seeded with a search from the center, must show its radius at
+    least `radius`; the checks after the first move bound it from above,
+    since a move lowers the radius by at most one.  After each move, on the
+    live rows: the rows the flood touched (the flooded zone's, which keeps
+    its name, and its neighbors'), a search from that zone reaching every
+    live zone, and the radius one lower with that zone still central.  That
+    search gives the zone's eccentricity; the target search, seeded with
+    it, shows that no live zone is below it, so it is the radius, and it
+    must be the expected one.  Only when a check fails does the full search
+    run, to name the failure.  One zone must be left at the end.  A failed
+    check is a bug in this package and raises InvariantViolation.  Returns
+    the count of searches run.
     """
     zones = rg.zone_count
-    searches = 0
     try:
         _validate_reduced(rg)
+        found, _, searches = _radius_search(rg.adjacency, center, target=radius)
+        if found != radius:
+            now = _radius_search(rg.adjacency, center)[0]
+            raise InvariantViolation(f"radius {now} after 0 moves, expected {radius}")
         for step, state in enumerate(_replay(rg, zm, max(rg.colors) + 1, moves), start=1):
             adjacency, zones = state.adjacency, state.count
             _check_rows(state, [center, *adjacency[center]])

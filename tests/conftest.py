@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from freeflood import (
     ColoredGraph,
+    Counterexample,
     FloodError,
+    LemmaReport,
     ReducedGraph,
     StateSpaceReport,
     ZoneMap,
@@ -27,7 +29,9 @@ from freeflood import (
     gen_random,
     gen_reduced_corpus,
     grid_graph,
+    oracle,
     reduce,
+    solver,
 )
 from freeflood.errors import (
     ColorOutOfRange,
@@ -37,6 +41,7 @@ from freeflood.errors import (
     Empty,
     EmptyGraph,
     ImproperColoring,
+    InstanceTooLarge,
     InvalidCharacter,
     InvalidVertex,
     InvariantViolation,
@@ -295,6 +300,105 @@ def contracted_radius_by_sweep(adjacency):
     return min(max(_distances(adjacency, z)) for z, row in enumerate(adjacency) if row is not None)
 
 
+# The path search and the far-witness checker that ran it, as they were
+# before the lemma checkers took the paper's two-color domain and read the
+# length-(d+1) conditions off parity, kept verbatim as references (the
+# checker's names go through `oracle`, so a fault patched in there reaches
+# this copy and the checker alike; the step cap is this module's own).
+PATH_STEP_CAP = 2_000_000
+
+
+def _has_path_through(adjacency, dist, a, b, x, length) -> bool:
+    """Is there a simple a-b path with exactly `length` edges that visits x?"""
+    dist_b = dist[b]
+    dist_x = dist[x]
+    x_to_b = dist[x][b]
+    visited = [False] * len(adjacency)
+    visited[a] = True
+    steps = 0
+
+    def walk(v: int, remaining: int, seen_x: bool) -> bool:
+        nonlocal steps
+        steps += 1
+        if steps > PATH_STEP_CAP:
+            raise InstanceTooLarge("path enumeration budget exceeded")
+        if remaining == 0:
+            return v == b and seen_x
+        bound = dist_b[v] if seen_x else dist_x[v] + x_to_b
+        if bound > remaining:
+            return False
+        for w in adjacency[v]:
+            if visited[w] or (w == b and remaining != 1):
+                continue
+            visited[w] = True
+            hit = walk(w, remaining - 1, seen_x or w == x)
+            visited[w] = False
+            if hit:
+                return True
+        return False
+
+    return walk(a, length, a == x)
+
+
+def reference_check_far_witness(rg: ReducedGraph) -> LemmaReport:
+    """Far-witness existence for every (center, far vertex, shortest path).
+
+    For each center c, each y at distance R from c, and each shortest c-y
+    path: some zone z (distinct from both c and y) at distance R or R-1 must
+    have all of its shortest paths from c meeting the chosen path only in c.
+    Refinement: either such a z exists at distance R, or among those at R-1
+    some z0 also keeps every simple path of length R from c disjoint.
+
+    Only the chosen paths are listed: t is on a shortest c-z path exactly
+    when d(c,t) + d(t,z) == d(c,z).  A two-color zone graph is bipartite, so
+    no c-z0 path has length d(c,z0)+1 and the refinement always holds there.
+
+    Graphs with at most two zones are skipped (reported with zero checks):
+    they have no candidate witness besides c itself.
+    """
+    n = rg.zone_count
+    if n > oracle.FAR_WITNESS_MAX_ZONES:
+        raise InstanceTooLarge(f"{n} zones exceeds the checker guard of {oracle.FAR_WITNESS_MAX_ZONES}")
+    if n <= 2:
+        return LemmaReport("far-witness", 0)
+    met = oracle.radius_and_center(rg)
+    radius = met.radius
+    dist = [oracle._distances(rg.adjacency, s) for s in range(n)]
+    checked = 0
+    for c in met.center:
+        dc = dist[c]
+        memo = {}
+        candidates = [z for z in range(n) if z != c and radius - 1 <= dc[z] <= radius]
+        for y in range(n):
+            if dc[y] != radius:
+                continue
+            for gamma in oracle._shortest_paths(rg.adjacency, dc, y, memo):
+                beyond = gamma[1:]
+                witnesses = [
+                    z for z in candidates
+                    if z != y and all(dc[t] + dist[t][z] > dc[z] for t in beyond)
+                ]
+                checked += 1
+                if not witnesses:
+                    detail = "no witness with disjoint shortest paths"
+                elif any(dc[z] == radius for z in witnesses) or not all(
+                    any(
+                        dc[t] + dist[t][z0] <= dc[z0] + 1
+                        and _has_path_through(rg.adjacency, dist, c, z0, t, dc[z0] + 1)
+                        for t in beyond
+                    )
+                    for z0 in witnesses
+                ):
+                    continue
+                else:
+                    detail = "every witness at R-1 has an intersecting length-R path"
+                witness = {"center": c, "far": y, "path": gamma}
+                if witnesses:
+                    witness["witnesses"] = tuple(witnesses)
+                return LemmaReport("far-witness", checked, Counterexample(rg, witness, detail))
+    return LemmaReport("far-witness", checked)
+
+
 # `verify`'s and `--validate`'s checks as they were before both proved a
 # known target with the target search, kept verbatim (only renamed) as the
 # references the target-bounded checks must agree with exactly: the same
@@ -353,6 +457,33 @@ def reference_check_certificate(
         raise InvariantViolation(str(exc)) from None
     if zones != 1:
         raise InvariantViolation(f"{zones} zones left after the moves, expected 1")
+
+
+def spider() -> ColoredGraph:
+    """A center with three legs of three zones, colored by depth: zone ids are vertex ids.
+
+    Its radius is 3, from the center.  Zone 1, the first of leg 0, has
+    eccentricity 4, and flooding it leaves a zone graph of radius 3 with the
+    flooded zone central, as do the three floods after that: a radius of 4
+    claimed from zone 1 passes every check made after a move.
+    """
+    edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)]
+    return build(edges, [0, 1, 0, 1, 1, 0, 1, 1, 0, 1])
+
+
+def claim_on_the_input(monkeypatch, radius, center):
+    """Make `solve`'s radius search on the input answer (radius, center, 1).
+
+    Every other search, the certificate's included, is real.
+    """
+    real = solver._radius_search
+
+    def claimed(adjacency, start=0, dist=None, target=None):
+        if dist is None and target is None and start == 0:
+            return radius, center, 1
+        return real(adjacency, start, dist, target)
+
+    monkeypatch.setattr(solver, "_radius_search", claimed)
 
 
 # The line-by-line readers and the pool draw the package replaced with

@@ -47,6 +47,8 @@ from freeflood.cli import (
     main,
 )
 
+from conftest import claim_on_the_input, spider
+
 CHECKERBOARD = "01\n10\n"
 
 
@@ -508,6 +510,19 @@ def test_readme_synopsis_lists_every_subcommand_and_long_option():
     assert listed == options
 
 
+def test_readme_names_exactly_the_guard_constants():
+    # the all-caps names in backticks in README are the module-level guard
+    # constants of `cli` and `oracle`, exit codes aside: a deleted guard
+    # cannot live on in the docs, nor a new one go undocumented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]*)`", readme))
+    guards = {
+        name for module in (cli, oracle) for name in vars(module)
+        if name.isupper() and not name.startswith("EXIT_")
+    }
+    assert named == guards
+
+
 def test_bench_refuses_a_side_over_the_limit(capsys):
     assert cli.BENCH_MAX_SIDE == 1024
     assert main(["bench", "--sizes", "8,1025"]) == EXIT_USAGE
@@ -690,20 +705,21 @@ def _simulate_steps(stdout, spec):
 
 
 def test_failed_internal_check_exits_9(board, capsys, monkeypatch):
-    # the first search, on the input, is right; the replay's are one too
-    # high: the target search's answer misses its target, and the full
-    # search run to name the failure reads the radius one too high
+    # the first search, on the input, and the check of the input's radius
+    # are right; the replay's are one too high: the target search's answer
+    # misses its target, and the full search run to name the failure reads
+    # the radius one too high
     real = solver._radius_search
     calls = []
 
     def off_by_one_after_a_move(adjacency, start=0, dist=None, target=None):
         calls.append(target)
         radius, center, count = real(adjacency, start, dist, target)
-        return radius + (len(calls) > 1), center, count
+        return radius + (len(calls) > 2), center, count
 
     monkeypatch.setattr(solver, "_radius_search", off_by_one_after_a_move)
     assert main(["solve", board, "--validate"]) == EXIT_INTERNAL
-    assert calls == [None, 1, None]
+    assert calls == [None, 2, 1, None]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal check failed: radius 2 after 1 moves, expected 1\n"
@@ -785,6 +801,23 @@ def test_validate_refutes_moves_off_the_center(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal check failed: radius 2 after 1 moves, expected 1\n"
+
+
+def test_validate_refutes_a_radius_claimed_too_high_on_the_input(tmp_path, capsys, monkeypatch):
+    # radius 4 claimed from zone 1 of the spider, whose radius is 3: every
+    # check after a move holds, and the check on the input refutes the claim
+    claim_on_the_input(monkeypatch, 4, 1)
+    path = tmp_path / "spider.graph"
+    path.write_text(emit_graph(spider()))
+    moves = tmp_path / "spider.moves"
+    assert main(["solve", str(path), "--moves-out", str(moves)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("optimum 4\n")
+    assert main(["verify", str(path), str(moves)]) == EXIT_SUBOPTIMAL
+    capsys.readouterr()
+    assert main(["solve", str(path), "--validate"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: radius 3 after 0 moves, expected 4\n"
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -26,15 +26,18 @@ from freeflood import (
     reduce,
 )
 from freeflood.graphs import _ZoneState
-from freeflood.oracle import _contracted_radius, _contractions, _has_path_through, _shortest_paths
+from freeflood.oracle import _contracted_radius, _contractions, _shortest_paths
 from freeflood.metrics import Metrics, _distances
 
 from conftest import (
+    _has_path_through,
     bytes_state_search,
     colored_graphs,
     contracted_radius_by_sweep,
     floyd_warshall,
     flood_vertices,
+    outcome,
+    reference_check_far_witness,
     small_random_graphs,
 )
 
@@ -157,10 +160,9 @@ class TestRadiusBounds:
         assert report.instances_checked == 0
 
     def test_disconnected_zone_graph_rejected(self):
-        # ball growth ends once a ball holds every live zone, which two
-        # components never let happen
+        # the domain check turns two components away before any contraction
         two_edges = ReducedGraph(((1,), (0,), (3,), (2,)), (0, 1, 0, 1))
-        with pytest.raises(DisconnectedGraph, match="contracted zone graph is disconnected"):
+        with pytest.raises(DisconnectedGraph, match="^only 2 of 4 vertices reachable from vertex 0$"):
             check_radius_bounds(two_edges)
 
     def test_radius_claimed_one_too_high_is_refuted(self, monkeypatch):
@@ -276,7 +278,7 @@ class TestDistanceBounds:
 
 
 def distance_bounds_searching_every_pair(rg):
-    """The reference for `check_distance_bounds`, with no gate on its path search.
+    """The reference for `check_distance_bounds`, with a path search in place of parity.
 
     Every pair that reaches the last test runs `_has_path_through`, whatever
     d(a,x) + d(x,b) is; contracted rows come from `oracle._distances`, so a
@@ -343,7 +345,7 @@ AGREEMENT_CORPORA = [(600, 11, 20, 3, 20), (300, 12, 30, 2, 30)]
 
 
 class TestDistanceBoundsGate:
-    """The distance test before the path search changes no report."""
+    """Reading the length-(d+1) condition off parity changes no report."""
 
     @pytest.mark.parametrize("corpus", AGREEMENT_CORPORA, ids=str)
     def test_reports_match_the_ungated_loop(self, corpus):
@@ -408,25 +410,80 @@ class TestDistanceBoundsGate:
         assert found > 0
 
 
-CONTRACTION_CHECKERS = pytest.mark.parametrize(
-    "check", [check_radius_bounds, check_distance_bounds], ids=lambda f: f.__name__
+DOMAIN_CHECKERS = pytest.mark.parametrize(
+    "check", [check_radius_bounds, check_distance_bounds, check_far_witness], ids=lambda f: f.__name__
 )
 
 
-class TestContractionPalette:
-    """Both contraction checkers flood each zone with the other color of the palette in use."""
+# the graphs `freeflood check --seed S` gives its distance-bounds and
+# far-witness suites, for S = 0, 1, 2
+CHECK_CORPORA = [(40, seed + 1, 30, 2, 30) for seed in range(3)] + [
+    (40, seed + 2, 20, 3, 20) for seed in range(3)
+]
+# each checker with its reference and its corpora: `TestDistanceBoundsGate`
+# already runs the distance-bounds pair on AGREEMENT_CORPORA, clean and under
+# row faults, and a claimed radius never reaches that checker
+REFERENCES = {
+    check_distance_bounds: (distance_bounds_searching_every_pair, CHECK_CORPORA),
+    check_far_witness: (reference_check_far_witness, AGREEMENT_CORPORA + CHECK_CORPORA),
+}
+FAULTS = {
+    "clean": lambda monkeypatch: None,
+    "row faults": lambda monkeypatch: inject_row_faults(monkeypatch, 11, 997),
+    "radius one too high": claim_radius_one_too_high,
+}
 
-    @CONTRACTION_CHECKERS
+
+class TestReferenceAgreement:
+    """Both path checkers give the reports of the path-searching references
+    they replace: the same report, or the same error class and message."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("check", REFERENCES, ids=lambda f: f.__name__)
+    def test_reports_match_the_reference(self, check, fault, monkeypatch):
+        reference, corpora = REFERENCES[check]
+        FAULTS[fault](monkeypatch)
+        refuted = 0
+        for corpus in corpora:
+            for _, rg in gen_reduced_corpus(*corpus):
+                got = outcome(check, rg)
+                assert got == outcome(reference, rg)
+                refuted += got[0] == "ok" and not got[1].ok
+        # row faults reach only the contracted rows, a claimed radius only far-witness
+        hits = {(check_distance_bounds, "row faults"), (check_far_witness, "radius one too high")}
+        assert (refuted > 0) is ((check, fault) in hits)
+
+
+class TestContractionPalette:
+    """All three checkers take the paper's domain, the connected zone graph of a
+    proper two-coloring, and the contraction checkers flood each zone with the
+    other color of the palette in use.  The graphs turned away have at least
+    three zones, since far-witness skips two."""
+
+    @DOMAIN_CHECKERS
     def test_three_colors_rejected(self, check):
         with pytest.raises(TooManyColors, match="3 colors in use; freeflood handles two"):
             check(reduced([(0, 1), (1, 2)], [0, 1, 2]))
 
-    @CONTRACTION_CHECKERS
+    @DOMAIN_CHECKERS
     def test_one_color_on_two_zones_rejected(self, check):
         with pytest.raises(ImproperColoring, match="with two or more zones uses two colors"):
-            check(ReducedGraph(((1,), (0,)), (0, 0)))
+            check(ReducedGraph(((1,), (0, 2), (1,)), (0, 0, 0)))
 
-    @CONTRACTION_CHECKERS
+    @DOMAIN_CHECKERS
+    def test_improper_two_colors_rejected(self, check):
+        with pytest.raises(ImproperColoring, match="^adjacent zones 1 and 2 share color 1$"):
+            check(ReducedGraph(((1,), (0, 2), (1,)), (0, 1, 1)))
+
+    @DOMAIN_CHECKERS
+    def test_disconnected_rejected(self, check):
+        # a path of three zones and an edge: unchecked, far-witness would
+        # read the distances of -1 across the gap as no witness
+        path_and_edge = ReducedGraph(((1,), (0, 2), (1,), (4,), (3,)), (0, 1, 0, 1, 0))
+        with pytest.raises(DisconnectedGraph, match="^only 3 of 5 vertices reachable from vertex 0$"):
+            check(path_and_edge)
+
+    @DOMAIN_CHECKERS
     def test_any_two_colors_give_the_same_report(self, check):
         # colors {3, 5}: flooding with `1 - color` would absorb no neighbor
         for _, rg in gen_reduced_corpus(30, 5, 20, 4, 20):
@@ -493,14 +550,17 @@ class TestFarWitness:
             assert report.counterexample.detail == "no witness with disjoint shortest paths"
             assert report.counterexample.witness == witness
 
-    def test_refinement_refutes_on_a_triangle(self, monkeypatch):
+    def test_the_refinement_triangle_is_rejected(self, monkeypatch):
         # the refinement asks for a c-z0 path one edge longer than a shortest
-        # one; a two-color zone graph is bipartite and has none, a triangle does
+        # one; a two-color zone graph is bipartite and has none, a triangle
+        # does, and only three colors give a zone graph one: the reference
+        # refutes the claim on it, the checker turns it away
         rg = reduced([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)], [1, 0, 2, 2])
         assert rg.zone_count == 4
-        assert check_far_witness(rg).ok
+        with pytest.raises(TooManyColors, match="3 colors in use; freeflood handles two"):
+            check_far_witness(rg)
         claim_radius_one_too_high(monkeypatch)
-        report = check_far_witness(rg)
+        report = reference_check_far_witness(rg)
         assert report.instances_checked == 1
         assert report.counterexample.detail == (
             "every witness at R-1 has an intersecting length-R path"

@@ -28,11 +28,13 @@ from freeflood import (
 from freeflood.graphs import _ZoneState
 
 from conftest import (
+    claim_on_the_input,
     colored_graphs,
     outcome,
     reduced_graphs,
     reference_check_certificate,
     reference_verify_zones,
+    spider,
 )
 
 
@@ -162,14 +164,7 @@ class TestSolveReduced:
         # by one too, but leaves the hub the only center; only the search on
         # the input is wrong, the replay's searches, which start from the
         # flooded zone, are real
-        real = solver._radius_search
-        monkeypatch.setattr(
-            solver,
-            "_radius_search",
-            lambda adj, start=0, dist=None, target=None: (
-                (2, 5, 1) if start == 0 else real(adj, start, dist, target)
-            ),
-        )
+        claim_on_the_input(monkeypatch, 2, 5)
         g = build([(0, 1), (0, 2), (0, 3), (0, 4), (3, 5)], [0, 1, 1, 1, 1, 0])
         s = solve(g)
         assert s.moves == (FloodMove(5, 1), FloodMove(5, 0))
@@ -181,7 +176,9 @@ class TestSolveReduced:
     def test_validation_searches_once_per_step_for_reach_and_radius(self, seed, monkeypatch):
         # each step's search from the flooded zone, which checks that every
         # zone is reached, is also the first search of that step's radius
-        # search: the searches run are exactly those the radius searches count
+        # search, and the search from the center on the input is the first of
+        # the input's: the searches run are exactly those the radius searches
+        # count
         rng = random.Random(seed)
         g = parse_grid("\n".join("".join(rng.choice("01") for _ in range(12)) for _ in range(12)))
         calls, counted = [], []
@@ -200,34 +197,45 @@ class TestSolveReduced:
         monkeypatch.setattr(solver, "_distances", distances)
         monkeypatch.setattr(solver, "_radius_search", search)
         s = solve(g, validate=True)
-        assert len(counted) == 1 + len(s.moves) > 1
+        assert len(counted) == 2 + len(s.moves) > 2  # the plain search, the input's, one per step
         assert len(calls) == sum(counted)
 
     @pytest.mark.parametrize(
         "claim, message",
         [
-            # zone 1 of the 5-zone path has eccentricity 3: its first flood
-            # leaves it at the step's target 2, but zone 3 is below it
-            ((3, 1, 1), "radius 1 after 1 moves, expected 2"),
+            # zone 1 of the 5-zone path has eccentricity 3, but the input's
+            # radius is 2; a claim one too low passes the input's check and
+            # is refuted after the first move
+            ((3, 1, 1), "radius 2 after 0 moves, expected 3"),
             ((1, 2, 1), "radius 1 after 1 moves, expected 0"),
         ],
     )
     def test_validation_refutes_a_radius_one_off(self, claim, message, monkeypatch):
         # the search on the input claims a radius one too high, from a zone
-        # of that eccentricity, or one too low; the replay's searches are real
-        real = solver._radius_search
-        monkeypatch.setattr(
-            solver,
-            "_radius_search",
-            lambda adj, start=0, dist=None, target=None: (
-                claim if dist is None and target is None and start == 0 else real(adj, start, dist, target)
-            ),
-        )
+        # of that eccentricity, or one too low; the certificate's searches
+        # are real
+        claim_on_the_input(monkeypatch, *claim[:2])
         with pytest.raises(InvariantViolation, match=f"^{message}$"):
             solve(alternating_path(5), validate=True)
 
+    def test_validation_checks_the_input_radius(self, monkeypatch):
+        # radius 4 claimed from zone 1 of the spider, one too high: its moves
+        # are feasible but one too many, and every check after a move holds,
+        # so only the check on the input refutes them
+        claim_on_the_input(monkeypatch, 4, 1)
+        g = spider()
+        s = solve(g)
+        assert s.moves == (FloodMove(1, 0), FloodMove(1, 1), FloodMove(1, 0), FloodMove(1, 1))
+        assert verify_solution(g, s) is Verdict.FEASIBLE_SUBOPTIMAL
+        rg, zm = reduce(g)
+        assert reference_check_certificate(rg, zm, 4, 1, s.moves) is None
+        with pytest.raises(InvariantViolation, match="^radius 3 after 0 moves, expected 4$"):
+            solve(g, validate=True)
+
     def test_validation_needs_one_zone_at_the_end(self, monkeypatch):
-        monkeypatch.setattr(solver, "_radius_search", lambda adj: (0, 0, 1))
+        monkeypatch.setattr(
+            solver, "_radius_search", lambda adj, start=0, dist=None, target=None: (0, 0, 1)
+        )
         assert solve(checkerboard()).moves == ()
         with pytest.raises(InvariantViolation, match="4 zones left after the moves"):
             solve(checkerboard(), validate=True)
@@ -383,7 +391,8 @@ def _alternating_moves(rg, zm, radius, center):
 def test_certificate_agrees_with_the_reference(seed):
     # every zone claimed as the center, with its eccentricity and one off,
     # and the true certificate with its moves (all on the center, as `solve`
-    # prints them) cut, extended or recolored
+    # prints them) cut, extended or recolored; a claim above the input's
+    # radius is refuted before the replay, which the reference never checks
     rng = random.Random(seed)
     for g in list(_seeded_instances(seed))[:2]:
         rg, zm = reduce(g)
@@ -402,4 +411,8 @@ def test_certificate_agrees_with_the_reference(seed):
         ]
         for claim in claims:
             got = _certificate_outcome(solver._check_certificate, rg, zm, *claim)
-            assert got == _certificate_outcome(reference_check_certificate, rg, zm, *claim)
+            if claim[0] > radius:
+                message = f"radius {radius} after 0 moves, expected {claim[0]}"
+                assert got == (InvariantViolation, message, None, None)
+            else:
+                assert got == _certificate_outcome(reference_check_certificate, rg, zm, *claim)
