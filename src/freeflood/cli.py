@@ -49,11 +49,10 @@ EXIT_INFEASIBLE = 7
 EXIT_COUNTEREXAMPLE = 8
 EXIT_INTERNAL = 9
 
-# `radius` runs one breadth-first search per zone, each reading every zone and
-# adjacency entry: zones * (zones + 2 * zone_edges) steps in all.  A random
-# 256x256 board is about 3.4e8 steps (15-21 s in CPython 3.11 on 2 shared cores);
-# a 512x512 one is about 5.3e9.
-RADIUS_SWEEP_LIMIT = 1_000_000_000
+# `radius` grows a ball of zones around every zone (`metrics._eccentricities`);
+# two rounds of balls take about zones**2 / 4 bytes: about 3.0e8 for a random
+# 512x512 board (34 886 zones), 4.8e9 for a 1024x1024 one (138 698 zones).
+RADIUS_BALL_BYTES = 500_000_000
 
 # `bench` labels and solves one random side x side board per size; 1024 is the
 # top of the scale ladder.
@@ -190,11 +189,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_radius(args: argparse.Namespace) -> int:
     rg, _, _, source = _load_instance(args.instance)
-    steps = rg.zone_count * (rg.zone_count + 2 * rg.edge_count)
-    if steps > RADIUS_SWEEP_LIMIT:
+    need = rg.zone_count**2 // 4
+    if need > RADIUS_BALL_BYTES:
         raise InstanceTooLarge(
-            f"the all-zones sweep needs {steps} search steps, over the limit of "
-            f"{RADIUS_SWEEP_LIMIT}; solve reports the radius"
+            f"the eccentricity balls of {rg.zone_count} zones take about {need} bytes, over the "
+            f"limit of {RADIUS_BALL_BYTES}; solve reports the radius"
         )
     met = radius_and_center(rg)
     if args.format == "machine":

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
+from .errors import DisconnectedGraph
 from .graphs import ReducedGraph
 
 
@@ -32,15 +33,54 @@ def _distances(adjacency, source: int) -> list[int]:
     return dist
 
 
-def radius_and_center(rg: ReducedGraph) -> Metrics:
-    """Full-vector reference sweep: one search per zone, every eccentricity.
+def _eccentricities(adjacency) -> Iterator[tuple[int, int]]:
+    """(eccentricity, zone) of every live zone, ascending, by lockstep ball growth.
 
-    `freeflood radius` and the three lemma checkers need the whole vector and
-    call this; `solve`, `min_moves` and `verify_solution` need only the radius
-    and one center and use the eccentricity-bounding search instead.
+    Each live zone's ball, an int bit set of zone ids, takes in its
+    neighbors' balls once per round; a zone's eccentricity is the first round
+    whose ball holds every live zone, so a caller that needs only the radius
+    stops at the first pair.  Two rounds of balls take about zones**2 / 4
+    bytes.  None rows are skipped, and a ball that stops short of every zone
+    means the graph is disconnected.
     """
-    adjacency = rg.adjacency
-    eccs = [max(_distances(adjacency, s)) for s in range(rg.zone_count)]
+    balls = [0 if row is None else 1 << z for z, row in enumerate(adjacency)]
+    everything = sum(balls)
+    growing = [(z, row) for z, row in enumerate(adjacency) if row is not None]
+    if len(growing) == 1:  # the one ball that is full before it grows
+        yield 0, growing.pop()[0]
+    level = 0
+    while growing:
+        level += 1
+        grown = balls[:]
+        kept = []
+        for zone in growing:
+            z, row = zone  # the pair itself is kept, not rebuilt
+            ball = balls[z]
+            for w in row:
+                ball |= balls[w]
+            if ball == everything:
+                grown[z] = everything  # one int for every full ball
+                yield level, z
+            else:
+                grown[z] = ball
+                kept.append(zone)
+        z = growing[0][0]  # unfinished when the round began
+        if grown[z] == balls[z]:
+            reached, live = balls[z].bit_count(), everything.bit_count()
+            raise DisconnectedGraph(f"only {reached} of {live} zones reachable from zone {z}")
+        balls, growing = grown, kept
+
+
+def radius_and_center(rg: ReducedGraph) -> Metrics:
+    """Every zone's eccentricity by ball growth, with the radius and center.
+
+    `freeflood radius` and the radius-bounds and far-witness checkers need
+    the whole vector; `solve`, `min_moves` and `verify_solution` need only
+    the radius and one center and use the eccentricity-bounding search.
+    """
+    eccs = [0] * rg.zone_count
+    for ecc, z in _eccentricities(rg.adjacency):
+        eccs[z] = ecc
     radius = min(eccs)
     center = tuple([z for z, e in enumerate(eccs) if e == radius])
     return Metrics(tuple(eccs), radius, center)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import DisconnectedGraph, ImproperColoring, InstanceTooLarge, InvariantViolation
+from .errors import ImproperColoring, InstanceTooLarge, InvariantViolation
 from .graphs import ColoredGraph, ReducedGraph, _palette, _validate_reduced, _ZoneState
-from .metrics import _distances, radius_and_center
+from .metrics import _distances, _eccentricities, radius_and_center
 
 # Size guards: the default cap on the colorations the search stores (a hit
 # budget gives an upper bound), and the checkers' caps on zones and on listed
@@ -124,68 +124,42 @@ def brute_force_min_moves(
     raise InvariantViolation("flooding always reaches a monochromatic coloration")
 
 
-def _two_color_domain(rg: ReducedGraph) -> list[int]:
-    """The palette of rg, checked to be the paper's domain: a connected zone
-    graph of two or more zones, properly colored with two colors."""
-    palette = _palette(rg.colors)
-    if len(palette) != 2:
+def _two_color_domain(rg: ReducedGraph) -> None:
+    """Check that rg is in the paper's domain: a connected zone graph of two
+    or more zones, properly colored with two colors."""
+    if len(_palette(rg.colors)) != 2:
         raise ImproperColoring("a proper coloration with two or more zones uses two colors")
     _validate_reduced(rg)
-    return palette
 
 
 def _contractions(rg: ReducedGraph) -> Iterator[tuple[int, _ZoneState]]:
     """Each zone x with a fresh zone state in which x is contracted with its neighborhood.
 
-    x is flooded with the other palette color; the live rows are the
-    contracted graph by original zone ids, and absorbed zones' rows are None.
-    rg is checked by `_two_color_domain` before the first contraction.
+    rg must be in `_two_color_domain`, so x's neighbors share the other
+    color, and x is flooded with it; the live rows are the contracted graph
+    by original zone ids, and absorbed zones' rows are None.
     """
-    a, b = _two_color_domain(rg)
-    for x, color in enumerate(rg.colors):
+    for x, row in enumerate(rg.adjacency):
         state = _ZoneState(rg)
-        state.flood(x, b if color == a else a)
+        state.flood(x, rg.colors[row[0]])
         yield x, state
-
-
-def _contracted_radius(adjacency) -> int:
-    """Radius of a zone state's live rows, by lockstep ball growth.
-
-    Every live zone's ball is a bit set of zone ids.  The ball of radius r+1
-    around z is the union of the radius-r balls around z and its neighbors,
-    so all balls grow one level at a time, and the radius is the first level
-    at which some ball holds every live zone.  Exact: nothing is pruned.
-    """
-    balls = [0 if row is None else 1 << z for z, row in enumerate(adjacency)]
-    everything = sum(balls)
-    rows = [(z, row) for z, row in enumerate(adjacency) if row is not None]
-    for radius in range(len(rows)):
-        if everything in balls:
-            return radius
-        grown = balls[:]
-        for z, row in rows:
-            ball = balls[z]
-            for w in row:
-                ball |= balls[w]
-            grown[z] = ball
-        balls = grown
-    raise DisconnectedGraph("the contracted zone graph is disconnected")
 
 
 def check_radius_bounds(rg: ReducedGraph) -> LemmaReport:
     """Contract every zone and compare radii.
 
     The contracted radius must stay within [R-1, R], and contracting any
-    center zone must lower it by exactly one.  Graphs with a single zone are
-    vacuous.
+    center zone must lower it by exactly one; ball growth stops at each
+    contracted radius.  Graphs with a single zone are vacuous.
     """
     if rg.zone_count < 2:
         return LemmaReport("radius-bounds", 0)
+    _two_color_domain(rg)
     met = radius_and_center(rg)
     centers = set(met.center)
     checked = 0
     for x, state in _contractions(rg):
-        rx = _contracted_radius(state.adjacency)
+        rx = next(_eccentricities(state.adjacency))[0]
         checked += 1
         if not met.radius - 1 <= rx <= met.radius:
             detail = "contracted radius outside [R-1, R]"
@@ -215,6 +189,7 @@ def check_distance_bounds(rg: ReducedGraph) -> LemmaReport:
         raise InstanceTooLarge(f"{n} zones exceeds the checker guard of {DISTANCE_BOUNDS_MAX_ZONES}")
     if n < 2:
         return LemmaReport("distance-bounds", 0)
+    _two_color_domain(rg)
     dist = [_distances(rg.adjacency, s) for s in range(n)]
     checked = 0
     for x, state in _contractions(rg):

@@ -22,6 +22,7 @@ from freeflood import (
     Counterexample,
     FloodError,
     LemmaReport,
+    Metrics,
     ReducedGraph,
     StateSpaceReport,
     ZoneMap,
@@ -295,9 +296,21 @@ def bytes_state_search(g, state_budget):
     raise AssertionError("flooding always reaches a monochromatic coloration")
 
 
-def contracted_radius_by_sweep(adjacency):
-    """The reference for `oracle._contracted_radius`: one search per live zone."""
-    return min(max(_distances(adjacency, z)) for z, row in enumerate(adjacency) if row is not None)
+# The sweep `radius_and_center` ran before every eccentricity came from ball
+# growth, kept verbatim as the reference: one breadth-first search per zone.
+def reference_radius_and_center(rg: ReducedGraph) -> Metrics:
+    adjacency = rg.adjacency
+    eccs = [max(_distances(adjacency, s)) for s in range(rg.zone_count)]
+    radius = min(eccs)
+    center = tuple([z for z, e in enumerate(eccs) if e == radius])
+    return Metrics(tuple(eccs), radius, center)
+
+
+def eccentricities_by_sweep(adjacency):
+    """The reference for `metrics._eccentricities`: one search per live zone,
+    the (eccentricity, zone) pairs in the order ball growth yields them."""
+    live = [z for z, row in enumerate(adjacency) if row is not None]
+    return iter(sorted([(max(_distances(adjacency, z)), z) for z in live]))
 
 
 # The path search and the far-witness checker that ran it, as they were

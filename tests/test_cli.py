@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -47,7 +48,7 @@ from freeflood.cli import (
     main,
 )
 
-from conftest import claim_on_the_input, spider
+from conftest import claim_on_the_input, reference_radius_and_center, spider
 
 CHECKERBOARD = "01\n10\n"
 
@@ -157,21 +158,57 @@ def test_radius_monochromatic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["plain", "machine"])
-def test_radius_refuses_a_sweep_over_the_limit(fmt, board, capsys, monkeypatch):
-    # the checkerboard has 4 zones and 4 zone edges: 4 * (4 + 2 * 4) = 48 steps
+def test_radius_refuses_balls_over_the_memory_bound(fmt, board, capsys, monkeypatch):
+    # the checkerboard has 4 zones: two generations of balls take 4 * 4 // 4 = 4 bytes
     assert main(["radius", board, "--format", fmt]) == EXIT_OK
     expected = capsys.readouterr()
-    monkeypatch.setattr(cli, "RADIUS_SWEEP_LIMIT", 48)
+    monkeypatch.setattr(cli, "RADIUS_BALL_BYTES", 4)
     assert main(["radius", board, "--format", fmt]) == EXIT_OK
     assert capsys.readouterr() == expected
-    monkeypatch.setattr(cli, "RADIUS_SWEEP_LIMIT", 47)
+    monkeypatch.setattr(cli, "RADIUS_BALL_BYTES", 3)
+
+    def grown(adjacency):
+        raise AssertionError("balls grown past the bound")
+
+    monkeypatch.setattr(metrics, "_eccentricities", grown)
     assert main(["radius", board, "--format", fmt]) == EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: the all-zones sweep needs 48 search steps, over the limit of 47; "
+        "error: the eccentricity balls of 4 zones take about 4 bytes, over the limit of 3; "
         "solve reports the radius\n"
     )
+
+
+@pytest.fixture(scope="module")
+def radius_files(tmp_path_factory):
+    """`gen` boards at 64x64 and 128x128 (seeds 1-3) and three `gen` graph files."""
+    root = tmp_path_factory.mktemp("radius")
+    argvs = [["--grid", f"{side}x{side}", "--seed", str(seed)] for side in (64, 128) for seed in (1, 2, 3)]
+    argvs += [["--n", str(n), "--extra-edges", str(extra), "--seed", str(seed)]
+              for n, extra, seed in ((40, 0, 1), (300, 120, 2), (2000, 900, 3))]
+    paths = []
+    with contextlib.redirect_stderr(io.StringIO()):  # gen echoes its seed there
+        for i, argv in enumerate(argvs):
+            paths.append(str(root / f"{i}.txt"))
+            assert main(["gen", *argv, "-o", paths[-1]]) == EXIT_OK
+    return paths
+
+
+# the sweep of each zone graph, run once for both formats
+sweep_once = functools.lru_cache(maxsize=None)(reference_radius_and_center)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "machine"])
+def test_radius_output_matches_the_sweep(fmt, radius_files, capsys, monkeypatch):
+    outputs = []
+    for path in radius_files:
+        assert main(["radius", path, "--format", fmt]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    monkeypatch.setattr(cli, "radius_and_center", sweep_once)
+    for path, output in zip(radius_files, outputs):
+        assert main(["radius", path, "--format", fmt]) == EXIT_OK
+        assert capsys.readouterr() == output
 
 
 def test_reduce_emits_parseable_graph(board, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freeflood import (
+    DisconnectedGraph,
     FloodMove,
     build,
     gen_random,
@@ -14,22 +15,24 @@ from freeflood import (
     grid_graph,
     metrics,
     radius_and_center,
+    ReducedGraph,
     Verdict,
     reduce,
     solve,
     verify_solution,
 )
 from freeflood.graphs import _ZoneState
-from freeflood.instances import GridSpec
-from freeflood.metrics import _distances, _radius_search
+from freeflood.instances import GridSpec, _grid_zones
+from freeflood.metrics import _distances, _eccentricities, _radius_search
 
 from conftest import (
     CPYTHON_ONLY,
     acceptance_graphs,
     allocated_block_growth,
-    contracted_radius_by_sweep,
+    eccentricities_by_sweep,
     floyd_warshall,
     reduced_graphs,
+    reference_radius_and_center,
 )
 
 
@@ -145,13 +148,88 @@ def test_radius_and_center_park_no_tuples_on_free_lists(seed):
     assert allocated_block_growth(lambda: radius_and_center(rg)) < 500
 
 
+@pytest.mark.parametrize(
+    "rg, message",
+    [
+        # the sweep took the max over the zones each search reached: two
+        # separate edges gave radius 1 with every zone central, two lone
+        # zones radius 0
+        (ReducedGraph(((1,), (0,), (3,), (2,)), (0, 1, 0, 1)), "only 2 of 4 zones reachable from zone 0"),
+        (ReducedGraph(((), ()), (0, 1)), "only 1 of 2 zones reachable from zone 0"),
+        # zone 0's ball grows for four rounds, after the edge's balls stopped
+        (ReducedGraph(((1,), (0, 2), (1, 3), (2, 4), (3,), (6,), (5,)), (0, 1, 0, 1, 0, 1, 0)),
+         "only 5 of 7 zones reachable from zone 0"),
+    ],
+)
+def test_disconnected_graphs_raise(rg, message):
+    with pytest.raises(DisconnectedGraph, match=f"^{message}$"):
+        radius_and_center(rg)
+
+
+def test_the_first_pair_stops_the_growth_at_the_radius():
+    # a nine-zone path: radius 4 at zone 4, eccentricities up to 8; each
+    # row read is one ball grown, so the first pair costs three full rounds
+    # and zones 0-4 of the fourth
+    reads = []
+
+    class CountedRow(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    growth = _eccentricities([CountedRow(row) for row in reduced_path(9).adjacency])
+    assert next(growth) == (4, 4)
+    assert len(reads) == 3 * 9 + 5
+    assert list(growth) == [(5, 3), (5, 5), (6, 2), (6, 6), (7, 1), (7, 7), (8, 0), (8, 8)]
+
+
+@given(reduced_graphs(max_vertices=14))
+def test_eccentricities_match_the_sweep(rg):
+    assert list(_eccentricities(rg.adjacency)) == list(eccentricities_by_sweep(rg.adjacency))
+    assert radius_and_center(rg) == reference_radius_and_center(rg)
+
+
+@given(reduced_graphs(max_vertices=14), st.lists(st.integers(0, 13), max_size=4))
+def test_eccentricities_match_the_sweep_on_zone_states(rg, floods):
+    # absorbed zones leave None rows, which ball growth skips
+    state = _ZoneState(rg)
+    for x in floods:
+        if x < rg.zone_count and state.count > 1:
+            x = state.find(x)
+            state.flood(x, 1 - state.colors[x])
+    assert list(_eccentricities(state.adjacency)) == list(eccentricities_by_sweep(state.adjacency))
+
+
+def test_eccentricities_match_the_sweep_on_the_acceptance_corpora():
+    for g in acceptance_graphs():
+        rg = reduce(g)[0]
+        assert radius_and_center(rg) == reference_radius_and_center(rg)
+
+
+@pytest.mark.parametrize("side, block", [(1, 1), (9, 1), (32, 1), (64, 1), (64, 4), (128, 1), (128, 8)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_eccentricities_match_the_sweep_on_grid_boards(side, block, seed):
+    # random boards, and boards painted in block x block squares
+    rng = random.Random(seed)
+    colors = [rng.randrange(2) for _ in range((side // block) ** 2)]
+    cells = tuple([colors[r // block * (side // block) + c // block] for r in range(side) for c in range(side)])
+    rg = _grid_zones(GridSpec(side, side, cells))[0]
+    assert radius_and_center(rg) == reference_radius_and_center(rg)
+    if side == 64:  # the states of three floods of the center zone, None rows included
+        state = _ZoneState(rg)
+        center = _radius_search(rg.adjacency)[1]
+        for _ in range(3):
+            state.flood(center, 1 - state.colors[center])
+            assert list(_eccentricities(state.adjacency)) == list(eccentricities_by_sweep(state.adjacency))
+
+
 def random_grid(side, seed):
     rng = random.Random(seed)
     return grid_graph(GridSpec(side, side, tuple(rng.randrange(2) for _ in range(side * side))))
 
 
 def full_sweep_answer(rg):
-    met = radius_and_center(rg)
+    met = reference_radius_and_center(rg)
     return met.radius, min(met.center)
 
 
@@ -307,7 +385,7 @@ def test_target_search_decides_the_radius_of_zone_states(rg, floods):
             x = state.find(x)
             state.flood(x, 1 - state.colors[x])
     live = [z for z, row in enumerate(state.adjacency) if row is not None]
-    radius = contracted_radius_by_sweep(state.adjacency)
+    radius = next(eccentricities_by_sweep(state.adjacency))[0]
     for start in live[:3]:
         assert_target_answers(state.adjacency, radius, start)
 
@@ -319,4 +397,5 @@ def test_target_search_decides_the_radius_of_grid_zone_states(seed):
     state = _ZoneState(rg)
     for _ in range(3):
         state.flood(center, 1 - state.colors[center])
-        assert_target_answers(state.adjacency, contracted_radius_by_sweep(state.adjacency), center)
+        radius = next(eccentricities_by_sweep(state.adjacency))[0]
+        assert_target_answers(state.adjacency, radius, center)

@@ -21,19 +21,20 @@ from freeflood import (
     check_far_witness,
     check_radius_bounds,
     gen_reduced_corpus,
+    metrics,
     oracle,
     parse_grid,
     reduce,
 )
 from freeflood.graphs import _ZoneState
-from freeflood.oracle import _contracted_radius, _contractions, _shortest_paths
-from freeflood.metrics import Metrics, _distances
+from freeflood.oracle import _contractions, _shortest_paths
+from freeflood.metrics import Metrics, _distances, _eccentricities
 
 from conftest import (
     _has_path_through,
     bytes_state_search,
     colored_graphs,
-    contracted_radius_by_sweep,
+    eccentricities_by_sweep,
     floyd_warshall,
     flood_vertices,
     outcome,
@@ -65,6 +66,45 @@ def claim_radius_one_too_high(monkeypatch):
         return Metrics(met.eccentricity, radius, center)
 
     monkeypatch.setattr(oracle, "radius_and_center", one_too_high)
+
+
+def claim_radius_one_too_low(monkeypatch):
+    """Make the oracle's radius R-1, with the true center."""
+    real = oracle.radius_and_center
+
+    def one_too_low(rg):
+        met = real(rg)
+        return met._replace(radius=met.radius - 1)
+
+    monkeypatch.setattr(oracle, "radius_and_center", one_too_low)
+
+
+def claim_every_zone_central(monkeypatch):
+    """Make the oracle's center every zone, at the true radius."""
+    real = oracle.radius_and_center
+    monkeypatch.setattr(
+        oracle, "radius_and_center", lambda rg: real(rg)._replace(center=tuple(range(rg.zone_count)))
+    )
+
+
+def shift_eccentricities(monkeypatch, module):
+    """Move about one eccentricity in four of `module`'s ball growth down or up by one.
+
+    Whether and how far a zone's eccentricity moves depends only on the live
+    zones and the zone, so the engine and its sweep reference see the same
+    faults; the pairs come out sorted again.
+    """
+    real = module._eccentricities
+
+    def shifted(adjacency):
+        live = tuple([z for z, row in enumerate(adjacency) if row is not None])
+        pairs = []
+        for ecc, z in real(adjacency):
+            h = hash((live, z)) % 8
+            pairs.append((ecc + (h == 0) - (h == 1), z))
+        return iter(sorted(pairs))
+
+    monkeypatch.setattr(module, "_eccentricities", shifted)
 
 
 class TestBruteForce:
@@ -177,10 +217,7 @@ class TestRadiusBounds:
     def test_end_zone_claimed_central_is_refuted(self, monkeypatch):
         # every zone of a five-zone path claimed central at its radius 2:
         # contracting end zone 0 leaves a four-zone path, still of radius 2
-        real = oracle.radius_and_center
-        monkeypatch.setattr(
-            oracle, "radius_and_center", lambda rg: real(rg)._replace(center=tuple(range(rg.zone_count)))
-        )
+        claim_every_zone_central(monkeypatch)
         report = check_radius_bounds(reduced(PATH5, [0, 1, 0, 1, 0]))
         assert report.instances_checked == 1
         assert report.counterexample.detail == "contracting a center zone must drop the radius by 1"
@@ -200,14 +237,30 @@ AGREEMENT_BUDGETS = [None, 1, 2, 5, 50]
 
 
 def contracted_radii_agree(rg):
-    """Assert that every contraction of rg gives the sweep's radius; return how many there were."""
+    """Assert that ball growth gives the sweep's eccentricities on rg and on every
+    contraction of it, None rows included; return how many contractions there were."""
+    assert list(_eccentricities(rg.adjacency)) == list(eccentricities_by_sweep(rg.adjacency))
     if rg.zone_count < 2:
         return 0
     count = 0
     for _, state in _contractions(rg):
-        assert _contracted_radius(state.adjacency) == contracted_radius_by_sweep(state.adjacency)
+        assert list(_eccentricities(state.adjacency)) == list(eccentricities_by_sweep(state.adjacency))
         count += 1
     return count
+
+
+# a radius claimed wrong, and eccentricities shifted in the contracted zone
+# states or everywhere; every one refutes some graph of the corpus
+RADIUS_FAULTS = {
+    "true radius": lambda monkeypatch: None,
+    "radius one too high": claim_radius_one_too_high,
+    "radius one too low": claim_radius_one_too_low,
+    "every zone central": claim_every_zone_central,
+    "contracted eccentricities shifted": lambda monkeypatch: shift_eccentricities(monkeypatch, oracle),
+    "eccentricities shifted everywhere": lambda monkeypatch: [
+        shift_eccentricities(monkeypatch, module) for module in (metrics, oracle)
+    ],
+}
 
 
 class TestBitSetAgreement:
@@ -241,15 +294,28 @@ class TestBitSetAgreement:
     def test_contracted_radii_match_the_sweep_on_vertex_graphs(self, g):
         contracted_radii_agree(reduce(g)[0])
 
-    @pytest.mark.parametrize("claim", ["true radius", "radius one too high"])
-    def test_radius_bounds_reports_match_the_sweep(self, claim, monkeypatch):
-        if claim == "radius one too high":
-            claim_radius_one_too_high(monkeypatch)
+    @pytest.mark.parametrize("fault", RADIUS_FAULTS)
+    def test_radius_bounds_reports_match_the_sweep(self, fault):
+        # ball growth, then the sweep, in `radius_and_center` and in the
+        # contracted radii, with the fault wrapped around each
         corpus = [rg for _, rg in gen_reduced_corpus(100, 24, 30, 2, 30)]
-        reports = [check_radius_bounds(rg) for rg in corpus]
-        monkeypatch.setattr(oracle, "_contracted_radius", contracted_radius_by_sweep)
-        assert reports == [check_radius_bounds(rg) for rg in corpus]
-        assert all(r.ok is (claim == "true radius") for r in reports)
+        reports = []
+        for engine in (metrics._eccentricities, eccentricities_by_sweep):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(metrics, "_eccentricities", engine)
+                monkeypatch.setattr(oracle, "_eccentricities", engine)
+                RADIUS_FAULTS[fault](monkeypatch)
+                reports.append([(outcome(check_radius_bounds, rg), outcome(check_far_witness, rg))
+                                for rg in corpus])
+        assert reports[0] == reports[1]
+        radius_bounds = [report for report, _ in reports[0]]
+        if fault in ("true radius", "radius one too high"):
+            # contracting a center gives R-1, below a claimed R+1 less one:
+            # a radius one too high refutes every graph
+            assert all(kind == "ok" and report.ok is (fault == "true radius")
+                       for kind, report in radius_bounds)
+        else:
+            assert any(kind == "ok" and not report.ok for kind, report in radius_bounds)
 
 
 class TestDistanceBounds:
@@ -289,6 +355,7 @@ def distance_bounds_searching_every_pair(rg):
         return LemmaReport("distance-bounds", 0)
     dist = [oracle._distances(rg.adjacency, s) for s in range(n)]
     checked = 0
+    oracle._two_color_domain(rg)
     for x, state in _contractions(rg):
         adjacency = state.adjacency
         survivors = [v for v in range(n) if adjacency[v] is not None]
