@@ -16,6 +16,7 @@ from .errors import FloodError, InstanceTooLarge, InvariantViolation, MalformedM
 from .graphs import ColoredGraph, ReducedGraph, ZoneMap, reduce
 from .instances import (
     GridSpec,
+    _GridFields,
     _grid_zones,
     emit_graph,
     emit_grid,
@@ -237,9 +238,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         zones = state.count
         print(f"step {step} flood {move.vertex} -> {move.color} zones {zones}")
         if isinstance(source, GridSpec):
-            color_of = state.zone_colors()
+            color_of = state.zone_colors()  # each in the palette, so the frame skips GridSpec's check
             cells = b"".join(bytes(map(color_of.__getitem__, row)) * height for row, height in bands)
-            sys.stdout.write(emit_grid(GridSpec(source.rows, source.cols, cells)))
+            sys.stdout.write(emit_grid(_GridFields.__new__(GridSpec, source.rows, source.cols, cells)))
     print(f"monochromatic {'true' if zones == 1 else 'false'}")
     return EXIT_OK
 

@@ -146,6 +146,7 @@ def _rows(count: int, pairs: Iterable[tuple[int, int]]) -> Adjacency:
     for u, v in pairs:
         rows[u].append(v)
         rows[v].append(u)
+    del pairs  # freed here when the caller passed its last reference
     return tuple([tuple(sorted(row)) for row in rows])
 
 

@@ -10,8 +10,8 @@ edge lines with u < v; '#' starts a comment.  Move files hold one
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
-from itertools import chain, compress, groupby, repeat, starmap
+from bisect import bisect_left, bisect_right
+from itertools import chain, compress, repeat, starmap
 from operator import add, eq, index, lt, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -47,7 +47,8 @@ _GridFields = NamedTuple("_GridFields", [("rows", int), ("cols", int), ("cells",
 
 
 class GridSpec(_GridFields):
-    """Rectangular board, row-major: `cells` (ints 0-9) is checked and kept as bytes."""
+    """Rectangular board, row-major: `cells` (ints 0-9) is checked and kept as bytes; the grid
+    readers and `simulate`, valid by construction, skip the check (`_GridFields.__new__`)."""
 
     __slots__ = ()
 
@@ -76,7 +77,7 @@ def parse_grid_spec(text: str) -> GridSpec:
     to colors by one `translate` that sends any other byte to 255.  Any
     other text (other line ends, blank lines, a fault) goes to
     `_grid_by_lines`, which accepts the same files and locates the first
-    fault.
+    fault.  Either one has proved the board, so it skips `GridSpec`'s check.
     """
     if text.isascii():
         data = text.encode()
@@ -90,8 +91,8 @@ def parse_grid_spec(text: str) -> GridSpec:
             cells = data.replace(b"\n", b"")
             if len(cells) == size - newlines:  # no newline off the stride
                 cells = cells.translate(_GRID_VALUES)
-                if b"\xff" not in cells:
-                    return GridSpec(len(cells) // width, width, cells)
+                if b"\xff" not in cells:  # every cell 0-9, and rows * width of them
+                    return _GridFields.__new__(GridSpec, len(cells) // width, width, cells)
     return _grid_by_lines(text)
 
 
@@ -119,7 +120,7 @@ def _grid_by_lines(text: str) -> GridSpec:
         for j, ch in enumerate(row, start=1):
             if ch not in _DIGITS:
                 raise InvalidCharacter(f"{ch!r} is not a digit", line=i, column=j)
-    return GridSpec(len(lines), width, b"".join(chunks).translate(_GRID_VALUES))
+    return _GridFields.__new__(GridSpec, len(lines), width, b"".join(chunks).translate(_GRID_VALUES))
 
 
 def grid_graph(spec: GridSpec) -> ColoredGraph:
@@ -215,18 +216,16 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
     their runs follow each other in a band or overlap in adjacent bands.
     The zone map is the run tables themselves (`_BandZones`): a cell's zone
     is found by two binary searches, and no per-cell table is written.
-    Cells are touched only by C-level work: comparing each row with the one
-    above, and cutting a band's row into runs where the row xor itself
-    shifted by one byte (no carries, so each byte is one cell xor its left
-    neighbor) is nonzero.  The Python-level work grows with the bands and
-    their runs.
+    Cells are touched only by C-level work: comparing each row, in place,
+    with its band's first row, and cutting a band's row into runs where the
+    row xor itself shifted by one byte (no carries, so each byte is one cell
+    xor its left neighbor) is nonzero.  The Python-level work grows with the
+    bands and their runs, and each run table is freed at its last use.
     """
     rows, cols, cells = spec.rows, spec.cols, spec.cells
-    n = rows * cols
     columns = list(range(1, cols))  # the cuts share these ints rather than make one per run
     begin: list[int] = []  # column of each run's first cell; runs are numbered in cell order
     end: list[int] = []  # column after each run's last cell
-    top: list[int] = []  # first cell of each run's band
     color: list[int] = []
     parent: list[int] = []  # parent[k] <= k, so a root is its tree's least run
     above: list[int] = []  # above[i] and below[i] are runs of different colors that
@@ -234,10 +233,13 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
     band_runs: list[int] = []  # the first run of each band
     band_rows: list[int] = []  # the first row of each band
 
-    row_slices = map(cells.__getitem__, map(slice, range(0, n, cols), range(cols, n + 1, cols)))
     r = prev_first = 0  # the band's first row
-    for row, same in groupby(row_slices):
-        height = len(list(same))
+    while r < rows:
+        row = cells[r * cols : (r + 1) * cols]
+        band_rows.append(r)
+        r += 1
+        while cells.startswith(row, r * cols):  # the band's next row, in place; False past the end
+            r += 1
         tail = row[1:]
         x = int.from_bytes(row, "big")
         changes = (x ^ (x >> 8)).to_bytes(cols, "big")[1:]  # byte i: cell i+1 xor cell i
@@ -248,13 +250,10 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
         begin.extend(cuts)
         end.extend(cuts)
         end.append(cols)
-        top.extend(repeat(r * cols, last + 1 - first))
         color.append(row[0])
         color.extend(compress(tail, changes))
         parent.extend(range(first, last + 1))
         band_runs.append(first)
-        band_rows.append(r)
-        r += height
         if first:
             # runs p (band above) and q (this band) overlap; step past the one
             # that ends first, or past both when they end together
@@ -289,21 +288,20 @@ def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
     begin = tuple(begin)
     band_runs.append(len(begin))  # the run count ends the last band
     roots, zone_of_run = _forest_zones(parent)  # each zone's first run, each run's zone
-
-    # zones of runs that follow each other in a band, then of runs that touch across bands
-    band_slices = map(slice, band_runs, band_runs[1:])
-    in_bands = (zip(zs, zs[1:]) for zs in map(zone_of_run.__getitem__, band_slices))
-    zone_pairs = chain(
-        chain.from_iterable(in_bands),
-        zip(map(zone_of_run.__getitem__, above), map(zone_of_run.__getitem__, below)),
-    )
-    pairs = set()
-    for zp, zq in zone_pairs:
-        pairs.add((zp, zq) if zp < zq else (zq, zp))
-    rg = ReducedGraph(_rows(len(roots), pairs), tuple(list(map(color.__getitem__, roots))))
-    starts = list(map(add, map(top.__getitem__, roots), map(begin.__getitem__, roots)))
+    zone_colors = tuple(list(map(color.__getitem__, roots)))
+    # a root's first cell: its band's first row, once per root in the band, plus its column
+    firsts = list(map(bisect_left, repeat(roots), band_runs))  # each band's first root, then all
+    tops = map(repeat, map(mul, band_rows, repeat(cols)), map(sub, firsts[1:], firsts))
+    starts = tuple(list(map(add, chain.from_iterable(tops), map(begin.__getitem__, roots))))
+    # zones of runs that touch across bands, then of runs that follow each other in a band; the
+    # run tables go here, `above` and `below` as they are read, the pair set inside `_rows`
+    across = zip(map(zone_of_run.__getitem__, above), map(zone_of_run.__getitem__, below))
+    del end, color, parent, roots, firsts, above, below
+    band_slices = map(zone_of_run.__getitem__, map(slice, band_runs, band_runs[1:]))
+    zone_pairs = chain(across, chain.from_iterable(zip(zs, zs[1:]) for zs in band_slices))
+    adjacency = _rows(len(starts), {(zp, zq) if zp < zq else (zq, zp) for zp, zq in zone_pairs})
     zone_of = _BandZones(rows, cols, begin, zone_of_run, band_runs, band_rows)
-    return rg, ZoneMap(zone_of, tuple(starts))
+    return ReducedGraph(adjacency, zone_colors), ZoneMap(zone_of, starts)
 
 
 def parse_grid(text: str) -> ColoredGraph:

@@ -11,6 +11,8 @@ import gc
 import itertools
 import random
 import sys
+from itertools import chain, compress, groupby, repeat
+from operator import add
 from typing import Sequence
 
 import pytest
@@ -53,8 +55,16 @@ from freeflood.errors import (
     SelfLoop,
     TooManyEdges,
 )
-from freeflood.graphs import FloodMove, _assemble, _check_connected, _palette, _validate_reduced
-from freeflood.instances import GridSpec
+from freeflood.graphs import (
+    FloodMove,
+    _assemble,
+    _check_connected,
+    _forest_zones,
+    _palette,
+    _rows,
+    _validate_reduced,
+)
+from freeflood.instances import GridSpec, _BandZones
 from freeflood.metrics import _distances, _radius_search
 from freeflood.solver import Verdict, _check_rows, _replay
 
@@ -532,6 +542,113 @@ def reference_parse_grid_spec(text: str) -> GridSpec:
             if ch not in _DIGITS:
                 raise InvalidCharacter(f"{ch!r} is not a digit", line=i, column=j)
     return GridSpec(len(lines), width, b"".join(chunks).translate(_DIGIT_VALUES))
+
+
+# Grid labeling as it was before bands were found in place and the run
+# tables freed at their last use, kept verbatim as the reference that
+# `_grid_zones` must equal exactly, and whose memory peak it must stay under.
+def reference_grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
+    """reduce(grid_graph(spec)), labeled from runs without the vertex graph.
+
+    Consecutive identical rows form a band, and each band is split once into
+    runs of one color; a run spans the band's full height.  Runs of one
+    color that overlap in adjacent bands are united: a two-pointer merge of
+    the two bands' runs feeds a union-find whose roots are least runs, as in
+    run-based labeling (He, Chao & Suzuki, IEEE TIP 17(5), 2008).  A run's
+    first cell is in its band's first row, so zones are numbered by their
+    least cell, as `reduce` numbers them.  Two zones are adjacent when two of
+    their runs follow each other in a band or overlap in adjacent bands.
+    The zone map is the run tables themselves (`_BandZones`): a cell's zone
+    is found by two binary searches, and no per-cell table is written.
+    Cells are touched only by C-level work: comparing each row with the one
+    above, and cutting a band's row into runs where the row xor itself
+    shifted by one byte (no carries, so each byte is one cell xor its left
+    neighbor) is nonzero.  The Python-level work grows with the bands and
+    their runs.
+    """
+    rows, cols, cells = spec.rows, spec.cols, spec.cells
+    n = rows * cols
+    columns = list(range(1, cols))  # the cuts share these ints rather than make one per run
+    begin: list[int] = []  # column of each run's first cell; runs are numbered in cell order
+    end: list[int] = []  # column after each run's last cell
+    top: list[int] = []  # first cell of each run's band
+    color: list[int] = []
+    parent: list[int] = []  # parent[k] <= k, so a root is its tree's least run
+    above: list[int] = []  # above[i] and below[i] are runs of different colors that
+    below: list[int] = []  # touch across two bands
+    band_runs: list[int] = []  # the first run of each band
+    band_rows: list[int] = []  # the first row of each band
+
+    row_slices = map(cells.__getitem__, map(slice, range(0, n, cols), range(cols, n + 1, cols)))
+    r = prev_first = 0  # the band's first row
+    for row, same in groupby(row_slices):
+        height = len(list(same))
+        tail = row[1:]
+        x = int.from_bytes(row, "big")
+        changes = (x ^ (x >> 8)).to_bytes(cols, "big")[1:]  # byte i: cell i+1 xor cell i
+        cuts = list(compress(columns, changes))
+        first = len(begin)
+        last = first + len(cuts)
+        begin.append(0)
+        begin.extend(cuts)
+        end.extend(cuts)
+        end.append(cols)
+        top.extend(repeat(r * cols, last + 1 - first))
+        color.append(row[0])
+        color.extend(compress(tail, changes))
+        parent.extend(range(first, last + 1))
+        band_runs.append(first)
+        band_rows.append(r)
+        r += height
+        if first:
+            # runs p (band above) and q (this band) overlap; step past the one
+            # that ends first, or past both when they end together
+            p, q = prev_first, first
+            while True:
+                if color[p] != color[q]:
+                    above.append(p)
+                    below.append(q)
+                else:
+                    x = p  # find, inlined
+                    while parent[x] != x:
+                        parent[x] = x = parent[parent[x]]
+                    y = q
+                    while parent[y] != y:
+                        parent[y] = y = parent[parent[y]]
+                    if x < y:
+                        parent[y] = x
+                    elif y < x:
+                        parent[x] = y
+                end_p, end_q = end[p], end[q]
+                if end_p <= end_q:
+                    p += 1
+                if end_q <= end_p:
+                    if q == last:  # both bands end at cols
+                        break
+                    q += 1
+        prev_first = first
+
+    # The zone map keeps `begin` and `zone_of_run` as tuples: a tuple of ints
+    # drops out of the garbage collector's tracking, where a list of one entry
+    # per run would be traversed by every full collection while the map lives.
+    begin = tuple(begin)
+    band_runs.append(len(begin))  # the run count ends the last band
+    roots, zone_of_run = _forest_zones(parent)  # each zone's first run, each run's zone
+
+    # zones of runs that follow each other in a band, then of runs that touch across bands
+    band_slices = map(slice, band_runs, band_runs[1:])
+    in_bands = (zip(zs, zs[1:]) for zs in map(zone_of_run.__getitem__, band_slices))
+    zone_pairs = chain(
+        chain.from_iterable(in_bands),
+        zip(map(zone_of_run.__getitem__, above), map(zone_of_run.__getitem__, below)),
+    )
+    pairs = set()
+    for zp, zq in zone_pairs:
+        pairs.add((zp, zq) if zp < zq else (zq, zp))
+    rg = ReducedGraph(_rows(len(roots), pairs), tuple(list(map(color.__getitem__, roots))))
+    starts = list(map(add, map(top.__getitem__, roots), map(begin.__getitem__, roots)))
+    zone_of = _BandZones(rows, cols, begin, zone_of_run, band_runs, band_rows)
+    return rg, ZoneMap(zone_of, tuple(starts))
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

@@ -1,6 +1,9 @@
 """Construction, reduction, flooding, and contraction on the live zone state."""
 
+import builtins
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given
@@ -26,6 +29,7 @@ from freeflood import (
     reduce,
 )
 
+from freeflood import graphs
 from freeflood.graphs import _ZoneState
 from freeflood.instances import GridSpec
 from freeflood.solver import _replay
@@ -212,6 +216,35 @@ def test_parse_and_reduce_park_no_tuples_on_free_lists():
     # tuples built from generators, 3 000 rounds park about 4 100 blocks
     text = emit_graph(gen_random(16, 3, 2, seed=5))
     assert allocated_block_growth(lambda: reduce(parse_graph(text))) < 500
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10 keeps a call's arguments on the caller's stack")
+@pytest.mark.parametrize("handed_over", [True, False])
+def test_rows_frees_a_pair_set_it_is_handed(handed_over, monkeypatch):
+    # `_grid_zones` passes `_rows` its only reference to the zone-pair set,
+    # so the set is gone before the first row is sorted: it and the rows'
+    # tuples never live at once.  A caller that keeps the set keeps it alive.
+    refs = []
+
+    def pair_set():
+        pairs = {(u, u + 1) for u in range(99)}
+        refs.append(weakref.ref(pairs))
+        return pairs
+
+    freed = []
+
+    def recording_sorted(row):
+        freed.append(refs[0]() is None)
+        return builtins.sorted(row)
+
+    monkeypatch.setattr(graphs, "sorted", recording_sorted, raising=False)
+    if handed_over:
+        rows = graphs._rows(100, pair_set())
+    else:
+        kept = pair_set()
+        rows = graphs._rows(100, kept)
+    assert rows == tuple([tuple([v for v in (u - 1, u + 1) if 0 <= v < 100]) for u in range(100)])
+    assert freed == [handed_over] * 100
 
 
 class TestApplyFlood:

@@ -1,7 +1,9 @@
 """File formats, round trips, and the seeded generators."""
 
+import gc
 import hashlib
 import random
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -38,11 +40,12 @@ from freeflood import (
     reduce,
 )
 from freeflood import cli, instances
-from freeflood.instances import GridSpec, _grid_zones
+from freeflood.instances import GridSpec, _BandZones, _grid_zones
 
 from conftest import (
     outcome,
     reference_gen_random,
+    reference_grid_zones,
     reference_parse_graph,
     reference_parse_grid_spec,
     reference_parse_instance,
@@ -373,6 +376,7 @@ def _assert_grid_paths_agree(spec):
     zones = _grid_zones(spec)
     ref = reduce(g)[1]
     assert zones == reduce(g)
+    _assert_labeling_equals_the_reference(spec, zones)
     assert hash(zones[1]) == hash(ref)
     # the run-backed zone map against reduce's tuple, read every way a caller reads it
     zm, n = zones[1], g.vertex_count
@@ -385,6 +389,18 @@ def _assert_grid_paths_agree(spec):
             zm.zone_of[v]
     assert emit_graph(spec) == emit_graph(g)
     assert instance_digest(spec) == instance_digest(g)
+
+
+def _assert_labeling_equals_the_reference(spec, zones):
+    # the zone graph, the representatives and every run table of the zone
+    # map, types included, exactly as `reference_grid_zones` builds them
+    (rg, zm), (ref_rg, ref_zm) = zones, reference_grid_zones(spec)
+    assert rg == ref_rg
+    assert type(rg.adjacency) is type(rg.colors) is tuple
+    assert zm.representative_of == ref_zm.representative_of
+    assert type(zm.representative_of) is tuple
+    for name in _BandZones.__slots__:  # a tuple never equals a list, so the types match too
+        assert getattr(zm.zone_of, name) == getattr(ref_zm.zone_of, name), name
 
 
 # shapes where v, v+1 or v+cols cross a power of ten, up to 100 000
@@ -579,6 +595,35 @@ class TestGridZones:
     def test_seeded_bands(self, bands):
         _assert_grid_paths_agree(_banded(bands))
 
+    @pytest.mark.parametrize(
+        "rows, cols", [(1, 1), (1, 2), (1, 257), (1, 4096), (2, 1), (300, 1), (4096, 1)]
+    )
+    @pytest.mark.parametrize("colors", [2, 3])
+    def test_one_row_and_one_column(self, rows, cols, colors):
+        rng = random.Random(rows * 7919 + cols * 31 + colors)
+        _assert_grid_paths_agree(_seeded_board(rows, cols, rng.randrange(2**32), colors))
+        # long runs: one band on a row, one band per run of equal cells on a column
+        runs = [c for c in range(rows * cols // 40 + 1) for _ in range(40)][: rows * cols]
+        _assert_grid_paths_agree(GridSpec(rows, cols, bytes(c % colors for c in runs)))
+
+    def test_peak_memory_under_three_quarters_of_the_reference(self):
+        # the run tables are freed at their last use and the zone-pair set
+        # inside `_rows`; the reference held all of them until it returned
+        spec = _seeded_board(512, 512, 512, colors=2)
+
+        def peak(label):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                zones = label(spec)
+                return tracemalloc.get_traced_memory()[1], zones
+            finally:
+                tracemalloc.stop()
+
+        (ours, zones), (theirs, ref) = peak(_grid_zones), peak(reference_grid_zones)
+        assert zones[0] == ref[0]
+        assert ours <= 0.75 * theirs, (ours, theirs)
+
 
 def _banded(bands):
     """A board of rows given as (row, height) bands, top to bottom."""
@@ -617,6 +662,37 @@ def _mutated(draw, base):
             text = text.rstrip("\n")
         else:
             text += "".join(draw(st.lists(st.sampled_from(["\n", " \n", "\t\n", "\r\n", "\f"]))))
+    return text
+
+
+@st.composite
+def _grid_like_texts(draw):
+    """Grid files as other tools write them: a board of 1-8 rows and columns
+    (one-row and one-column boards often), lines ended by "\n", "\r\n" or
+    "\r", the last end kept or dropped, blank and whitespace lines after it,
+    and up to two faults: a newline off the stride, a blank line between
+    rows, a non-digit in place of a cell, or a cell dropped."""
+    rows = draw(st.one_of(st.just(1), st.integers(1, 8)))
+    cols = draw(st.one_of(st.just(1), st.integers(1, 8)))
+    digits = st.text(st.sampled_from("0123456789"), min_size=cols, max_size=cols)
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    text = end.join(draw(st.lists(digits, min_size=rows, max_size=rows)))
+    text += draw(st.sampled_from(["", end]))
+    text += "".join(draw(st.lists(st.sampled_from(["\n", "\r\n", " \n", "\t\n"]), max_size=3)))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        fault = draw(st.sampled_from(["newline", "blank line", "non-digit", "drop"]))
+        if fault == "newline":
+            text = text[:at] + "\n" + text[at:]
+        elif fault == "blank line":
+            at = text.find(end, at)
+            if at >= 0:
+                text = text[:at] + end + text[at:]
+        elif fault == "non-digit":
+            other = draw(st.sampled_from(["x", " ", "\t", "#", "+", "\0", "\u0663", "\xe9"]))
+            text = text[:at] + other + text[at + 1 :]
+        else:
+            text = text[:at] + text[at + 1 :]
     return text
 
 
@@ -682,6 +758,18 @@ class TestWholeTextParse:
     @settings(max_examples=600)
     def test_agrees_with_the_line_readers(self, text):
         _assert_parsers_agree(text)
+
+    @given(_grid_like_texts())
+    @settings(max_examples=400)
+    def test_parsed_boards_pass_the_check_they_skip(self, text):
+        # both readers build the spec without GridSpec's check, so whatever
+        # they return must pass it unchanged, and equal the reference parse
+        got = outcome(parse_grid_spec, text)
+        assert got == outcome(reference_parse_grid_spec, text)
+        if got[0] == "ok":
+            spec = got[1]
+            assert type(spec) is GridSpec and type(spec.cells) is bytes
+            assert GridSpec(spec.rows, spec.cols, spec.cells) == spec
 
     @pytest.mark.parametrize(
         "text",

@@ -60,6 +60,34 @@ def test_zone_graphs_are_built_only_from_an_instance():
     assert builders == {"graphs.reduce", "instances._grid_zones"}
 
 
+def _functions(tree, prefix=""):
+    """(name, node) of each top-level function and method, a method named Class.method."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+
+
+def test_grid_specs_skip_their_check_only_where_the_board_is_proved():
+    # `GridSpec(...)` checks every cell; only the two grid readers, which have
+    # just proved the board, and `simulate`, whose frames hold zone colors,
+    # build one with a bare `__new__` and skip that check
+    bare = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, func in _functions(tree):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
+                    bare.add(f"{path.stem}.{name}")
+    assert bare == {
+        "instances.GridSpec.__new__",  # its own super().__new__, after the check
+        "instances.parse_grid_spec",
+        "instances._grid_by_lines",
+        "cli._cmd_simulate",
+    }
+
+
 # iterators with no length hint, so tuple() over one starts at 10 items as over a generator
 UNSIZED_ITERATORS = {"map", "zip", "chain", "compress", "starmap"}
 
