@@ -8,7 +8,9 @@ found a counterexample, 9 an internal check failed (a bug in freeflood).
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import stat
 import sys
 import time
 
@@ -78,6 +80,31 @@ def _read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         name = "stdin" if path == "-" else path
         raise ParseError(f"{name}: byte {exc.start} is not valid UTF-8") from None
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write `text` as UTF-8 to `path` in place: the file keeps its inode and mode.
+
+    The file is opened without truncation and, when it is a regular file
+    longer than the text, cut to the text's length after the write, so it
+    ends holding exactly `text`.  Truncating to zero first (`open(path, "w")`)
+    can wait for the last write's writeback, and on ext4 frees the file's
+    blocks only to allocate them again.  A device or a pipe gets the write
+    and no cut (`ftruncate` fails on `/dev/null`).  A write cut short leaves
+    the new bytes followed by the old file's tail; nothing here calls fsync,
+    so this is as durable as a freshly created file.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:  # a write to a pipe may take part of the bytes
+            rest = rest[os.write(fd, rest):]
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _parse_instance(path: str) -> GridSpec | ColoredGraph:
@@ -152,8 +179,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     solution, searches, certificate_searches = _solve_zones(rg, zm, validate=args.validate)
     solved = time.perf_counter()
     if args.moves_out:
-        with open(args.moves_out, "w", encoding="utf-8") as handle:
-            handle.write(emit_moves(solution.moves))
+        _write_output(args.moves_out, emit_moves(solution.moves))
+        written = time.perf_counter()
     if args.format == "machine":
         n, m = _size(source)
         digest_start = time.perf_counter()
@@ -178,6 +205,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "digest_ms": digest_ms,
             },
         }
+        if args.moves_out:
+            doc["timings"]["write_ms"] = (written - solved) * 1000.0
         if args.validate:
             doc["certificate_searches"] = certificate_searches
         _print_json(doc)
@@ -340,8 +369,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         g = gen_random(args.n, args.extra_edges, args.color_count, args.seed)
         text = f"# seed {args.seed}\n" + emit_graph(g)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_output(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -80,14 +80,17 @@ def test_solve_machine_matches_plain(board, capsys):
     assert "digest" in doc and "timings" in doc
 
 
-def test_solve_machine_stage_timings(board, capsys):
-    assert main(["solve", board, "--format", "machine"]) == EXIT_OK
-    timings = json.loads(capsys.readouterr().out)["timings"]
-    assert set(timings) == {"load_ms", "parse_ms", "zones_ms", "solve_ms", "digest_ms"}
-    assert all(isinstance(ms, float) and ms >= 0.0 for ms in timings.values())
-    # loading is parsing then labeling or reducing, each timed from the
-    # clock reading where the one before it stopped
-    assert timings["parse_ms"] + timings["zones_ms"] == pytest.approx(timings["load_ms"])
+def test_solve_machine_stage_timings(board, tmp_path, capsys):
+    # only --moves-out adds `write_ms`: the time writing the move file took
+    stages = {"load_ms", "parse_ms", "zones_ms", "solve_ms", "digest_ms"}
+    for extra, keys in (([], stages), (["--moves-out", str(tmp_path / "out.moves")], stages | {"write_ms"})):
+        assert main(["solve", board, "--format", "machine", *extra]) == EXIT_OK
+        timings = json.loads(capsys.readouterr().out)["timings"]
+        assert set(timings) == keys
+        assert all(isinstance(ms, float) and ms >= 0.0 for ms in timings.values())
+        # loading is parsing then labeling or reducing, each timed from the
+        # clock reading where the one before it stopped
+        assert timings["parse_ms"] + timings["zones_ms"] == pytest.approx(timings["load_ms"])
 
 
 def test_solve_machine_work_counters(tmp_path, capsys):
@@ -135,6 +138,66 @@ def test_solve_verify_pipeline(board, tmp_path, capsys):
     assert len(parse_moves(moves.read_text())) == 2
     assert main(["verify", board, str(moves)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "verdict optimal"
+
+
+# what `solve` writes for CHECKERBOARD: flood zone 0 twice
+CHECKERBOARD_MOVES = "0 1\n0 0\n"
+
+
+@pytest.mark.parametrize("old", ["", "9 9\n", "9 9\n9 9\n", "9 9\n" * 1000],
+                         ids=["empty", "shorter", "same-length", "longer"])
+def test_moves_out_overwrites_in_place(board, tmp_path, capsys, old):
+    # the file keeps its inode and mode and ends holding exactly the moves,
+    # whatever it held before
+    moves = tmp_path / "out.moves"
+    moves.write_text(old)
+    moves.chmod(0o640)
+    before = os.stat(moves)
+    assert main(["solve", board, "--moves-out", str(moves)]) == EXIT_OK
+    capsys.readouterr()
+    after = os.stat(moves)
+    assert moves.read_bytes() == CHECKERBOARD_MOVES.encode()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+def test_moves_out_creates_a_missing_file(board, tmp_path, capsys):
+    moves = tmp_path / "new.moves"
+    assert main(["solve", board, "--moves-out", str(moves)]) == EXIT_OK
+    capsys.readouterr()
+    assert moves.read_bytes() == CHECKERBOARD_MOVES.encode()
+    # created as open(path, "w") creates a file: 0o666 less the umask
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(moves).st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_moves_out_to_a_device_gets_no_cut(board, capsys):
+    # ftruncate on /dev/null fails with EINVAL: a device takes the write only
+    assert _run(["solve", board, "--moves-out", "/dev/null"], capsys) == (
+        EXIT_OK, "optimum 2\nmove 0 1\nmove 0 0\n", "")
+
+
+def test_output_to_a_directory_is_a_file_error(board, tmp_path, capsys):
+    # the same diagnostic as open(path, "w") gives
+    with pytest.raises(OSError) as opened:
+        open(tmp_path, "w", encoding="utf-8")
+    expected = (EXIT_FILE, "", f"error: {opened.value}\n")
+    assert _run(["solve", board, "--moves-out", str(tmp_path)], capsys) == expected
+    assert _run(["gen", "-o", str(tmp_path)], capsys) == expected
+
+
+def test_gen_output_over_a_longer_file(tmp_path, capsys):
+    argv = ["gen", "--grid", "6x7", "--color-count", "3", "--seed", "4"]
+    assert main(argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    path = tmp_path / "a.grid"
+    path.write_text("9" * 10 * len(printed))
+    inode = os.stat(path).st_ino
+    assert main([*argv, "-o", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert path.read_bytes() == printed.encode()
+    assert os.stat(path).st_ino == inode
 
 
 def test_verify_suboptimal_and_infeasible(board, tmp_path, capsys):

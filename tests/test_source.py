@@ -88,6 +88,43 @@ def test_grid_specs_skip_their_check_only_where_the_board_is_proved():
     }
 
 
+def _opens_for_writing(node):
+    """Is `node` an os.open(...) call, or an open(...) call with a write mode?"""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "open":
+        return getattr(func.value, "id", None) == "os"
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+    # a mode that is not a literal could be a write mode
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def test_cli_writes_files_only_through_its_writer():
+    # `_write_output` overwrites a file in place; an open(path, "w") would
+    # truncate it to zero first and stall on the last write's writeback
+    path = next(p for p in MODULES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    writer = dict(_functions(tree))["_write_output"]
+    everywhere = sorted(node.lineno for node in ast.walk(tree) if _opens_for_writing(node))
+    in_writer = sorted(node.lineno for node in ast.walk(writer) if _opens_for_writing(node))
+    assert everywhere == in_writer != []
+
+
+def test_no_module_truncates_on_open():
+    # the package overwrites files in place and cuts them after the write
+    names = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name == "O_TRUNC":
+                names.append(f"{path.name}:{node.lineno}")
+    assert names == []
+
+
 # iterators with no length hint, so tuple() over one starts at 10 items as over a generator
 UNSIZED_ITERATORS = {"map", "zip", "chain", "compress", "starmap"}
 
