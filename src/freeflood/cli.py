@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("solve", help="optimal move count and move list")
     sub.add_argument("instance", help="instance file, or - for stdin")
     _add_format_arg(sub)
-    sub.add_argument("--validate", action="store_true", help="replay the certificate step by step")
+    sub.add_argument("--validate", action="store_true", help="check moves against the center's layers")
     sub.add_argument("--moves-out", metavar="PATH", help="also write the moves as a move file")
     sub.set_defaults(func=_cmd_solve)
 

@@ -99,8 +99,7 @@ def _radius_search(adjacency, start: int = 0, dist=None, target=None) -> tuple[i
     (radius, min(center)) of `radius_and_center`.  A searched zone's bound
     becomes its eccentricity, which drops it too.  The first search runs
     from `start`, or is `dist` when the caller has run it (the list is then
-    overwritten); a None row (an absorbed zone of a zone state) is never
-    reached, so its bound ecc(start) + 1 drops it.
+    overwritten).
 
     With a `target` the search only decides whether the radius is at least
     `target`.  It starts as if (target, -1) were the best found, so a zone

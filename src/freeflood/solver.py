@@ -59,8 +59,8 @@ def min_moves(g: ColoredGraph) -> int:
 def solve(g: ColoredGraph, validate: bool = False) -> Solution:
     """Minimum-length move list: flood one center zone's representative repeatedly.
 
-    With `validate=True` the moves are replayed on the reduced graph, checking
-    that the radius drops by exactly one per move.
+    With `validate=True` the moves are replayed on the reduced graph and
+    checked against one search from the center zone (`_check_certificate`).
     """
     rg, zm = reduce(g)
     return _solve_zones(rg, zm, validate)[0]
@@ -87,47 +87,48 @@ def _solve_zones(
 def _check_certificate(
     rg: ReducedGraph, zm: ZoneMap, radius: int, center: int, moves: Sequence[FloodMove]
 ) -> int:
-    """Replay the moves `solve` prints and check the theorem on every zone graph.
+    """Check the moves `solve` prints against one search from the center zone c.
 
-    The input zone graph must be proper and connected, and the target
-    search, seeded with a search from the center, must show its radius at
-    least `radius`; the checks after the first move bound it from above,
-    since a move lowers the radius by at most one.  After each move, on the
-    live rows: the rows the flood touched (the flooded zone's, which keeps
-    its name, and its neighbors'), a search from that zone reaching every
-    live zone, and the radius one lower with that zone still central.  That
-    search gives the zone's eccentricity; the target search, seeded with
-    it, shows that no live zone is below it, so it is the radius, and it
-    must be the expected one.  Only when a check fails does the full search
-    run, to name the failure.  One zone must be left at the end.  A failed
-    check is a bug in this package and raises InvariantViolation.  Returns
-    the count of searches run.
+    Flooding c on the two-color domain absorbs all of c's neighbors, so after
+    k floods c's live zone is the ball B(c, k) of the input zone graph, its
+    row is the layer L(k+1) = {z : d(c, z) = k+1}, and zones farther out keep
+    their input rows: 1 + |{z : d(c, z) > k}| zones are live, and one is
+    left after ecc(c) moves.  A move lowers the radius by at most one, so if
+    the input's radius is at least `radius` = ecc(c), the radius after move
+    k is `radius` - k, with c central.
+
+    Checked before the replay: the input zone graph proper and connected,
+    its radius at least `radius` by the target search seeded with the search
+    from c (a full search names the radius if not), and ecc(c) = `radius`.
+    After move k <= `radius`: the live count, c's row as a set, and the rows
+    of c and its neighbors, the only live rows the flood changed.  One zone
+    must be left at the end.  A failed check is a bug in this package and
+    raises InvariantViolation.  Returns the count of searches run, the
+    target search's.
     """
     zones = rg.zone_count
     try:
         _validate_reduced(rg)
-        found, _, searches = _radius_search(rg.adjacency, center, target=radius)
+        dist = _distances(rg.adjacency, center)
+        ecc = max(dist)
+        layers = [set() for _ in range(ecc + 2)]  # L(0) to L(ecc + 1), the last one empty
+        for z, d in enumerate(dist):
+            layers[d].add(z)
+        found, _, searches = _radius_search(rg.adjacency, center, dist, radius)  # overwrites dist
         if found != radius:
             now = _radius_search(rg.adjacency, center)[0]
             raise InvariantViolation(f"radius {now} after 0 moves, expected {radius}")
+        if ecc != radius:
+            raise InvariantViolation(f"zone {center} has eccentricity {ecc}, expected {radius}")
         for step, state in enumerate(_replay(rg, zm, max(rg.colors) + 1, moves), start=1):
-            adjacency, zones = state.adjacency, state.count
-            _check_rows(state, [center, *adjacency[center]])
-            dist = _distances(adjacency, center)
-            reached = len(dist) - dist.count(-1)
-            if reached != zones:
-                raise InvariantViolation(f"only {reached} of {zones} zones reachable from zone {center}")
-            ecc = max(dist)
-            found, _, count = _radius_search(adjacency, center, dist, ecc)  # seeded with that search
-            searches += count
-            if found != ecc or ecc != radius - step:
-                now = _radius_search(adjacency, center)[0]  # a check failed: name it
-                if now != radius - step:
-                    raise InvariantViolation(
-                        f"radius {now} after {step} moves, expected {radius - step}"
-                    )
-                if ecc != now:
-                    raise InvariantViolation("flooded zone left the center set")
+            if step > radius:
+                raise InvariantViolation(f"{len(moves)} moves, expected {radius}")
+            zones -= len(layers[step])  # 1 + |{z : d(c, z) > step}|
+            if state.count != zones:
+                raise InvariantViolation(f"{state.count} zones after {step} moves, expected {zones}")
+            if (row := state.adjacency[center]) != layers[step + 1]:
+                raise InvariantViolation(f"row of zone {center} after {step} moves is not layer {step + 1}")
+            _check_rows(state, [center, *row])
     except (NoOpMove, MalformedMove) as exc:
         raise InvariantViolation(f"replay rejected a solver move: {exc}") from None
     except (ImproperColoring, DisconnectedGraph) as exc:

@@ -424,8 +424,9 @@ def reference_check_far_witness(rg: ReducedGraph) -> LemmaReport:
 
 # `verify`'s and `--validate`'s checks as they were before both proved a
 # known target with the target search, kept verbatim (only renamed) as the
-# references the target-bounded checks must agree with exactly: the same
-# verdict, or the same error class and message.
+# references the target-bounded checks must agree with: `verify` exactly, the
+# same verdict or the same error class and message, and the certificate as
+# `assert_certificate_agrees` says.
 def reference_verify_zones(
     rg: ReducedGraph, zm: ZoneMap, color_count: int, moves: Sequence[FloodMove]
 ) -> Verdict:
@@ -507,6 +508,55 @@ def claim_on_the_input(monkeypatch, radius, center):
         return real(adjacency, start, dist, target)
 
     monkeypatch.setattr(solver, "_radius_search", claimed)
+
+
+def certificate_claims(rg: ReducedGraph, zm: ZoneMap) -> list:
+    """(radius, center, moves): every zone claimed as the center, with its
+    eccentricity and one off, and `solve`'s moves for the claim, all on the
+    zone's representative with the colors alternating."""
+    claims = []
+    for z in range(rg.zone_count):
+        ecc = max(_distances(rg.adjacency, z))
+        claims += [(r, z, alternating_moves(rg, zm, r, z)) for r in (ecc - 1, ecc, ecc + 1)]
+    return claims
+
+
+def alternating_moves(rg: ReducedGraph, zm: ZoneMap, radius: int, center: int) -> list:
+    """`solve`'s move list for a claimed radius and center zone."""
+    rep, color, moves = zm.representative_of[center], rg.colors[center], []
+    for _ in range(max(radius, 0)):
+        color = 1 - color
+        moves.append(FloodMove(rep, color))
+    return moves
+
+
+def assert_certificate_agrees(rg: ReducedGraph, zm: ZoneMap, radius: int, claim) -> None:
+    """`solver._check_certificate` on a claim (radius, center, moves) against
+    `reference_check_certificate`, on a zone graph of radius `radius`.
+
+    The check refutes two kinds of claim before the replay, which the
+    reference never does: a radius above the input's, named by the full
+    search, and a radius that is not the center's eccentricity.  The
+    reference refutes the second kind too, in its replay or at its end,
+    except -1 on a one-zone graph, which it passes with no moves.  Every
+    other claim gets the same verdict, or the same error class and message.
+    """
+    def verdict(check):  # True, or the error's class, message, line and column
+        result = outcome(check, rg, zm, *claim)
+        return result[0] == "ok" or result
+
+    claimed, center, _ = claim
+    got, expected = verdict(solver._check_certificate), verdict(reference_check_certificate)
+    ecc = max(_distances(rg.adjacency, center))
+    if claimed > radius:
+        message = f"radius {radius} after 0 moves, expected {claimed}"
+        assert got == (InvariantViolation, message, None, None)
+    elif claimed != ecc:
+        message = f"zone {center} has eccentricity {ecc}, expected {claimed}"
+        assert got == (InvariantViolation, message, None, None)
+        assert (expected is True) == (claimed == -1 and rg.zone_count == 1)
+    else:
+        assert got == expected
 
 
 # The line-by-line readers and the pool draw the package replaced with
@@ -822,6 +872,36 @@ def acceptance_graphs() -> list[ColoredGraph]:
         corpus = gen_reduced_corpus(count, ACCEPTANCE_SEED + offset, max_n, min_zones, max_zones)
         graphs.extend(g for g, _ in corpus)
     return graphs
+
+
+def connected_bipartite_graphs(n: int):
+    """Every labeled connected bipartite graph on n vertices, as a ColoredGraph
+    colored by side, with vertex 0 on side 0.
+
+    Every side mask of vertices 1 to n - 1 is taken with every subset of the
+    pairs across it, and the connected graphs are kept.  A connected
+    bipartite graph has one bipartition up to a swap, which vertex 0's side
+    fixes, so each one comes once: 1, 1, 3, 19, 195 and 3 031 graphs for n = 1
+    to 6, the labeled connected bipartite graphs of OEIS A001832.  Each
+    vertex is its own zone, so the zone graph is the graph itself.
+    """
+    for mask in range(1 << (n - 1)):
+        colors = [0] + [mask >> (v - 1) & 1 for v in range(1, n)]
+        cross = [(u, w) for u in range(n) for w in range(u + 1, n) if colors[u] != colors[w]]
+        for subset in range(1 << len(cross)):
+            edges = [pair for i, pair in enumerate(cross) if subset >> i & 1]
+            rows = [[] for _ in range(n)]
+            for u, w in edges:
+                rows[u].append(w)
+                rows[w].append(u)
+            seen, stack = {0}, [0]
+            while stack:
+                for w in rows[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) == n:
+                yield build(edges, colors, 2)
 
 
 CPYTHON_ONLY = pytest.mark.skipif(

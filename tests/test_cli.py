@@ -110,8 +110,9 @@ def test_solve_machine_work_counters(tmp_path, capsys):
 
 
 def test_solve_machine_counts_certificate_searches(tmp_path, capsys, monkeypatch):
-    # only --validate adds the key: the searches the certificate ran, at
-    # least one per move, each one breadth-first search
+    # only --validate adds the key: the searches the certificate ran, each
+    # one breadth-first search, all of them the target search's on the input
+    # (4 here, with 4 moves: the count does not grow with the moves)
     path = str(tmp_path / "a.grid")
     assert main(["gen", "--grid", "24x24", "--seed", "5", "-o", path]) == EXIT_OK
     assert main(["solve", path, "--format", "machine"]) == EXIT_OK
@@ -128,7 +129,10 @@ def test_solve_machine_counts_certificate_searches(tmp_path, capsys, monkeypatch
     assert main(["solve", path, "--format", "machine", "--validate"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert list(doc)[-2:] == ["timings", "certificate_searches"]
-    assert doc["certificate_searches"] == len(calls) - doc["searches"] >= doc["optimum"] > 1
+    assert doc["certificate_searches"] == len(calls) - doc["searches"] == 4
+    rg, _ = _grid_zones(parse_grid_spec(Path(path).read_text()))
+    center = _radius_search(rg.adjacency)[1]
+    assert _radius_search(rg.adjacency, center, real(rg.adjacency, center), doc["optimum"])[2] == 4
 
 
 def test_solve_verify_pipeline(board, tmp_path, capsys):
@@ -805,24 +809,23 @@ def _simulate_steps(stdout, spec):
 
 
 def test_failed_internal_check_exits_9(board, capsys, monkeypatch):
-    # the first search, on the input, and the check of the input's radius
-    # are right; the replay's are one too high: the target search's answer
-    # misses its target, and the full search run to name the failure reads
-    # the radius one too high
+    # the first search, on the input, is right; the certificate's target
+    # search reads the radius one too low, and so does the full search run
+    # to name the failure
     real = solver._radius_search
     calls = []
 
-    def off_by_one_after_a_move(adjacency, start=0, dist=None, target=None):
+    def one_too_low_after_the_first(adjacency, start=0, dist=None, target=None):
         calls.append(target)
         radius, center, count = real(adjacency, start, dist, target)
-        return radius + (len(calls) > 2), center, count
+        return radius - (len(calls) > 1), center, count
 
-    monkeypatch.setattr(solver, "_radius_search", off_by_one_after_a_move)
+    monkeypatch.setattr(solver, "_radius_search", one_too_low_after_the_first)
     assert main(["solve", board, "--validate"]) == EXIT_INTERNAL
-    assert calls == [None, 2, 1, None]
+    assert calls == [None, 2, None]
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: internal check failed: radius 2 after 1 moves, expected 1\n"
+    assert captured.err == "error: internal check failed: radius 1 after 0 moves, expected 2\n"
 
 
 def _flood_then(fault):
@@ -865,7 +868,7 @@ def _drop_the_flooded_zone(state, x, color):
     "fault, message",
     [
         (_recolor_a_neighbor, "adjacent zones 5 and 0 share color 1"),
-        (_cut_off_flooded_zone, "only 1 of 8 zones reachable from zone 5"),
+        (_cut_off_flooded_zone, "row of zone 5 after 1 moves is not layer 2"),
         (_keep_an_absorbed_zone, "zone 0 lists absorbed zone 1"),
         (_drop_the_flooded_zone, "zone 0 does not list its neighbor 5"),
     ],
@@ -883,9 +886,47 @@ def test_bad_replayed_zone_graph_is_an_internal_error(fault, message, tmp_path, 
     assert captured.err == f"error: internal check failed: {message}\n"
 
 
+_FLOOD = graphs._ZoneState.flood
+
+
+def _spare_a_neighbor(state, x, color):
+    # the flood leaves its least neighbor of the new color a zone of its own
+    spared = min(y for y in state.adjacency[x] if state.colors[y] == color)
+    state.colors[spared] = 1 - color
+    _FLOOD(state, x, color)
+    state.colors[spared] = color
+
+
+def _absorb_a_zone_two_away(state, x, color):
+    # the flood also absorbs the least zone two steps from the flooded zone
+    _FLOOD(state, x, color)
+    state.colors[min(state.adjacency[x])] = color
+    _FLOOD(state, x, color)
+
+
+@pytest.mark.parametrize(
+    "flood, message",
+    [
+        (_spare_a_neighbor, "9 zones after 1 moves, expected 8"),
+        (_absorb_a_zone_two_away, "7 zones after 1 moves, expected 8"),
+    ],
+)
+def test_faulty_flood_is_an_internal_error(flood, message, tmp_path, capsys, monkeypatch):
+    # a flood that absorbs one zone too few or one too many leaves a live
+    # count the search from the center did not predict
+    path = tmp_path / "board.grid"
+    path.write_text("0101\n1010\n0101\n")
+    monkeypatch.setattr(graphs._ZoneState, "flood", flood)
+    assert main(["solve", str(path), "--validate"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal check failed: {message}\n"
+
+
 def test_validate_refutes_moves_off_the_center(tmp_path, capsys, monkeypatch):
     # zone 0 of the 5-zone path is not central: its moves are two, like the
-    # radius, but leave two zones; only --validate replays and rejects them
+    # radius, but leave two zones; only --validate checks them, and the
+    # search from zone 0 refutes them before the replay
     real = solver._radius_search
 
     def off_center(adjacency, start=0, dist=None, target=None):
@@ -900,7 +941,7 @@ def test_validate_refutes_moves_off_the_center(tmp_path, capsys, monkeypatch):
     assert main(["solve", str(path), "--validate"]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: internal check failed: radius 2 after 1 moves, expected 1\n"
+    assert captured.err == "error: internal check failed: zone 0 has eccentricity 4, expected 2\n"
 
 
 def test_validate_refutes_a_radius_claimed_too_high_on_the_input(tmp_path, capsys, monkeypatch):

@@ -28,6 +28,9 @@ from freeflood import (
 from freeflood.graphs import _ZoneState
 
 from conftest import (
+    alternating_moves,
+    assert_certificate_agrees,
+    certificate_claims,
     claim_on_the_input,
     colored_graphs,
     outcome,
@@ -145,75 +148,74 @@ class TestSolveReduced:
         assert len(s.moves) == met.radius
 
     def test_validation_replays_the_printed_moves(self, monkeypatch):
-        # a radius search that names a zone off the center: plain solve
-        # prints its moves unchecked, and the replay of those moves refutes them
-        real = solver._radius_search
-
-        def off_center(adjacency, start=0, dist=None, target=None):
-            radius, _, searches = real(adjacency, start, dist, target)
-            return radius, 0, searches
-
-        monkeypatch.setattr(solver, "_radius_search", off_center)
+        # moves printed on zone 0 of the 5-zone path, whose center is zone 2:
+        # plain solve prints them unchecked, and the replay of those moves,
+        # whose first flood absorbs one zone where the center's absorbs two,
+        # refutes them
+        monkeypatch.setattr(solver, "FloodMove", lambda vertex, color: FloodMove(0, color))
         g = alternating_path(5)
         assert solve(g).moves == (FloodMove(0, 1), FloodMove(0, 0))
-        with pytest.raises(InvariantViolation, match="radius 2 after 1 moves, expected 1"):
+        with pytest.raises(InvariantViolation, match="^4 zones after 1 moves, expected 3$"):
             solve(g, validate=True)
 
     def test_validation_keeps_the_flooded_zone_central(self, monkeypatch):
         # leaf 5 hangs off leaf 3 of a star: its first flood lowers the radius
-        # by one too, but leaves the hub the only center; only the search on
-        # the input is wrong, the replay's searches, which start from the
-        # flooded zone, are real
+        # by one too, but leaves the hub the only center; the search on the
+        # input claims it central with the radius 2, and the search from it,
+        # of eccentricity 3, refutes the claim before the replay
         claim_on_the_input(monkeypatch, 2, 5)
         g = build([(0, 1), (0, 2), (0, 3), (0, 4), (3, 5)], [0, 1, 1, 1, 1, 0])
         s = solve(g)
         assert s.moves == (FloodMove(5, 1), FloodMove(5, 0))
         assert verify_solution(g, s) is Verdict.INFEASIBLE
-        with pytest.raises(InvariantViolation, match="flooded zone left the center set"):
+        with pytest.raises(InvariantViolation, match="^zone 5 has eccentricity 3, expected 2$"):
             solve(g, validate=True)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_validation_searches_once_per_step_for_reach_and_radius(self, seed, monkeypatch):
-        # each step's search from the flooded zone, which checks that every
-        # zone is reached, is also the first search of that step's radius
-        # search, and the search from the center on the input is the first of
-        # the input's: the searches run are exactly those the radius searches
-        # count
+    def test_validation_searches_only_the_input(self, seed, monkeypatch):
+        # the certificate's searches are the target search's on the input,
+        # the first of them the search from the center that predicts the
+        # replay: none runs after a move, so a longer move list runs no more
         rng = random.Random(seed)
         g = parse_grid("\n".join("".join(rng.choice("01") for _ in range(12)) for _ in range(12)))
-        calls, counted = [], []
-        real_distances, real_search = metrics._distances, solver._radius_search
+        rg, zm = reduce(g)
+        radius, center, _ = metrics._radius_search(rg.adjacency)
+        start = metrics._distances(rg.adjacency, center)
+        target = metrics._radius_search(rg.adjacency, center, start, radius)[2]
+        calls = []
+        real_distances = metrics._distances
 
         def distances(adjacency, source):
             calls.append(source)
             return real_distances(adjacency, source)
 
-        def search(adjacency, start=0, dist=None, target=None):
-            found = real_search(adjacency, start, dist, target)
-            counted.append(found[2])
-            return found
-
         monkeypatch.setattr(metrics, "_distances", distances)
         monkeypatch.setattr(solver, "_distances", distances)
-        monkeypatch.setattr(solver, "_radius_search", search)
-        s = solve(g, validate=True)
-        assert len(counted) == 2 + len(s.moves) > 2  # the plain search, the input's, one per step
-        assert len(calls) == sum(counted)
+        moves = solve(g).moves
+        assert len(moves) == radius > 2
+        del calls[:]
+        assert solver._check_certificate(rg, zm, radius, center, moves) == target
+        assert len(calls) == target and calls[0] == center
+        for cut in (1, 0):  # fewer moves leave more than one zone, after the same searches
+            del calls[:]
+            with pytest.raises(InvariantViolation, match="zones left after the moves"):
+                solver._check_certificate(rg, zm, radius, center, moves[:cut])
+            assert len(calls) == target and calls[0] == center
 
     @pytest.mark.parametrize(
         "claim, message",
         [
             # zone 1 of the 5-zone path has eccentricity 3, but the input's
-            # radius is 2; a claim one too low passes the input's check and
-            # is refuted after the first move
+            # radius is 2; a claim one too low passes the input's radius
+            # check and is refuted by the center's eccentricity
             ((3, 1, 1), "radius 2 after 0 moves, expected 3"),
-            ((1, 2, 1), "radius 1 after 1 moves, expected 0"),
+            ((1, 2, 1), "zone 2 has eccentricity 2, expected 1"),
         ],
     )
     def test_validation_refutes_a_radius_one_off(self, claim, message, monkeypatch):
         # the search on the input claims a radius one too high, from a zone
         # of that eccentricity, or one too low; the certificate's searches
-        # are real
+        # are real, and both claims are refuted before the replay
         claim_on_the_input(monkeypatch, *claim[:2])
         with pytest.raises(InvariantViolation, match=f"^{message}$"):
             solve(alternating_path(5), validate=True)
@@ -232,13 +234,32 @@ class TestSolveReduced:
         with pytest.raises(InvariantViolation, match="^radius 3 after 0 moves, expected 4$"):
             solve(g, validate=True)
 
-    def test_validation_needs_one_zone_at_the_end(self, monkeypatch):
-        monkeypatch.setattr(
-            solver, "_radius_search", lambda adj, start=0, dist=None, target=None: (0, 0, 1)
-        )
-        assert solve(checkerboard()).moves == ()
-        with pytest.raises(InvariantViolation, match="4 zones left after the moves"):
-            solve(checkerboard(), validate=True)
+    def test_validation_needs_one_zone_at_the_end(self):
+        # the checkerboard's 4-cycle from zone 0: one of its two moves leaves
+        # the center and the zone at distance 2, as predicted, and no more
+        # moves follow
+        rg, zm = reduce(checkerboard())
+        moves = solve(checkerboard()).moves
+        searches = metrics._radius_search(rg.adjacency, target=2)[2]
+        assert solver._check_certificate(rg, zm, 2, 0, moves) == searches
+        with pytest.raises(InvariantViolation, match="^2 zones left after the moves, expected 1$"):
+            solver._check_certificate(rg, zm, 2, 0, moves[:1])
+
+    def test_validation_refutes_a_move_past_the_last_zone(self):
+        # a third move on the checkerboard's one zone is legal, a recoloring,
+        # but one move more than the radius
+        rg, zm = reduce(checkerboard())
+        moves = solve(checkerboard()).moves
+        with pytest.raises(InvariantViolation, match="^3 moves, expected 2$"):
+            solver._check_certificate(rg, zm, 2, 0, [*moves, FloodMove(0, 1)])
+
+    def test_validation_refutes_a_negative_radius(self):
+        # a one-zone graph needs no move; a radius of -1, with no move, is
+        # not the zone's eccentricity
+        rg, zm = reduce(build([], [0]))
+        assert solver._check_certificate(rg, zm, 0, 0, []) == 1
+        with pytest.raises(InvariantViolation, match="^zone 0 has eccentricity 0, expected -1$"):
+            solver._check_certificate(rg, zm, -1, 0, [])
 
     def test_validation_checks_the_zone_graph_after_every_move(self, monkeypatch):
         # the input zone graph whole, then after each move the rows the flood
@@ -372,47 +393,22 @@ def test_verify_agrees_with_the_reference(seed):
             )
 
 
-def _certificate_outcome(check, rg, zm, radius, center, moves):
-    """Whether the check passes, or the class and message of its error."""
-    result = outcome(check, rg, zm, radius, center, moves)
-    return result[0] == "ok" or result
-
-
-def _alternating_moves(rg, zm, radius, center):
-    """`solve`'s move list for a claimed radius and center zone."""
-    rep, color, moves = zm.representative_of[center], rg.colors[center], []
-    for _ in range(max(radius, 0)):
-        color = 1 - color
-        moves.append(FloodMove(rep, color))
-    return moves
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_certificate_agrees_with_the_reference(seed):
     # every zone claimed as the center, with its eccentricity and one off,
     # and the true certificate with its moves (all on the center, as `solve`
-    # prints them) cut, extended or recolored; a claim above the input's
-    # radius is refuted before the replay, which the reference never checks
+    # prints them) cut, extended or recolored
     rng = random.Random(seed)
     for g in list(_seeded_instances(seed))[:2]:
         rg, zm = reduce(g)
-        claims = []
-        for z in range(rg.zone_count):
-            ecc = max(metrics._distances(rg.adjacency, z))
-            claims += [(r, z, _alternating_moves(rg, zm, r, z)) for r in (ecc - 1, ecc, ecc + 1)]
         radius, center, _ = metrics._radius_search(rg.adjacency)
-        moves = _alternating_moves(rg, zm, radius, center)
+        moves = alternating_moves(rg, zm, radius, center)
         rep = zm.representative_of[center]
-        claims += [
+        claims = certificate_claims(rg, zm) + [
             (radius, center, moves[:-1]),
             (radius, center, moves + moves[-1:]),
             (radius, center, [FloodMove(rep, rng.randrange(3)) for _ in moves]),  # no-op or out of range
             (radius, center, [FloodMove(rep, 1 - m.color) for m in moves]),
         ]
         for claim in claims:
-            got = _certificate_outcome(solver._check_certificate, rg, zm, *claim)
-            if claim[0] > radius:
-                message = f"radius {radius} after 0 moves, expected {claim[0]}"
-                assert got == (InvariantViolation, message, None, None)
-            else:
-                assert got == _certificate_outcome(reference_check_certificate, rg, zm, *claim)
+            assert_certificate_agrees(rg, zm, radius, claim)

@@ -203,3 +203,21 @@ def test_public_functions_are_pinned(layer):
         if not name.startswith("_") and inspect.isfunction(value) and value.__module__ == module.__name__
     ]
     assert sorted(defined) == PUBLIC_FUNCTIONS[layer]
+
+
+def test_the_certificate_searches_only_the_input():
+    # one search from the center zone predicts the whole replay, so no loop
+    # or comprehension in the solver runs a breadth-first or radius search:
+    # the searches a validated solve runs do not grow with its moves
+    path = next(p for p in MODULES if p.name == "solver.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    searched = []
+    for loop in ast.walk(tree):
+        if isinstance(loop, loops):
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    callee = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.func)}
+                    if callee & {"_radius_search", "_distances"}:
+                        searched.append(node.lineno)
+    assert searched == []
