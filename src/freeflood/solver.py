@@ -177,9 +177,11 @@ def _replay(
 
 
 def verify_solution(g: ColoredGraph, s: Solution) -> Verdict:
-    """Replay s on the zone graph of g: optimal, feasible but too long, or infeasible.
+    """Check s on the zone graph of g: optimal, feasible but too long, or infeasible.
 
-    A move that is out of range raises MalformedMove; a no-op move makes the
+    Moves that flood one growing zone of a two-color instance are checked
+    against one search from that zone; any other list is replayed.  A move
+    that is out of range raises MalformedMove; a no-op move makes the
     sequence infeasible.
     """
     rg, zm = reduce(g)
@@ -191,12 +193,16 @@ def _verify_zones(
 ) -> Verdict:
     """`verify_solution` on the zone graph (rg, zm) of an instance with `color_count` colors.
 
-    A replay that ends in one zone shows the moves feasible.  A move merges
-    the flooded zone with some of its neighbors, which lowers the radius by
-    at most one, so no feasible list is shorter than the radius: the moves
-    are optimal exactly when the target search proves the radius at least
-    their count.
+    A list that `_verify_ball` decides is not replayed.  Otherwise a replay
+    that ends in one zone shows the moves feasible.  A move merges the
+    flooded zone with some of its neighbors, which lowers the radius by at
+    most one, so no feasible list is shorter than the radius: the moves are
+    optimal exactly when the target search proves the radius at least their
+    count.
     """
+    verdict = _verify_ball(rg, zm, color_count, moves)
+    if verdict is not None:
+        return verdict
     zones = rg.zone_count
     try:
         for state in _replay(rg, zm, color_count, moves):
@@ -207,5 +213,50 @@ def _verify_zones(
         return Verdict.INFEASIBLE
     _palette(rg.colors)
     if _radius_search(rg.adjacency, target=len(moves))[0] == len(moves):
+        return Verdict.OPTIMAL
+    return Verdict.FEASIBLE_SUBOPTIMAL
+
+
+def _verify_ball(
+    rg: ReducedGraph, zm: ZoneMap, color_count: int, moves: Sequence[FloodMove]
+) -> Verdict | None:
+    """`_verify_zones`' verdict from one search around the zone c of the first
+    move's vertex, or None for a list that the replay must decide.
+
+    It applies to a nonempty list with at most two colors in use.  The zone
+    graph is properly two-colored, so the layer of zones at distance k from
+    c has one color, alternating with k.  If moves 1 to k - 1 left c's live
+    zone the ball B(c, k - 1), of layer k - 1's color, move k floods that
+    zone when its vertex's zone is in the ball: with the ball's color it is
+    the replay's no-op, and any other color in use is layer k's, so the
+    flood absorbs the whole layer and leaves B(c, k) (once the ball holds
+    every zone, a move only recolors it).  A move out of range, with a
+    color not in use or off the ball sends the whole list to the replay,
+    which repeats the moves before it: a no-op before a bad move still makes
+    the list infeasible.  After L moves the live zone is B(c, L), so the
+    list is feasible exactly when ecc(c) <= L, and then optimal exactly when
+    the target search, seeded with the search from c, proves the radius at
+    least L.
+    """
+    zone_of = zm.zone_of
+    n = len(zone_of)
+    used = set(rg.colors)
+    if not moves or len(used) > 2 or not 0 <= moves[0].vertex < n:
+        return None
+    center = zone_of[moves[0].vertex]
+    dist = _distances(rg.adjacency, center)
+    ball = rg.colors[center]
+    for k, (vertex, color) in enumerate(moves):  # k moves before this one
+        if not (0 <= vertex < n and 0 <= color < color_count and color in used):
+            return None
+        if dist[zone_of[vertex]] > k:
+            return None
+        if color == ball:
+            return Verdict.INFEASIBLE
+        ball = color
+    steps = len(moves)
+    if max(dist) > steps:
+        return Verdict.INFEASIBLE
+    if _radius_search(rg.adjacency, center, dist, steps)[0] == steps:  # overwrites dist
         return Verdict.OPTIMAL
     return Verdict.FEASIBLE_SUBOPTIMAL

@@ -215,6 +215,53 @@ def test_verify_suboptimal_and_infeasible(board, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("shape", [["--grid", "14x17"], ["--n", "80", "--extra-edges", "40"]],
+                         ids=["grid", "graph"])
+def test_verify_decides_solved_moves_from_one_search(shape, tmp_path, capsys, monkeypatch):
+    # `solve`'s moves flood one zone, so `verify` runs one search from that
+    # zone and the target search seeded with it, and floods nothing; a move
+    # outside the flooded zone sends the list to the replay
+    instance, solved = tmp_path / "instance", tmp_path / "solved.moves"
+    assert main(["gen", *shape, "--seed", "5", "-o", str(instance)]) == EXIT_OK
+    assert main(["solve", str(instance), "--moves-out", str(solved)]) == EXIT_OK
+    capsys.readouterr()
+    rg, zm, _, _ = cli._load_instance(str(instance))
+    moves = parse_moves(solved.read_text())
+    center = zm.zone_of[moves[0].vertex]
+    dist = metrics._distances(rg.adjacency, center)
+    assert len(moves) == max(dist) >= 2
+    calls, floods = [], []
+    real_distances, real_search, real_flood = solver._distances, solver._radius_search, graphs._ZoneState.flood
+
+    def distances(adjacency, source):
+        calls.append(("search", source))
+        return real_distances(adjacency, source)
+
+    def target_search(adjacency, start=0, dist=None, target=None):
+        calls.append(("target search", start, target))
+        return real_search(adjacency, start, dist, target)
+
+    def refuse(state, x, color):
+        raise AssertionError("verify flooded a zone")
+
+    monkeypatch.setattr(solver, "_distances", distances)
+    monkeypatch.setattr(solver, "_radius_search", target_search)
+    monkeypatch.setattr(graphs._ZoneState, "flood", refuse)
+    assert _run(["verify", str(instance), str(solved)], capsys) == (EXIT_OK, "verdict optimal\n", "")
+    assert calls == [("search", center), ("target search", center, len(moves))]
+
+    def flood(state, x, color):
+        floods.append(x)
+        real_flood(state, x, color)
+
+    monkeypatch.setattr(graphs._ZoneState, "flood", flood)
+    far = next(v for v in range(len(zm.zone_of)) if dist[zm.zone_of[v]] == len(moves))
+    off = tmp_path / "off.moves"
+    off.write_text("".join(f"{m.vertex if k != 1 else far} {m.color}\n" for k, m in enumerate(moves)))
+    _run(["verify", str(instance), str(off)], capsys)
+    assert floods[:1] == [center]
+
+
 def test_radius_monochromatic(tmp_path, capsys):
     path = tmp_path / "mono.grid"
     path.write_text("000\n000\n")

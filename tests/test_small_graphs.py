@@ -1,8 +1,12 @@
 """The theorem by exhaustion: every connected zone graph of up to six zones."""
 
+import random
+
 import pytest
 
 from freeflood import (
+    ColoredGraph,
+    FloodMove,
     Verdict,
     brute_force_min_moves,
     check_distance_bounds,
@@ -11,11 +15,18 @@ from freeflood import (
     min_moves,
     reduce,
     solve,
+    solver,
     verify_solution,
 )
-from freeflood.metrics import _radius_search
+from freeflood.metrics import _distances, _radius_search
 
-from conftest import assert_certificate_agrees, certificate_claims, connected_bipartite_graphs
+from conftest import (
+    assert_certificate_agrees,
+    certificate_claims,
+    connected_bipartite_graphs,
+    outcome,
+    reference_verify_zones,
+)
 
 A001832 = [1, 1, 3, 19, 195, 3031]  # labeled connected bipartite graphs on 1 to 6 vertices
 
@@ -50,3 +61,42 @@ def test_certificate_agrees_with_the_reference_on_every_zone_graph(n):
         radius = _radius_search(rg.adjacency)[0]
         for claim in certificate_claims(rg, zm):
             assert_certificate_agrees(rg, zm, radius, claim)
+
+
+def _ball_move_lists(rg, zm, color_count, rng):
+    """For every zone c, lists of 0 to ecc(c) + 2 moves that flood c's growing
+    ball: move k on a random vertex of B(c, k - 1), the colors alternating.
+    Each list comes with one move recolored and with one move replaced by a
+    random, possibly out-of-range, move."""
+    n = len(zm.zone_of)
+    for center in range(rg.zone_count):
+        dist = _distances(rg.adjacency, center)
+        for length in range(max(dist) + 3):
+            moves, color = [], rg.colors[center]
+            for k in range(length):
+                color = 1 - color
+                ball = [v for v in range(n) if dist[zm.zone_of[v]] <= k]
+                moves.append(FloodMove(rng.choice(ball), color))
+            yield moves
+            if moves:
+                i = rng.randrange(length)
+                other = rng.choice([c for c in range(color_count) if c != moves[i].color])
+                yield moves[:i] + [FloodMove(moves[i].vertex, other)] + moves[i + 1:]
+                i = rng.randrange(length)
+                wild = FloodMove(rng.randrange(-1, n + 1), rng.randrange(-1, color_count + 1))
+                yield moves[:i] + [wild] + moves[i + 1:]
+
+
+@pytest.mark.parametrize("color_count", [2, 3])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_verify_agrees_with_the_reference_on_every_zone_graph(n, color_count):
+    # the same verdict, or the same error, on every zone graph's ball floods
+    # and their perturbed copies, under a 2-color and a 3-color header
+    rng = random.Random(n * 10 + color_count)
+    for g in connected_bipartite_graphs(n):
+        g = ColoredGraph(g.adjacency, g.colors, color_count)
+        rg, zm = reduce(g)
+        for moves in _ball_move_lists(rg, zm, color_count, rng):
+            assert outcome(solver._verify_zones, rg, zm, color_count, moves) == outcome(
+                reference_verify_zones, rg, zm, color_count, moves
+            )

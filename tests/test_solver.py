@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from freeflood import (
+    ColoredGraph,
     FloodMove,
     InvariantViolation,
     Solution,
@@ -331,6 +332,13 @@ class TestVerify:
         with pytest.raises(MalformedMove):
             verify_solution(g, Solution((FloodMove(0, 9),), 1, 0))
 
+    def test_color_in_use_outside_the_count_raises(self):
+        # a hand-built ColoredGraph's colors are not checked against its
+        # count, and a move with such a color is refused as the replay refuses it
+        g = ColoredGraph(((1,), (0,)), (0, 5), 2)
+        with pytest.raises(MalformedMove, match=r"color 5 outside \[0, 2\)"):
+            verify_solution(g, Solution((FloodMove(0, 5),), 1, 0))
+
 
 @given(colored_graphs(max_vertices=10))
 @settings(max_examples=80)
@@ -341,13 +349,17 @@ def test_solver_matches_exhaustive_search(g):
 
 
 def _seeded_instances(seed):
-    """Seeded 2-color grids and graphs, and one 3-color graph, for the agreement tests."""
+    """Seeded 2-color grids and graphs, one 3-color graph, and the 2-color
+    graph again under a 3-color header, for the agreement tests."""
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 12), rng.randint(1, 12)
     yield parse_grid("\n".join("".join(rng.choice("01") for _ in range(cols)) for _ in range(rows)))
+    graphs = []
     for n, colors in ((rng.randint(2, 40), 2), (rng.randint(2, 12), 3)):
         extra = min(rng.randint(0, n), (n - 1) * (n - 2) // 2)  # at most the non-tree pairs
-        yield gen_random(n, extra, colors, rng.randrange(2**32))
+        graphs.append(gen_random(n, extra, colors, rng.randrange(2**32)))
+    yield from graphs
+    yield ColoredGraph(graphs[0].adjacency, graphs[0].colors, 3)
 
 
 def _flood_until_one_zone(g, rng, vertices):
@@ -366,13 +378,34 @@ def _flood_until_one_zone(g, rng, vertices):
 
 def _move_lists(g, rng):
     """Optimal, one too long, multi-zone, infeasible, no-op and out-of-range
-    move lists on g; on a 3-color g the floods reach one color."""
+    move lists on g; on a g with three colors in use the floods reach one
+    color.  With at most two in use, `solve`'s moves also with move k on
+    another vertex of the flooded zone, on a vertex of a zone k or more steps
+    from it, with a color not in use (2), or made a no-op and followed by an
+    out-of-range move, and with moves after one zone is left."""
     n, colors = len(g.colors), g.color_count
     lists = [_flood_until_one_zone(g, rng, range(n)), _flood_until_one_zone(g, rng, [rng.randrange(n)])]
-    if colors == 2:
+    if len(set(g.colors)) <= 2:
         best = list(solve(g).moves)
         last = best[-1].color if best else g.colors[0]
         lists += [best, best + [FloodMove(best[0].vertex if best else 0, 1 - last)], best[:-1], best[1:]]
+        if best:
+            rg, zm = reduce(g)
+            center = zm.zone_of[best[0].vertex]
+            dist = metrics._distances(rg.adjacency, center)
+            ball = [rg.colors[center]] + [m.color for m in best]  # the flooded zone's color before each move
+            k = rng.randrange(len(best))
+            head, move, tail = best[:k], best[k], best[k + 1:]
+            inside = [v for v in range(n) if dist[zm.zone_of[v]] <= k]
+            outside = [v for v in range(n) if dist[zm.zone_of[v]] > k]
+            lists += [
+                head + [FloodMove(rng.choice(inside), move.color)] + tail,
+                head + [FloodMove(move.vertex, 2)] + tail,
+                head + [FloodMove(move.vertex, ball[k]), FloodMove(n, 0)],
+                best + [FloodMove(rng.randrange(n), ball[-2]), FloodMove(rng.randrange(n), last)],
+            ]
+            if k and outside:
+                lists.append(head + [FloodMove(rng.choice(outside), move.color)] + tail)
     lists += [
         [FloodMove(rng.randrange(n), rng.randrange(colors)) for _ in range(rng.randint(1, 6))],
         [FloodMove(0, g.colors[0])],
