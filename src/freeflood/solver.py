@@ -179,10 +179,10 @@ def _replay(
 def verify_solution(g: ColoredGraph, s: Solution) -> Verdict:
     """Check s on the zone graph of g: optimal, feasible but too long, or infeasible.
 
-    Moves that flood one growing zone of a two-color instance are checked
-    against one search from that zone; any other list is replayed.  A move
-    that is out of range raises MalformedMove; a no-op move makes the
-    sequence infeasible.
+    Moves of a two-color instance that are all on one zone, as `solve`'s
+    are, are checked against one search from that zone; any other list is
+    replayed.  A move that is out of range raises MalformedMove; a no-op
+    move makes the sequence infeasible.
     """
     rg, zm = reduce(g)
     return _verify_zones(rg, zm, g.color_count, s.moves)
@@ -223,20 +223,21 @@ def _verify_ball(
     """`_verify_zones`' verdict from one search around the zone c of the first
     move's vertex, or None for a list that the replay must decide.
 
-    It applies to a nonempty list with at most two colors in use.  The zone
-    graph is properly two-colored, so the layer of zones at distance k from
-    c has one color, alternating with k.  If moves 1 to k - 1 left c's live
-    zone the ball B(c, k - 1), of layer k - 1's color, move k floods that
-    zone when its vertex's zone is in the ball: with the ball's color it is
-    the replay's no-op, and any other color in use is layer k's, so the
-    flood absorbs the whole layer and leaves B(c, k) (once the ball holds
-    every zone, a move only recolors it).  A move out of range, with a
-    color not in use or off the ball sends the whole list to the replay,
-    which repeats the moves before it: a no-op before a bad move still makes
-    the list infeasible.  After L moves the live zone is B(c, L), so the
-    list is feasible exactly when ecc(c) <= L, and then optimal exactly when
-    the target search, seeded with the search from c, proves the radius at
-    least L.
+    It applies to a nonempty list with at most two colors in use whose every
+    move is on a vertex of zone c, as `solve`'s moves are.  The zone graph is
+    properly two-colored, so the layer of zones at distance k from c has one
+    color, alternating with k.  If moves 1 to k - 1 left c's live zone the
+    ball B(c, k - 1), of layer k - 1's color, move k floods that zone: with
+    the ball's color it is the replay's no-op, and any other color in use is
+    layer k's, so the flood absorbs the whole layer and leaves B(c, k) (once
+    the ball holds every zone it can reach, a move only recolors it).  A move
+    out of range, with a color not in use or off zone c sends the whole list
+    to the replay, which repeats the moves before it: a no-op before a bad
+    move still makes the list infeasible.  The walk searches nothing, so the
+    replay's lists cost no search here.  After L moves the live zone is
+    B(c, L), so the list is feasible exactly when every zone is within L of
+    c, and then optimal exactly when the target search, seeded with the
+    search from c, proves the radius at least L.
     """
     zone_of = zm.zone_of
     n = len(zone_of)
@@ -244,18 +245,18 @@ def _verify_ball(
     if not moves or len(used) > 2 or not 0 <= moves[0].vertex < n:
         return None
     center = zone_of[moves[0].vertex]
-    dist = _distances(rg.adjacency, center)
     ball = rg.colors[center]
-    for k, (vertex, color) in enumerate(moves):  # k moves before this one
-        if not (0 <= vertex < n and 0 <= color < color_count and color in used):
+    for vertex, color in moves:
+        if not (0 <= vertex < n and zone_of[vertex] == center):
             return None
-        if dist[zone_of[vertex]] > k:
+        if not (0 <= color < color_count and color in used):
             return None
         if color == ball:
             return Verdict.INFEASIBLE
         ball = color
     steps = len(moves)
-    if max(dist) > steps:
+    dist = _distances(rg.adjacency, center)
+    if -1 in dist or max(dist) > steps:  # a zone out of reach, or past the ball
         return Verdict.INFEASIBLE
     if _radius_search(rg.adjacency, center, dist, steps)[0] == steps:  # overwrites dist
         return Verdict.OPTIMAL

@@ -220,7 +220,7 @@ def test_verify_suboptimal_and_infeasible(board, tmp_path, capsys):
 def test_verify_decides_solved_moves_from_one_search(shape, tmp_path, capsys, monkeypatch):
     # `solve`'s moves flood one zone, so `verify` runs one search from that
     # zone and the target search seeded with it, and floods nothing; a move
-    # outside the flooded zone sends the list to the replay
+    # off that zone sends the list to the replay, which no search precedes
     instance, solved = tmp_path / "instance", tmp_path / "solved.moves"
     assert main(["gen", *shape, "--seed", "5", "-o", str(instance)]) == EXIT_OK
     assert main(["solve", str(instance), "--moves-out", str(solved)]) == EXIT_OK
@@ -258,8 +258,10 @@ def test_verify_decides_solved_moves_from_one_search(shape, tmp_path, capsys, mo
     far = next(v for v in range(len(zm.zone_of)) if dist[zm.zone_of[v]] == len(moves))
     off = tmp_path / "off.moves"
     off.write_text("".join(f"{m.vertex if k != 1 else far} {m.color}\n" for k, m in enumerate(moves)))
+    calls.clear()
     _run(["verify", str(instance), str(off)], capsys)
     assert floods[:1] == [center]
+    assert [call for call in calls if call[0] == "search"] == []
 
 
 def test_radius_monochromatic(tmp_path, capsys):

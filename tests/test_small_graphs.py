@@ -65,26 +65,28 @@ def test_certificate_agrees_with_the_reference_on_every_zone_graph(n):
 
 def _ball_move_lists(rg, zm, color_count, rng):
     """For every zone c, lists of 0 to ecc(c) + 2 moves that flood c's growing
-    ball: move k on a random vertex of B(c, k - 1), the colors alternating.
-    Each list comes with one move recolored and with one move replaced by a
-    random, possibly out-of-range, move."""
+    ball, the colors alternating: every move on a random vertex of zone c, as
+    `solve`'s are, and move k on a random vertex of B(c, k - 1), which the
+    replay decides.  Each list comes with one move recolored and with one
+    move replaced by a random, possibly out-of-range, move."""
     n = len(zm.zone_of)
     for center in range(rg.zone_count):
         dist = _distances(rg.adjacency, center)
         for length in range(max(dist) + 3):
-            moves, color = [], rg.colors[center]
-            for k in range(length):
-                color = 1 - color
-                ball = [v for v in range(n) if dist[zm.zone_of[v]] <= k]
-                moves.append(FloodMove(rng.choice(ball), color))
-            yield moves
-            if moves:
-                i = rng.randrange(length)
-                other = rng.choice([c for c in range(color_count) if c != moves[i].color])
-                yield moves[:i] + [FloodMove(moves[i].vertex, other)] + moves[i + 1:]
-                i = rng.randrange(length)
-                wild = FloodMove(rng.randrange(-1, n + 1), rng.randrange(-1, color_count + 1))
-                yield moves[:i] + [wild] + moves[i + 1:]
+            for reach in (0, 1):  # 0: zone c alone, 1: the current ball
+                moves, color = [], rg.colors[center]
+                for k in range(length):
+                    color = 1 - color
+                    ball = [v for v in range(n) if dist[zm.zone_of[v]] <= k * reach]
+                    moves.append(FloodMove(rng.choice(ball), color))
+                yield moves
+                if moves:
+                    i = rng.randrange(length)
+                    other = rng.choice([c for c in range(color_count) if c != moves[i].color])
+                    yield moves[:i] + [FloodMove(moves[i].vertex, other)] + moves[i + 1:]
+                    i = rng.randrange(length)
+                    wild = FloodMove(rng.randrange(-1, n + 1), rng.randrange(-1, color_count + 1))
+                    yield moves[:i] + [wild] + moves[i + 1:]
 
 
 @pytest.mark.parametrize("color_count", [2, 3])

@@ -339,6 +339,24 @@ class TestVerify:
         with pytest.raises(MalformedMove, match=r"color 5 outside \[0, 2\)"):
             verify_solution(g, Solution((FloodMove(0, 5),), 1, 0))
 
+    @pytest.mark.parametrize(
+        "adjacency, colors",
+        [(((), ()), (0, 1)), (((1,), (0,), ()), (0, 1, 0)), (((1,), (0,), (3,), (2,)), (0, 1, 1, 0))],
+        ids=["two-points", "edge-and-point", "two-edges"],
+    )
+    def test_disconnected_graph_agrees_with_the_replay(self, adjacency, colors):
+        # a hand-built ColoredGraph may be disconnected: flooding one zone
+        # never reaches the other part, so every list is infeasible
+        g = ColoredGraph(adjacency, colors, 2)
+        rg, zm = reduce(g)
+        assert verify_solution(g, Solution((FloodMove(0, 1),), 1, 0)) is Verdict.INFEASIBLE
+        for vertex in range(len(colors)):
+            for length in range(4):
+                moves = [FloodMove(vertex, (colors[vertex] + 1 + k) % 2) for k in range(length)]
+                assert outcome(solver._verify_zones, rg, zm, 2, moves) == outcome(
+                    reference_verify_zones, rg, zm, 2, moves
+                )
+
 
 @given(colored_graphs(max_vertices=10))
 @settings(max_examples=80)
