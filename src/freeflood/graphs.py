@@ -63,9 +63,9 @@ class ZoneMap(NamedTuple):
 
     Zones are numbered by their smallest member vertex, and that smallest
     vertex is kept as the zone's representative.  `reduce` gives `zone_of`
-    as a tuple; a grid labeled from its rows gives a read-only sequence
-    backed by its runs, which looks a vertex up in O(log runs) and equals
-    the tuple `reduce` would give.
+    as a tuple.  A grid labeled from its rows gives a map backed by its
+    runs, with only `len`, `[v]` for v in [0, n) (O(log runs)) and
+    `bands()`, one row of zones per band of identical rows.
     """
 
     zone_of: Sequence[int]

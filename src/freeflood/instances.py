@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from itertools import chain, compress, repeat, starmap
-from operator import add, eq, index, lt, mul, sub
+from operator import add, lt, mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import (
@@ -141,9 +141,9 @@ class _BandZones(Sequence[int]):
     run, its first column (`begin`) and its zone (`zone_of_run`), and for
     every band its first run and its first row.  Looking up a cell takes two
     binary searches, O(log runs): the band by row, then the run by column.
-    No per-cell table is built: iterating yields the zones cell by cell, and
-    `bands` gives one row of zones per band, so a band is painted once.
-    Indexing, `len` and equality with a tuple behave as a tuple's.
+    No per-cell table is built: `bands` gives one row of zones per band, so
+    a band is painted once.  `len` and indexing in [0, n) behave as a
+    tuple's, and an index outside it raises IndexError.
     """
 
     __slots__ = ("_rows", "_cols", "_begin", "_zone_of_run", "_band_runs", "_band_rows")
@@ -168,11 +168,7 @@ class _BandZones(Sequence[int]):
         return self._rows * self._cols
 
     def __getitem__(self, v: int) -> int:
-        v = index(v)
-        n = self._rows * self._cols
-        if v < 0:
-            v += n
-        if not 0 <= v < n:
+        if not 0 <= v < self._rows * self._cols:
             raise IndexError("zone map index out of range")
         row, col = divmod(v, self._cols)
         band = bisect_right(self._band_rows, row) - 1
@@ -190,17 +186,6 @@ class _BandZones(Sequence[int]):
         """Each band's row of zones, one per cell, and the band's height, top to bottom."""
         heights = map(sub, chain(self._band_rows[1:], (self._rows,)), self._band_rows)
         return zip(map(self._band_row, range(len(self._band_rows))), heights)
-
-    def __iter__(self) -> Iterator[int]:
-        return chain.from_iterable(chain.from_iterable(starmap(repeat, self.bands())))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _BandZones)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 def _grid_zones(spec: GridSpec) -> tuple[ReducedGraph, ZoneMap]:
@@ -592,19 +577,14 @@ def _write_place(out: bytearray, lo: int, k: int, cols: int, width: int, place: 
     out[line + width + 1 + at :: slot] = column[cols : cols + k]
 
 
-def _place_pattern(place: int) -> bytes:
-    """One period of decimal digit `place` over consecutive ids: "0" * 10**place, "1" * ..."""
-    return b"".join(bytes((d,)) * 10**place for d in _DIGIT_BYTES)
-
-
-_PLACE_PATTERNS = tuple([_place_pattern(p) for p in range(4)])  # places 0-3, 11 110 bytes
+# one period of decimal place p over consecutive ids, "0" * 10**p + ... + "9" * 10**p, p < 4
+_PLACE_PATTERNS = tuple([b"".join([bytes((d,)) * 10**p for d in _DIGIT_BYTES]) for p in range(4)])
 
 
 def _digit_column(lo: int, count: int, place: int) -> bytearray:
     """Decimal digit `place` of the ids lo, lo+1, ..., lo+count-1, pad for a leading zero."""
     unit = 10**place
-    period = 10 * unit
-    if place >= len(_PLACE_PATTERNS) and count < period:  # fewer than 11 runs of one digit
+    if place >= len(_PLACE_PATTERNS):  # each digit holds for 10**place >= 10 000 ids: few runs
         runs = []
         end = lo + count
         while lo < end:
@@ -613,8 +593,8 @@ def _digit_column(lo: int, count: int, place: int) -> bytearray:
             runs.append((_PAD if not q else bytes((48 + q % 10,))) * (nxt - lo))
             lo = nxt
         return bytearray(b"".join(runs))
-    # slice the repeating "0"*unit + "1"*unit + ... + "9"*unit
-    pattern = _PLACE_PATTERNS[place] if place < len(_PLACE_PATTERNS) else _place_pattern(place)
+    pattern = _PLACE_PATTERNS[place]  # sliced from as many periods as the ids span
+    period = 10 * unit
     skip = lo % period
     column = bytearray((pattern * ((skip + count) // period + 1))[skip : skip + count])
     if place and lo < unit:
