@@ -15,18 +15,19 @@ import sys
 import time
 
 from .errors import FloodError, InstanceTooLarge, InvariantViolation, MalformedMove, NoOpMove, ParseError
-from .graphs import ColoredGraph, ReducedGraph, ZoneMap, reduce
+from .graphs import ReducedGraph, ZoneMap, _check_connected, _label
 from .instances import (
     GridSpec,
+    _GraphFile,
     _GridFields,
     _grid_zones,
+    _read_graph,
     emit_graph,
     emit_grid,
     emit_moves,
     gen_random,
     gen_reduced_corpus,
     instance_digest,
-    parse_graph,
     parse_grid_spec,
     parse_moves,
 )
@@ -71,6 +72,8 @@ def _read_text(path: str) -> str:
     if path == "-":
         if sys.stdin is None:
             raise OSError("stdin is closed")
+        if not hasattr(sys.stdin, "buffer"):  # a text stream, such as io.StringIO
+            return sys.stdin.read()
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as handle:
@@ -107,8 +110,8 @@ def _write_output(path: str, text: str) -> None:
         os.close(fd)
 
 
-def _parse_instance(path: str) -> GridSpec | ColoredGraph:
-    """Read and parse an instance file: a GridSpec, or a built graph.
+def _parse_instance(path: str) -> GridSpec | _GraphFile:
+    """Read and parse an instance file: a GridSpec, or a graph file's checked lines.
 
     The first content line tells the formats apart: a graph file's is its
     `n m c` header, a grid row is one field.  It is looked for in one
@@ -127,17 +130,18 @@ def _parse_instance(path: str) -> GridSpec | ColoredGraph:
                 break
         start = end
     if len(fields) > 1:
-        return parse_graph(text)
+        return _read_graph(text)
     return parse_grid_spec(text)
 
 
-def _zones(source: GridSpec | ColoredGraph) -> tuple[ReducedGraph, ZoneMap, int]:
-    """Zone graph, zone map and color count: a grid is labeled into zones
-    straight from its rows, a graph is reduced."""
+def _zones(source: GridSpec | _GraphFile) -> tuple[ReducedGraph, ZoneMap, int]:
+    """Zone graph, zone map and color count: a grid is labeled into zones straight
+    from its rows, a graph file from its edges and checked for connectivity on its zones."""
     if isinstance(source, GridSpec):
         rg, zm = _grid_zones(source)
         return rg, zm, max(rg.colors) + 1  # each cell has its zone's color
-    rg, zm = reduce(source)
+    rg, zm = _label(source.colors, zip(*source.edges))
+    _check_connected(rg.adjacency, zm.zone_of)
     return rg, zm, source.color_count
 
 
@@ -147,12 +151,12 @@ def _load_instance(path: str):
     return (*_zones(source), source)
 
 
-def _size(source: GridSpec | ColoredGraph) -> tuple[int, int]:
+def _size(source: GridSpec | _GraphFile) -> tuple[int, int]:
     """Vertex and edge counts of an instance; a grid's come from its dimensions."""
     if isinstance(source, GridSpec):
         rows, cols = source.rows, source.cols
         return rows * cols, 2 * rows * cols - rows - cols
-    return source.vertex_count, source.edge_count
+    return len(source.colors), len(source.edges[0])
 
 
 def _add_format_arg(sub: argparse.ArgumentParser) -> None:
@@ -326,7 +330,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         graphs = 0
         checks = 0
         bad = None
-        for _, rg in gen_reduced_corpus(args.count, args.seed + offset, max_zones, min_zones, max_zones):
+        for _, rg in gen_reduced_corpus(args.count, args.seed + offset, min_zones, max_zones):
             report = checker(rg)
             graphs += 1
             checks += report.instances_checked

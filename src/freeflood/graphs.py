@@ -11,6 +11,7 @@ all of its neighbors.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -79,7 +80,7 @@ class FloodMove(NamedTuple):
     color: int
 
 
-def _check_connected(adjacency: Sequence[Sequence[int]]) -> None:
+def _check_connected(adjacency: Sequence[Sequence[int]], zone_of: Sequence[int] = ()) -> None:
     n = len(adjacency)
     seen = [False] * n
     seen[0] = True
@@ -93,6 +94,8 @@ def _check_connected(adjacency: Sequence[Sequence[int]]) -> None:
                 count += 1
                 stack.append(w)
     if count != n:
+        if zone_of:  # the rows are zones: count the vertices of those reached
+            count, n = sum(map(seen.__getitem__, zone_of)), len(zone_of)
         raise DisconnectedGraph(f"only {count} of {n} vertices reachable from vertex 0")
 
 
@@ -188,39 +191,41 @@ def _validate_reduced(rg: ReducedGraph) -> None:
 
 
 def reduce(g: ColoredGraph) -> tuple[ReducedGraph, ZoneMap]:
-    """Contract every zone of g to a single vertex.
+    """Contract every zone of g to a single vertex: `_label` of g's pairs u < w."""
+    return _label(g.colors, ((u, w) for w, row in enumerate(g.adjacency) for u in row if u < w))
 
-    Same-colored neighbors are united in a union-find whose roots are least
-    vertices, as `instances._grid_zones` unites runs, so zones are numbered
-    by their least vertex.  The induced coloration is proper by
-    construction; zone count and edge count never exceed the original
-    graph's.  Near-linear in vertices plus edges.
-    """
-    adjacency, colors = g.adjacency, g.colors
+
+def _label(colors: Sequence[int], edges: Iterable[tuple[int, int]]) -> tuple[ReducedGraph, ZoneMap]:
+    """Zone graph and zone map of vertices 0 .. len(colors)-1 joined by distinct pairs,
+    read once: same-colored pairs are united in a union-find whose roots are least vertices,
+    as `instances._grid_zones` unites runs, so zones are numbered by their least vertex; each
+    other pair joins two zones a < b, kept as the int a * zones + b (tuples would set off
+    garbage collections over the kept pairs)."""
     parent = list(range(len(colors)))  # parent[k] <= k, so a root is its tree's least vertex
-    for u, row in enumerate(adjacency):
-        color = colors[u]
-        for w in row:
-            if w > u and colors[w] == color:
-                x = u  # find, inlined
-                while parent[x] != x:
-                    parent[x] = x = parent[parent[x]]
-                y = w
-                while parent[y] != y:
-                    parent[y] = y = parent[parent[y]]
-                if x < y:
-                    parent[y] = x
-                elif y < x:
-                    parent[x] = y
+    us, ws = [], []  # the pairs of two colors
+    for u, w in edges:
+        if colors[u] != colors[w]:
+            us.append(u)
+            ws.append(w)
+            continue
+        x = u  # find, inlined
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        y = w
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
     roots, zone_of = _forest_zones(parent)
-    del parent  # before the pair set grows
-    pairs = set()
-    for zu, row in zip(zone_of, adjacency):
-        for w in row:
-            zw = zone_of[w]
-            if zu < zw:
-                pairs.add((zu, zw))
-    rg = ReducedGraph(_rows(len(roots), pairs), tuple([colors[r] for r in roots]))
+    zones = len(roots)
+    keys = set()
+    for u, w in zip(us, ws):
+        zu, zw = zone_of[u], zone_of[w]
+        keys.add(zu * zones + zw if zu < zw else zw * zones + zu)
+    del parent, us, ws  # before the rows are built
+    rg = ReducedGraph(_rows(zones, map(divmod, keys, repeat(zones))), tuple([colors[r] for r in roots]))
     return rg, ZoneMap(zone_of, tuple(roots))
 
 

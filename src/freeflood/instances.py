@@ -312,6 +312,10 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+# a graph file's checked lines: edges as columns (us, ws), u < w; connectivity unchecked
+_GraphFile = NamedTuple("_GraphFile", [("edges", tuple), ("colors", tuple), ("color_count", int)])
+
+
 def parse_graph(text: str) -> ColoredGraph:
     """Parse an "n m c" header, n color lines, and m edge lines.
 
@@ -322,13 +326,18 @@ def parse_graph(text: str) -> ColoredGraph:
     `_graph_by_lines`, which accepts the same files and locates the first
     fault.
     """
-    edges, colors, color_count = _graph_in_bulk(text) or _graph_by_lines(text)
-    g = _assemble(edges, tuple(colors), color_count)  # every edge and color checked
+    (us, ws), colors, color_count = _read_graph(text)
+    g = _assemble(zip(us, ws), colors, color_count)  # every edge and color checked
     _check_connected(g.adjacency)
     return g
 
 
-def _graph_in_bulk(text: str) -> tuple[Iterable[tuple[int, int]], list[int], int] | None:
+def _read_graph(text: str) -> _GraphFile:
+    """`parse_graph`'s checked lines, with no graph assembled."""
+    return _graph_in_bulk(text) or _graph_by_lines(text)
+
+
+def _graph_in_bulk(text: str) -> _GraphFile | None:
     """The checked edges, colors and color count of a plain graph file, or None.
 
     None means the text is not digits, spaces and "\n" laid out as one
@@ -385,10 +394,10 @@ def _graph_in_bulk(text: str) -> tuple[Iterable[tuple[int, int]], list[int], int
         return None
     if len(set(map(add, map(mul, us, repeat(n)), vs))) != m:  # u * n + v names the edge
         return None
-    return zip(us, vs), colors, color_count
+    return _GraphFile((us, vs), tuple(colors), color_count)
 
 
-def _graph_by_lines(text: str) -> tuple[dict[tuple[int, int], None], list[int], int]:
+def _graph_by_lines(text: str) -> _GraphFile:
     """`parse_graph`'s checks one content line at a time: accepts comments,
     blank lines and any line ends, and reports the first fault with its
     position."""
@@ -423,7 +432,7 @@ def _graph_by_lines(text: str) -> tuple[dict[tuple[int, int], None], list[int], 
         if not 0 <= color < color_count:
             raise ColorOutOfRange(f"line {lineno}: color {color} outside [0, {color_count})")
         colors.append(color)
-    seen: dict[tuple[int, int], None] = {}  # ordered, so assembly walks the edges in file order
+    seen: dict[tuple[int, int], None] = {}  # ordered, so the columns hold the edges in file order
     for k in range(m):
         if pos >= len(lines):
             raise EdgeCountMismatch(f"header declares {m} edges, found {k}", line=lines[-1][0])
@@ -449,10 +458,10 @@ def _graph_by_lines(text: str) -> tuple[dict[tuple[int, int], None], list[int], 
         raise EdgeCountMismatch(
             f"header declares {m} edges, found extra content", line=lines[pos][0]
         )
-    return seen, colors, color_count
+    return _GraphFile(([u for u, _ in seen], [v for _, v in seen]), tuple(colors), color_count)
 
 
-def emit_graph(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
+def emit_graph(g: Union[ColoredGraph, ReducedGraph, GridSpec, _GraphFile]) -> str:
     """Canonical instance text; emit followed by parse is the identity.
 
     A GridSpec gives the same text as its grid graph, written from the cells
@@ -464,7 +473,9 @@ def emit_graph(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
     color_count = getattr(g, "color_count", None)
     if color_count is None:
         color_count = max(colors) + 1
-    edges = sorted((u, w) for u, row in enumerate(g.adjacency) for w in row if u < w)
+    pairs = zip(*g.edges) if isinstance(g, _GraphFile) else (
+        (u, w) for u, row in enumerate(g.adjacency) for w in row if u < w)
+    edges = sorted(pairs)
     lines = [f"{len(colors)} {len(edges)} {color_count}"]
     lines.extend(str(c) for c in colors)
     lines.extend(f"{u} {w}" for u, w in edges)
@@ -603,7 +614,7 @@ def _digit_column(lo: int, count: int, place: int) -> bytearray:
     return column
 
 
-def instance_digest(g: Union[ColoredGraph, ReducedGraph, GridSpec]) -> str:
+def instance_digest(g: Union[ColoredGraph, ReducedGraph, GridSpec, _GraphFile]) -> str:
     """Hex digest identifying an instance by its canonical file bytes."""
     import hashlib  # here, not at start-up: it loads OpenSSL, and only digests need it
 
@@ -727,20 +738,20 @@ def gen_random(n: int, extra_edges: int, color_count: int, seed: int) -> Colored
 
 
 def gen_reduced_corpus(
-    count: int, seed: int, max_n: int, min_zones: int, max_zones: int
+    count: int, seed: int, min_zones: int, max_zones: int
 ) -> Iterator[tuple[ColoredGraph, ReducedGraph]]:
     """Seeded (graph, reduced graph) pairs with a zone count in [min_zones, max_zones].
 
-    Half the graphs are random two-colored graphs, half random bipartite
-    graphs (already reduced), so both small and full-size zone graphs show
-    up.  Gives up after 100 * count draws, so it may yield fewer than count.
+    Half the graphs are random two-colored, half random bipartite (already
+    reduced), with 2 to max_zones vertices, so both small and full-size zone
+    graphs show up.  Gives up after 100 * count draws: it may yield fewer.
     """
     rng = random.Random(seed)
     produced = 0
     for _ in range(100 * count):
         if produced == count:
             return
-        n = rng.randint(2, max_n)
+        n = rng.randint(2, max_zones)
         if rng.random() < 0.5:
             slots = n * (n - 1) // 2 - (n - 1)
             g = gen_random(n, min(rng.randint(0, 3), slots), 2, seed=rng.randrange(2**32))

@@ -61,7 +61,7 @@ def grid_corpus():
 @pytest.fixture(scope="module")
 def contraction_corpus():
     """>= 200 seeded reduced graphs with up to 50 zones, plus their originals."""
-    corpus = list(gen_reduced_corpus(200, SEED + 1, 50, 2, 50))
+    corpus = list(gen_reduced_corpus(200, SEED + 1, 2, 50))
     assert len(corpus) == 200
     return corpus
 
@@ -101,7 +101,7 @@ def test_criterion_2_contraction_radius_bounds(contraction_corpus):
 
 
 def test_criterion_3_contraction_distance_bounds():
-    corpus = list(gen_reduced_corpus(100, SEED + 2, 30, 2, 30))
+    corpus = list(gen_reduced_corpus(100, SEED + 2, 2, 30))
     assert len(corpus) == 100
     triples = 0
     for _, rg in corpus:
@@ -112,7 +112,7 @@ def test_criterion_3_contraction_distance_bounds():
 
 
 def test_criterion_4_far_witness():
-    corpus = list(gen_reduced_corpus(100, SEED + 3, 20, 3, 20))
+    corpus = list(gen_reduced_corpus(100, SEED + 3, 3, 20))
     assert len(corpus) == 100
     paths = 0
     for _, rg in corpus:

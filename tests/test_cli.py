@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from freeflood import (
     InvariantViolation,
     emit_graph,
     emit_grid,
+    gen_random,
     graphs,
     grid_graph,
     instance_digest,
@@ -30,6 +32,7 @@ from freeflood import (
     parse_graph,
     parse_grid_spec,
     parse_moves,
+    reduce,
     solver,
 )
 from freeflood.instances import GridSpec, _grid_zones
@@ -48,7 +51,13 @@ from freeflood.cli import (
     main,
 )
 
-from conftest import claim_on_the_input, reference_radius_and_center, spider
+from conftest import (
+    claim_on_the_input,
+    colored_graphs,
+    reference_radius_and_center,
+    reference_reduce,
+    spider,
+)
 
 CHECKERBOARD = "01\n10\n"
 
@@ -550,14 +559,14 @@ def test_check_suites_sit_at_the_checkers_zone_guards(monkeypatch, capsys):
     bounds = []
     real = cli.gen_reduced_corpus
 
-    def recording(count, seed, max_n, min_zones, max_zones):
-        bounds.append((max_n, max_zones))
-        return real(count, seed, max_n, min_zones, max_zones)
+    def recording(count, seed, min_zones, max_zones):
+        bounds.append(max_zones)
+        return real(count, seed, min_zones, max_zones)
 
     monkeypatch.setattr(cli, "gen_reduced_corpus", recording)
     assert main(["check", "--count", "1"]) == EXIT_OK
     capsys.readouterr()
-    assert bounds == [(50, 50), (oracle.DISTANCE_BOUNDS_MAX_ZONES,) * 2, (oracle.FAR_WITNESS_MAX_ZONES,) * 2]
+    assert bounds == [50, oracle.DISTANCE_BOUNDS_MAX_ZONES, oracle.FAR_WITNESS_MAX_ZONES]
 
 
 def test_gen_deterministic_and_parseable(capsys):
@@ -780,6 +789,105 @@ def test_validate_checks_every_zone_graph(text, tmp_path, capsys, monkeypatch):
     assert captured.err == "error: internal check failed: zone graph check\n"
 
 
+def test_text_stdin(capsys, monkeypatch):
+    # a stdin with no byte buffer, such as io.StringIO, is read as text
+    monkeypatch.setattr("sys.stdin", io.StringIO(CHECKERBOARD))
+    assert main(["solve", "-"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == "optimum 2"
+
+
+SPLIT = "4 2 2\n0\n1\n0\n1\n0 1\n2 3\n"
+SPLIT_FILES = {
+    "plain": SPLIT,
+    "comment and CRLF": ("# c\n" + SPLIT).replace("\n", "\r\n"),  # the line reader's file
+    "three colors": "4 2 3\n0\n1\n2\n0\n0 1\n2 3\n",
+}
+
+
+@pytest.mark.parametrize("form", SPLIT_FILES)
+@pytest.mark.parametrize("command", ["solve", "radius", "reduce", "simulate", "verify", "oracle"])
+def test_disconnected_graph_file_is_a_domain_error(command, form, tmp_path, capsys):
+    # connectivity is checked on the zones, and the message counts vertices
+    text = SPLIT_FILES[form]
+    assert (instances._graph_in_bulk(text) is None) == (form == "comment and CRLF")
+    instance = tmp_path / "split.graph"
+    instance.write_bytes(text.encode())
+    moves = tmp_path / "split.moves"
+    moves.write_text("0 1\n")
+    argv = [command, str(instance)] + ([str(moves)] if command in ("simulate", "verify") else [])
+    expected = (EXIT_DOMAIN, "", "error: only 2 of 4 vertices reachable from vertex 0\n")
+    assert _run(argv, capsys) == expected
+
+
+def test_graph_files_build_no_vertex_graph(tmp_path, capsys, monkeypatch):
+    # a graph file is labeled from its edges, and connectivity is checked
+    # on the zone rows: no vertex rows are assembled and no vertex is searched
+    g = gen_random(40, 15, 2, seed=3)
+    instance = tmp_path / "g.graph"
+    instance.write_text(emit_graph(g))
+    moves = tmp_path / "g.moves"
+    searched = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vertex graph was built")
+
+    def check_connected(adjacency, zone_of=()):
+        searched.append(len(adjacency))
+        return graphs._check_connected(adjacency, zone_of)
+
+    monkeypatch.setattr(instances, "_assemble", refuse)
+    monkeypatch.setattr(instances, "build", refuse)
+    monkeypatch.setattr(cli, "_check_connected", check_connected)
+    code, out, err = _run(["solve", str(instance), "--format", "machine", "--moves-out", str(moves)], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    zones = json.loads(out)["zones"]
+    assert zones < g.vertex_count
+    assert _run(["verify", str(instance), str(moves)], capsys) == (EXIT_OK, "verdict optimal\n", "")
+    assert searched == [zones, zones]
+
+
+def _assert_labeled_as_reference(text):
+    """The CLI's parse and labeling of a graph file give exactly what the
+    reference `reduce` gives on the parsed graph, and the same digest."""
+    g = parse_graph(text)
+    with patch.object(cli, "_read_text", lambda path: text):
+        source = cli._parse_instance("-")
+    rg, zm, color_count = cli._zones(source)
+    ref_rg, ref_zm = reference_reduce(g)
+    assert rg == ref_rg
+    assert tuple(zm.zone_of) == ref_zm.zone_of
+    assert zm.representative_of == ref_zm.representative_of
+    assert color_count == g.color_count
+    assert reduce(g) == (ref_rg, ref_zm)
+    assert instance_digest(source) == instance_digest(g)
+    assert cli._size(source) == (g.vertex_count, g.edge_count)
+
+
+class TestGraphFilesLabelAsReduce:
+    """A graph file labeled from its edges against the reference `reduce`."""
+
+    @pytest.mark.parametrize("colors", [1, 2, 3, 4])
+    def test_generated_graphs(self, colors):
+        # at n = 30 the non-tree slots number 406: 20 extra edges are drawn
+        # pair by pair, 200 (past slots // 3) by rank
+        for n, extra, seed in [(30, 20, 1), (30, 200, 2), (1, 0, 3), (2, 0, 4), (300, 250, 5)]:
+            text = emit_graph(gen_random(n, extra, colors, seed))
+            for variant in (text, "# seed 1\n" + text, text.replace("\n", "\r\n")):
+                _assert_labeled_as_reference(variant)
+
+    @given(st.integers(1, 4).flatmap(lambda c: colored_graphs(max_vertices=16, color_count=c)))
+    @settings(max_examples=200)
+    def test_hypothesis_graphs(self, g):
+        _assert_labeled_as_reference(emit_graph(g))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_grid_twins(self, seed):
+        rng = random.Random(seed)
+        rows, cols, colors = rng.randint(1, 40), rng.randint(1, 40), rng.randint(1, 3)
+        spec = GridSpec(rows, cols, bytes([rng.randrange(colors) for _ in range(rows * cols)]))
+        _assert_labeled_as_reference(emit_graph(spec))
+
+
 def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -807,8 +915,8 @@ def test_banded_grid_and_graph_twin_agree(seed, tmp_path, capsys):
 
 
 def _assert_twins_agree(spec, rng, tmp_path, capsys):
-    # a grid is labeled straight from its rows; its graph-file twin goes
-    # through parse, build and reduce, and every output must match
+    # a grid is labeled straight from its rows; its graph-file twin is read
+    # into edges and labeled from them, and every output must match
     grid = tmp_path / "board.grid"
     grid.write_text(emit_grid(spec))
     graph = tmp_path / "board.graph"

@@ -190,7 +190,9 @@ class TestReduceAgreesWithSearch:
         "offset, bounds", enumerate([(50, 2, 50), (30, 2, 30), (20, 3, 20)]), ids=str
     )
     def test_check_corpora(self, offset, bounds):
-        corpus = list(gen_reduced_corpus(200, 7 + offset, *bounds))
+        # a `check` suite's (vertices, min zones, max zones); the vertex cap is max zones
+        _, min_zones, max_zones = bounds
+        corpus = list(gen_reduced_corpus(200, 7 + offset, min_zones, max_zones))
         assert len(corpus) == 200
         for g, _ in corpus:
             assert reduce(g) == reduce_by_search(g)

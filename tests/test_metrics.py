@@ -327,7 +327,7 @@ def test_verify_searches_less_than_the_radius_search(monkeypatch):
 def test_bounded_radius_center_matches_sweep_on_seeded_corpus():
     graphs = 0
     for seed in range(5):
-        for _, rg in gen_reduced_corpus(200, seed, 60, 1, 60):
+        for _, rg in gen_reduced_corpus(200, seed, 1, 60):
             assert _radius_search(rg.adjacency)[:2] == full_sweep_answer(rg)
             graphs += 1
     assert graphs == 1000
@@ -359,7 +359,7 @@ def test_target_search_decides_the_radius_on_corpora(agreement_corpus):
 
 def test_target_search_decides_the_radius_on_seeded_corpus():
     for seed in range(3):
-        for _, rg in gen_reduced_corpus(200, seed, 60, 1, 60):
+        for _, rg in gen_reduced_corpus(200, seed, 1, 60):
             assert_target_answers(rg.adjacency, full_sweep_answer(rg)[0])
 
 

@@ -228,7 +228,7 @@ def bit_set_agreement_graphs():
     """Vertex and zone graphs of the seeded corpora the bit-set paths are checked on."""
     graphs = small_random_graphs()
     for seed in (21, 22, 23):
-        for g, rg in gen_reduced_corpus(60, seed, 20, 2, 20):
+        for g, rg in gen_reduced_corpus(60, seed, 2, 20):
             graphs += [g, rg]
     return graphs
 
@@ -298,7 +298,7 @@ class TestBitSetAgreement:
     def test_radius_bounds_reports_match_the_sweep(self, fault):
         # ball growth, then the sweep, in `radius_and_center` and in the
         # contracted radii, with the fault wrapped around each
-        corpus = [rg for _, rg in gen_reduced_corpus(100, 24, 30, 2, 30)]
+        corpus = [rg for _, rg in gen_reduced_corpus(100, 24, 2, 30)]
         reports = []
         for engine in (metrics._eccentricities, eccentricities_by_sweep):
             with pytest.MonkeyPatch.context() as monkeypatch:
@@ -408,7 +408,15 @@ def inject_row_faults(monkeypatch, seed, one_in):
     monkeypatch.setattr(oracle, "_distances", faulty)
 
 
+# (count, seed, vertices, min zones, max zones); the vertex cap is max zones,
+# and the tuples name the parametrized tests
 AGREEMENT_CORPORA = [(600, 11, 20, 3, 20), (300, 12, 30, 2, 30)]
+
+
+def corpus_graphs(corpus):
+    """The (graph, reduced graph) pairs of a corpus tuple."""
+    count, seed, _, min_zones, max_zones = corpus
+    return gen_reduced_corpus(count, seed, min_zones, max_zones)
 
 
 class TestDistanceBoundsGate:
@@ -417,7 +425,7 @@ class TestDistanceBoundsGate:
     @pytest.mark.parametrize("corpus", AGREEMENT_CORPORA, ids=str)
     def test_reports_match_the_ungated_loop(self, corpus):
         checked = 0
-        for _, rg in gen_reduced_corpus(*corpus):
+        for _, rg in corpus_graphs(corpus):
             report = check_distance_bounds(rg)
             assert report.ok
             assert report == distance_bounds_searching_every_pair(rg)
@@ -428,7 +436,7 @@ class TestDistanceBoundsGate:
     def test_reports_match_the_ungated_loop_under_faults(self, corpus, monkeypatch):
         inject_row_faults(monkeypatch, corpus[1], 997)
         details = set()
-        for _, rg in gen_reduced_corpus(*corpus):
+        for _, rg in corpus_graphs(corpus):
             report = check_distance_bounds(rg)
             reference = distance_bounds_searching_every_pair(rg)
             assert (report.lemma, report.instances_checked, report.ok) == (
@@ -512,7 +520,7 @@ class TestReferenceAgreement:
         FAULTS[fault](monkeypatch)
         refuted = 0
         for corpus in corpora:
-            for _, rg in gen_reduced_corpus(*corpus):
+            for _, rg in corpus_graphs(corpus):
                 got = outcome(check, rg)
                 assert got == outcome(reference, rg)
                 refuted += got[0] == "ok" and not got[1].ok
@@ -553,7 +561,7 @@ class TestContractionPalette:
     @DOMAIN_CHECKERS
     def test_any_two_colors_give_the_same_report(self, check):
         # colors {3, 5}: flooding with `1 - color` would absorb no neighbor
-        for _, rg in gen_reduced_corpus(30, 5, 20, 4, 20):
+        for _, rg in gen_reduced_corpus(30, 5, 4, 20):
             report = check(rg)
             assert report.ok and report.instances_checked > 0
             assert check(ReducedGraph(rg.adjacency, tuple(5 if c else 3 for c in rg.colors))) == report
@@ -606,7 +614,7 @@ class TestFarWitness:
         ],
     )
     def test_radius_one_too_high_is_refuted(self, index, checked, witness, monkeypatch):
-        rg = list(gen_reduced_corpus(40, 11, 20, 3, 20))[index][1]
+        rg = list(gen_reduced_corpus(40, 11, 3, 20))[index][1]
         assert check_far_witness(rg).ok
         claim_radius_one_too_high(monkeypatch)
         report = check_far_witness(rg)

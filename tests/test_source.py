@@ -42,9 +42,10 @@ def test_oracle_is_independent_of_the_solver():
 
 
 def test_zone_graphs_are_built_only_from_an_instance():
-    # after `reduce` (or the grid labeling that stands in for it) the zone
-    # graph lives in one flooded zone state: no zone graph is rebuilt after
-    # a flood, so only these two functions construct a ReducedGraph
+    # after labeling (`_label` for edges, which `reduce` feeds, and the grid
+    # labeling) the zone graph lives in one flooded zone state: no zone graph
+    # is rebuilt after a flood, so only these two functions construct a
+    # ReducedGraph
     builders = set()
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -57,7 +58,7 @@ def test_zone_graphs_are_built_only_from_an_instance():
                 callee = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.func)}
                 if "ReducedGraph" in callee:  # ReducedGraph(...), graphs.ReducedGraph._make(...)
                     builders.add(f"{path.stem}.{func.name}")
-    assert builders == {"graphs.reduce", "instances._grid_zones"}
+    assert builders == {"graphs._label", "instances._grid_zones"}
 
 
 def _functions(tree, prefix=""):
